@@ -6,7 +6,7 @@
 //!
 //! The exact engine pricing the rows defaults to branch-and-bound; pass
 //! `--solver` (or set `MVP_GAP_SOLVER`) to price with the CDCL SAT backend
-//! or the racing portfolio instead.
+//! or the dovetailed portfolio instead.
 //!
 //! Every (loop, machine) point of the table is one job on the shared
 //! work-stealing executor (`MVP_THREADS` to override the width); rows are

@@ -3,9 +3,9 @@
 //! Usage: `portfolio [--loops N] [--max-ops N] [--seed S] [--budget STEPS]`
 //!
 //! Every (loop, machine) point is solved by pure branch-and-bound, pure
-//! CDCL SAT and the racing portfolio; any certificate disagreement or
+//! CDCL SAT and the dovetailed portfolio; any certificate disagreement or
 //! validator violation panics, so CI turns soundness bugs into red builds.
-//! With `MVP_PORTFOLIO_CSV=<path>` the per-row race results (winner,
+//! With `MVP_PORTFOLIO_CSV=<path>` the per-row portfolio results (winner,
 //! branch-and-bound nodes, SAT conflicts, inclusive portfolio steps) are
 //! written as the `portfolio-solvers.csv` artifact.
 //!

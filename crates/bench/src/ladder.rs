@@ -103,8 +103,9 @@ fn fingerprint(o: &ExactOutcome) -> (u32, u32, Option<u32>, bool, Vec<(u32, IiVe
 }
 
 /// Runs the bracket. Points run serially on the caller's thread — each
-/// ladder solve parallelises internally on its own executor, and the
-/// per-point speculation columns are deltas of process-global counters.
+/// ladder solve parallelises internally on its own executor — and the
+/// per-point speculation columns come from each ladder outcome's own
+/// [`SpeculationStats`](mvp_exact::SpeculationStats).
 #[must_use]
 pub fn run(params: &LadderParams) -> Vec<LadderRow> {
     let options = ExactOptions::new().with_node_budget(params.gap.node_budget);
@@ -117,12 +118,6 @@ pub fn run(params: &LadderParams) -> Vec<LadderRow> {
     } else {
         params.width
     };
-    let speculation_counters = [
-        mvp_trace::counter_handle!("exact.ladder.wasted_steps", Runtime),
-        mvp_trace::counter_handle!("exact.ladder.speculative_probes", Stable),
-        mvp_trace::counter_handle!("exact.ladder.cancelled_probes", Stable),
-        mvp_trace::counter_handle!("exact.ladder.imported_clauses", Stable),
-    ];
 
     let mut rows = Vec::new();
     for machine in &machines {
@@ -139,7 +134,6 @@ pub fn run(params: &LadderParams) -> Vec<LadderRow> {
                 continue; // loop uses a unit kind the machine lacks
             };
 
-            let before = speculation_counters.map(mvp_trace::Counter::get);
             let start = Instant::now();
             let ladder = solve_with(
                 l,
@@ -149,8 +143,6 @@ pub fn run(params: &LadderParams) -> Vec<LadderRow> {
             )
             .expect("solvability is width-independent");
             let ladder_ms = start.elapsed().as_secs_f64() * 1e3;
-            let [wasted_steps, speculative_probes, cancelled_probes, imported_clauses] =
-                std::array::from_fn(|i| speculation_counters[i].get() - before[i]);
 
             rows.push(LadderRow {
                 machine: machine.name.clone(),
@@ -163,10 +155,10 @@ pub fn run(params: &LadderParams) -> Vec<LadderRow> {
                 ladder_ms,
                 sequential_steps: sequential.nodes + sequential.conflicts,
                 ladder_steps: ladder.nodes + ladder.conflicts,
-                wasted_steps,
-                speculative_probes,
-                cancelled_probes,
-                imported_clauses,
+                wasted_steps: ladder.speculation.wasted_steps,
+                speculative_probes: ladder.speculation.speculative_probes,
+                cancelled_probes: ladder.speculation.cancelled_probes,
+                imported_clauses: ladder.speculation.imported_clauses,
                 verdicts_match: fingerprint(&ladder) == fingerprint(&sequential),
             });
         }

@@ -10,7 +10,7 @@
 //!   (optimality-gap tables, `MVP_GAP_CSV` for the CI artifact;
 //!   `--solver`/`MVP_GAP_SOLVER` picks the exact engine),
 //! * `portfolio` — nightly SAT-vs-branch-and-bound differential over the
-//!   gap corpus with a per-probe portfolio race (`MVP_PORTFOLIO_CSV` for
+//!   gap corpus with a dovetailed portfolio per probe (`MVP_PORTFOLIO_CSV` for
 //!   the `portfolio-solvers.csv` artifact),
 //! * `wallclock` — suite wall-clock per executor thread count
 //!   (`MVP_WALLCLOCK_CSV` for the CI artifact),

@@ -1,9 +1,9 @@
 //! SAT-vs-branch-and-bound differential over the gap corpus, plus the
-//! portfolio race that retires both.
+//! dovetailed portfolio that combines both.
 //!
 //! Every (loop, machine) point of the [`crate::gap`] corpus is solved three
-//! times — pure branch-and-bound, pure CDCL SAT, and the racing portfolio —
-//! and the three outcomes are cross-checked:
+//! times — pure branch-and-bound, pure CDCL SAT, and the portfolio — and
+//! the three outcomes are cross-checked:
 //!
 //! * two proved optima must be **equal** (the engines implement the same
 //!   validator rule set; disagreeing certificates mean one is unsound);
@@ -16,8 +16,8 @@
 //! A violated check panics — the nightly CI job running the `portfolio` bin
 //! turns that into a red build rather than shipping a silently-inverted
 //! table. The per-row artifact (`portfolio-solvers.csv`) records which
-//! engine won each portfolio race and what each engine paid (branch-and-
-//! bound nodes, SAT conflicts, inclusive portfolio steps).
+//! engine decided each portfolio's last probe and what each engine paid
+//! (branch-and-bound nodes, SAT conflicts, inclusive portfolio steps).
 
 use crate::gap::{backend_of, corpus, machines, GapParams};
 use crate::report::Table;
@@ -46,7 +46,7 @@ pub struct PortfolioRow {
     pub bnb_nodes: u64,
     /// SAT steps (decisions + conflicts) of the standalone SAT run.
     pub sat_conflicts: u64,
-    /// Inclusive step total of the portfolio race (both rivals' work).
+    /// Inclusive step total of the portfolio (both engines' work).
     pub portfolio_steps: u64,
     /// Clauses the standalone SAT run's incremental session reused across
     /// its probes (summed).
@@ -95,8 +95,8 @@ pub fn run(params: &GapParams) -> Vec<PortfolioRow> {
 }
 
 /// Runs the differential on an explicit executor (each grid point is one
-/// job; the portfolio's own race then runs inline on that job's thread,
-/// which keeps the whole table deterministic for any thread count).
+/// job; a widened portfolio's ladder rounds then run inline on that job's
+/// thread).
 #[must_use]
 pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
     let options = ExactOptions::new().with_node_budget(params.node_budget);
@@ -172,8 +172,8 @@ pub fn render(rows: &[PortfolioRow]) -> String {
     let sat_wins = rows.iter().filter(|r| r.winner == SolverKind::Sat).count();
     let proved = rows.iter().filter(|r| r.both_proved).count();
     format!(
-        "SAT vs branch-and-bound differential (portfolio race per probe)\n{}\n\
-         {} / {} points proved optimal by both engines; SAT won {} of {} races\n",
+        "SAT vs branch-and-bound differential (dovetailed portfolio per probe)\n{}\n\
+         {} / {} points proved optimal by both engines; SAT won {} of {} points\n",
         t.render(),
         proved,
         rows.len(),
@@ -440,7 +440,7 @@ mod tests {
         assert!(!rows.is_empty());
         // Small loops under the default budget: both engines prove every
         // point, so the cross-checks inside run() were all exercised for
-        // real, and every race was decided by a named engine.
+        // real, and every portfolio probe was decided by a named engine.
         for r in &rows {
             assert!(r.both_proved, "{} / {}", r.loop_name, r.machine);
             assert_ne!(r.winner, SolverKind::Portfolio);

@@ -15,9 +15,8 @@
 //! 2. **Showcase pass** — [`TraceMode::Full`](mvp_trace::TraceMode): the
 //!    portfolio pipeline runs the corpus twice against a shared schedule
 //!    cache, so the drained event stream carries spans and instants from
-//!    all six layers at once — `pipeline.*` phases, `exec.*` batches and
-//!    jobs, `schedcache.*` hits/misses, `exact.probe`, `sat.solve` and
-//!    `portfolio.winner`.
+//!    all five layers at once — `pipeline.*` phases, `exec.*` batches and
+//!    jobs, `schedcache.*` hits/misses, `exact.probe` and `sat.solve`.
 //!
 //! [`chrome_trace_json`] converts the drained events into the chrome trace
 //! event format (`chrome://tracing`, Perfetto's legacy JSON importer):
@@ -26,9 +25,9 @@
 //! [`mvp_trace::thread_id`] as `tid`.
 //!
 //! The ordering of the *passes* matters: the snapshot is taken before the
-//! showcase pass because the portfolio race cancels its losing rival at a
-//! scheduling-dependent point, which makes even the stable solver counters
-//! nondeterministic under racing.
+//! showcase pass, which the width-independence guarantee does not cover —
+//! its shared schedule cache decides per job whether a loop is solved or
+//! replayed, and with concurrent jobs that can depend on scheduling.
 
 use crate::json::Json;
 use multivliw::pipeline::{Pipeline, PipelineScheduleCache, SchedulerChoice};
@@ -47,16 +46,9 @@ pub const TRACE_JSON_ENV_VAR: &str = "MVP_TRACE_JSON";
 /// `trace` binary writes (uploaded as `metrics-snapshot`).
 pub const METRICS_CSV_ENV_VAR: &str = "MVP_METRICS_CSV";
 
-/// The six instrumented layers a full showcase trace must cover (the
+/// The five instrumented layers a full showcase trace must cover (the
 /// dotted-name roots of the crate-level naming convention in [`mvp_trace`]).
-pub const INSTRUMENTED_LAYERS: [&str; 6] = [
-    "pipeline",
-    "exec",
-    "schedcache",
-    "exact",
-    "sat",
-    "portfolio",
-];
+pub const INSTRUMENTED_LAYERS: [&str; 5] = ["pipeline", "exec", "schedcache", "exact", "sat"];
 
 /// Parameters of the trace showcase run.
 #[derive(Debug, Clone, Copy)]
@@ -172,10 +164,9 @@ fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> Vec<Event> {
         1024,
         executor.threads(),
     ));
-    // Ladder width pinned to 1 so the portfolio *races* its engines — the
-    // showcase exists to cover every instrumented layer, and the
-    // `portfolio.*` events only flow from the racing path (the speculative
-    // ladder's spans live in the `exact` layer, showcased by the
+    // Ladder width pinned to 1 so each exact search probes inline on its
+    // pipeline job's thread and the executor's parallelism goes across
+    // loops (the speculative ladder's round spans are exercised by the
     // `exact_ladder` binary).
     let pipeline = Pipeline::builder()
         .scheduler(SchedulerChoice::Portfolio)

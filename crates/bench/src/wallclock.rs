@@ -151,9 +151,8 @@ pub fn run(params: &WallclockParams) -> Vec<WallclockRow> {
             // default per loop.
             // Ladder width pinned to 1: this measurement times *batch*
             // scaling (one loop per executor job), so the exact search must
-            // not additionally parallelise inside each solve — and must not
-            // pick up a process-wide `MVP_EXACT_LADDER` override either.
-            // The `exact_ladder` binary measures intra-search scaling.
+            // not additionally parallelise inside each solve. The
+            // `exact_ladder` binary measures intra-search scaling.
             let pipeline = Pipeline::builder()
                 .scheduler(scheduler)
                 .executor(Arc::clone(&executor))

@@ -67,36 +67,19 @@ fn the_ladder_commits_sequential_outcomes_across_the_gap_corpus() {
                         &ExactBackend::portfolio(Arc::clone(executor)),
                     )
                     .expect("solvability is width-independent");
-                    // Width 1 on a multi-thread executor is the historical
-                    // *racing* portfolio: both engines charge their steps
-                    // concurrently, so on budget-bound points the charged
-                    // total — and therefore where the search stops — is
-                    // timing-dependent. That path predates the ladder and
-                    // is outside its verdict contract; for it we pin
-                    // soundness (certificates never contradict, the bound
-                    // stays valid) rather than identity.
-                    if width == 1 && executor.threads() > 1 {
-                        assert!(
-                            ladder.lower_bound <= reference.lower_bound,
-                            "racing bound overshoots on {point}"
-                        );
-                        for pl in &ladder.probes {
-                            for pr in &reference.probes {
-                                assert!(
-                                    !(pl.ii == pr.ii
-                                        && pl.verdict != IiVerdict::Unknown
-                                        && pr.verdict != IiVerdict::Unknown
-                                        && pl.verdict != pr.verdict),
-                                    "opposite certificates at II={} on {point}",
-                                    pl.ii
-                                );
-                            }
-                        }
-                    } else {
+                    assert_eq!(
+                        fingerprint(&ladder),
+                        fingerprint(&reference),
+                        "width {width} x {} threads on {point}",
+                        executor.threads()
+                    );
+                    if width == 1 {
+                        // Width 1 probes inline, so even the per-probe
+                        // step provenance is thread-count independent.
                         assert_eq!(
-                            fingerprint(&ladder),
-                            fingerprint(&reference),
-                            "width {width} x {} threads on {point}",
+                            ladder.probes,
+                            reference.probes,
+                            "width 1 x {} threads on {point}",
                             executor.threads()
                         );
                     }

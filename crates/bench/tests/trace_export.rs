@@ -10,7 +10,7 @@
 //!    go backwards (a single thread records through one monotonic clock).
 //! 3. **Document shape** — the JSON tree has the `traceEvents` array whose
 //!    records carry `name`/`ph`/`ts`/`pid`/`tid`, and the stream covers
-//!    all six instrumented layers.
+//!    all five instrumented layers.
 //!
 //! The trace sink and mode are process-global; this integration test owns
 //! its process and runs the showcase once.

@@ -14,11 +14,11 @@
 //!
 //! A second, fully independent engine lowers the same rule set to CNF and
 //! hands it to the in-workspace CDCL solver of `mvp-sat`
-//! ([`ExactBackend::Sat`]); [`ExactBackend::Portfolio`] races both engines
-//! per probe on a persistent `mvp-exec` pool — first certificate wins, the
-//! rival is cancelled through a shared poison flag, and agreeing
-//! certificates are cross-checked (a disagreement panics rather than
-//! picking a side).
+//! ([`ExactBackend::Sat`]); [`ExactBackend::Portfolio`] dovetails both
+//! engines per probe in escalating step quanta until one decides. Every
+//! backend runs the same upward II loop; with a ladder width above 1 (see
+//! [`ExactOptions::ladder_width`]) it probes several IIs at once on a
+//! persistent `mvp-exec` pool and still commits them in II order.
 //!
 //! # The constraint model is the validator's rule set
 //!
@@ -115,7 +115,7 @@ mod search;
 
 pub use model::Problem;
 pub use options::ExactOptions;
-pub use outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
+pub use outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind, SpeculationStats};
 pub use scheduler::{solve, solve_with, ExactBackend, ExactScheduler};
 
 #[cfg(test)]

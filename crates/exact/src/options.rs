@@ -30,21 +30,18 @@ pub struct ExactOptions {
     /// Whether the SAT backend keeps one incremental solver alive across the
     /// whole II search (assumption-guarded per-II layers, clause and
     /// learnt-state retention) instead of re-encoding from scratch per
-    /// probe. On by default; the environment variable `MVP_SAT_INCREMENTAL`
-    /// set to `0` or `false` flips the default off — the escape hatch the
-    /// differential suites use to race the two modes.
+    /// probe. On by default; [`ExactOptions::with_sat_incremental`]
+    /// switches it off, which the differential suites use to compare the
+    /// two modes.
     pub sat_incremental: bool,
     /// Width of the speculative parallel II ladder: how many consecutive
     /// candidate IIs the outer search probes concurrently per round. `0`
     /// (the default) means *auto* — the portfolio backend uses its
     /// executor's thread count, the single-engine backends stay sequential.
-    /// `1` forces the classic sequential search on any backend (the escape
-    /// hatch). The environment variable `MVP_EXACT_LADDER` overrides the
-    /// default when set to an integer (`MVP_EXACT_LADDER=1` disables
-    /// speculation process-wide); [`ExactOptions::with_ladder_width`] beats
-    /// both. The ladder's verdict contract: the committed
-    /// `ExactOutcome` is identical to the sequential search's whenever the
-    /// step budget does not bind — only step/wallclock provenance may vary.
+    /// `1` forces the sequential search on any backend. The ladder's
+    /// verdict contract: the committed `ExactOutcome` is identical to the
+    /// sequential search's whenever the step budget does not bind — only
+    /// step/wallclock provenance may vary.
     pub ladder_width: u32,
 }
 
@@ -60,8 +57,8 @@ impl ExactOptions {
             node_budget: 1_000_000,
             horizon_stages: 8,
             enforce_register_pressure: true,
-            sat_incremental: sat_incremental_default(),
-            ladder_width: ladder_width_default(),
+            sat_incremental: true,
+            ladder_width: 0,
         }
     }
 
@@ -127,26 +124,6 @@ impl Default for ExactOptions {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The process-wide incremental-SAT default: on, unless
-/// `MVP_SAT_INCREMENTAL` disables it.
-fn sat_incremental_default() -> bool {
-    match std::env::var("MVP_SAT_INCREMENTAL") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
-}
-
-/// The process-wide ladder-width default: auto (`0`), unless
-/// `MVP_EXACT_LADDER` names an explicit width (`1` = force sequential).
-/// A value that does not parse as an integer behaves like an unset
-/// variable.
-fn ladder_width_default() -> u32 {
-    std::env::var("MVP_EXACT_LADDER")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

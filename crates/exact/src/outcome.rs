@@ -10,9 +10,10 @@ pub enum SolverKind {
     BranchAndBound,
     /// The CDCL SAT backend (CNF encoding per fixed-II probe).
     Sat,
-    /// Both engines raced on the executor; only meaningful as an
-    /// outcome-level label — individual probes always name the engine
-    /// whose certificate won.
+    /// Both engines dovetailed per probe. As an outcome-level label it
+    /// names the backend; a decided probe names the engine whose
+    /// certificate decided it, and only an undecided probe carries this
+    /// label.
     Portfolio,
 }
 
@@ -64,11 +65,11 @@ pub struct IiProbe {
     pub ii: u32,
     /// How the probe ended.
     pub verdict: IiVerdict,
-    /// Branch-and-bound search nodes the probe consumed (including a
-    /// cancelled portfolio rival's).
+    /// Branch-and-bound search nodes the probe consumed (in a portfolio
+    /// probe, every dovetail instalment's, whichever engine decided).
     pub nodes: u64,
-    /// SAT solver steps (decisions + conflicts) the probe consumed
-    /// (including a cancelled portfolio rival's).
+    /// SAT solver steps (decisions + conflicts) the probe consumed (in a
+    /// portfolio probe, every dovetail instalment's).
     pub conflicts: u64,
     /// The engine whose certificate decided the probe. For an undecided
     /// probe (budget), the backend that was asked.
@@ -82,6 +83,26 @@ pub struct IiProbe {
     /// probes of the same search (CEGAR blocking clauses included). Zero in
     /// the same cases as [`reused_clauses`](Self::reused_clauses).
     pub kept_learned: u64,
+}
+
+/// Speculation accounting of one II search's ladder (see
+/// [`ExactOptions::ladder_width`](crate::ExactOptions::ladder_width)). All
+/// zero at width 1, which never speculates. The process-wide
+/// `exact.ladder.*` counters only aggregate these per-search figures.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpeculationStats {
+    /// Rungs launched beyond the first of each round.
+    pub speculative_probes: u64,
+    /// Launched rungs that never committed (cancelled, skipped, or above
+    /// the round's terminal verdict).
+    pub cancelled_probes: u64,
+    /// Learnt clauses committed rungs imported from the shared export pool.
+    pub imported_clauses: u64,
+    /// Search steps speculation spent beyond what the search charged:
+    /// rungs above a terminal verdict, and the excess of rungs launched
+    /// with more than their sequential budget remainder. Depends on
+    /// scheduling, unlike the other three figures.
+    pub wasted_steps: u64,
 }
 
 /// Outcome of the exact II search for one loop on one machine.
@@ -119,6 +140,8 @@ pub struct ExactOutcome {
     pub backend: SolverKind,
     /// Per-II probe log, in probing order.
     pub probes: Vec<IiProbe>,
+    /// What the ladder speculated beyond the committed probes.
+    pub speculation: SpeculationStats,
 }
 
 impl ExactOutcome {
@@ -201,6 +224,7 @@ mod tests {
                 reused_clauses: 0,
                 kept_learned: 0,
             }],
+            speculation: SpeculationStats::default(),
         };
         assert!((outcome.optimality_gap_of(4)).abs() < 1e-12);
         assert!((outcome.optimality_gap_of(6) - 0.5).abs() < 1e-12);

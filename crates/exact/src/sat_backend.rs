@@ -67,10 +67,10 @@
 //! and carrying it over measurably traps the register-pressure CEGAR loop
 //! (see [`Encoder::begin_layer`]).
 //!
-//! The from-scratch path ([`ExactOptions::sat_incremental`] `= false`, env
-//! `MVP_SAT_INCREMENTAL=0`) builds a fresh unguarded encoder per probe —
-//! clause-for-clause the pre-incremental encoding — and is raced against
-//! the incremental path by the differential suites.
+//! The from-scratch path ([`ExactOptions::sat_incremental`] `= false`)
+//! builds a fresh unguarded encoder per probe — clause-for-clause the
+//! pre-incremental encoding — and is compared against the incremental
+//! path by the differential suites.
 //!
 //! # Decoding and trust
 //!
@@ -762,12 +762,8 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         }
     }
 
-    /// Runs one fixed-II probe: certificates first (resource counts,
-    /// positive dependence cycles — shared with the branch-and-bound), then
-    /// CNF encoding, CDCL search and kernel-checked decoding. `steps_used`
-    /// is incremented by the solver steps (decisions + conflicts) the probe
-    /// consumed; the budget and cancellation contracts match
-    /// [`crate::search::solve_fixed_ii`].
+    /// [`SatProbeSession::probe_seeded`] with an empty pool.
+    #[cfg(test)]
     pub(crate) fn probe(
         &mut self,
         ii: u32,
@@ -779,17 +775,22 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         (outcome, stats)
     }
 
-    /// [`SatProbeSession::probe`] with a shared clause pool: a *fresh*
-    /// incremental session additionally seeds its solver with the
+    /// Runs one fixed-II probe: certificates first (resource counts,
+    /// positive dependence cycles — shared with the branch-and-bound), then
+    /// CNF encoding, CDCL search and kernel-checked decoding. `steps_used`
+    /// is incremented by the solver steps (decisions + conflicts) the probe
+    /// consumed; the budget and cancellation contracts match
+    /// [`crate::search::solve_fixed_ii`].
+    ///
+    /// A *fresh* incremental session additionally seeds its solver with the
     /// global-prefix clauses of `pool` before solving (clauses mentioning
     /// any per-layer variable are filtered out — only the II-independent
     /// prefix is numbered identically across sessions). The third return
-    /// value is the number of clauses imported.
-    ///
-    /// The speculative II ladder probes through this entry point: every
-    /// rung gets a private single-layer session, and the pool carries the
-    /// short learnt clauses retired rungs exported via
-    /// [`SatProbeSession::export_shared`].
+    /// value is the number of clauses imported. The speculative II ladder
+    /// gives every rung a private single-layer session, and the pool
+    /// carries the short learnt clauses retired rungs exported via
+    /// [`SatProbeSession::export_shared`]; the sequential search passes an
+    /// empty pool to its one search-wide session.
     pub(crate) fn probe_seeded(
         &mut self,
         ii: u32,
@@ -854,7 +855,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     /// Re-enters the budget/CEGAR loop of the current layer with a fresh
     /// step budget, without re-encoding anything: the solver keeps every
     /// clause it has learnt so far, so an interleaving caller (the
-    /// ladder's dovetailed portfolio rung) can hand the engine its budget
+    /// dovetailed portfolio rung) can hand the engine its budget
     /// in instalments and still pay the total cost of one continuous
     /// solve. `ii` must be the II of the layer the last
     /// [`SatProbeSession::probe_seeded`] call encoded.
@@ -916,10 +917,9 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
                     enc.block_current_model();
                     mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).incr();
                     mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
-                    // A cancelled probe (a poisoned portfolio rival, a
-                    // superseded ladder rung) aborts between refinement
-                    // rounds instead of paying for another full
-                    // re-price/block cycle.
+                    // A cancelled probe (a superseded ladder rung) aborts
+                    // between refinement rounds instead of paying for
+                    // another full re-price/block cycle.
                     if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                         break FixedIiOutcome::Cancelled;
                     }

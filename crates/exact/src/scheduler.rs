@@ -9,22 +9,27 @@
 //! certified so far). The result is either a provably optimal schedule, a
 //! schedule plus a smaller certified lower bound, or a lower bound alone.
 //!
+//! # One commit loop
+//!
+//! The probes run in rounds of `width` consecutive IIs (the *ladder*, see
+//! [`ExactOptions::ladder_width`]) and are committed strictly in II order.
+//! Width 1 is the sequential search: one probe per round, run inline on the
+//! caller's thread through one SAT session that spans the whole search.
+//! Wider rounds probe speculatively on an [`Executor`], each rung on a fresh
+//! SAT session seeded with the learnt clauses earlier rounds exported.
+//!
 //! # Backends
 //!
 //! The probe engine is pluggable ([`ExactBackend`]): the branch-and-bound
 //! search of the `search` module, the CDCL SAT encoder of the `sat_backend`
-//! module, or a **portfolio** that races both engines per probe on a
-//! persistent [`Executor`]. In the portfolio the first certificate wins and
-//! raises a shared poison flag the rival polls on every step; when both
-//! engines decide the same probe, their verdicts are cross-checked — a
-//! Feasible/Infeasible disagreement is a soundness bug in one of them and
-//! panics rather than picking a side. All engines draw from one shared
-//! budget pool measured in *search steps* (branch-and-bound nodes plus SAT
-//! decisions/conflicts).
+//! module, or a **portfolio** that dovetails both engines per probe in
+//! geometrically escalating step quanta until one of them decides. All
+//! engines draw from one shared budget pool measured in *search steps*
+//! (branch-and-bound nodes plus SAT decisions/conflicts).
 
 use crate::model::Problem;
 use crate::options::ExactOptions;
-use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
+use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind, SpeculationStats};
 use crate::sat_backend::{SatProbeSession, SatProbeStats};
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
@@ -35,7 +40,7 @@ use mvp_machine::MachineConfig;
 use mvp_sat::Lit;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The engine (or engine combination) driving the fixed-II probes.
 #[derive(Clone, Default)]
@@ -48,15 +53,15 @@ pub enum ExactBackend {
     /// schedule is decoded back through the constraint kernel and
     /// re-validated by the independent oracle).
     Sat,
-    /// Both engines raced per probe on the given executor; the first
-    /// certificate wins and cancels the rival via a shared poison flag.
-    /// With a 1-thread executor the race degenerates to "SAT first, then
-    /// branch-and-bound if still undecided" — fully deterministic.
+    /// Both engines dovetailed per probe: SAT and branch-and-bound take
+    /// turns in escalating step quanta until one decides. The verdict and
+    /// the step counts are deterministic. The executor sizes the automatic
+    /// ladder width and runs its speculative rounds.
     Portfolio(Arc<Executor>),
 }
 
 impl ExactBackend {
-    /// A portfolio backend racing on the given executor.
+    /// A portfolio backend whose ladder rounds run on the given executor.
     #[must_use]
     pub fn portfolio(executor: Arc<Executor>) -> Self {
         ExactBackend::Portfolio(executor)
@@ -130,97 +135,7 @@ pub fn solve_with(
         });
     }
     let max_ii = min_ii.saturating_add(options.max_ii_slack);
-
-    if let Some((executor, width)) = ladder_plan(options, backend) {
-        return Ok(ladder_search(
-            &p, min_ii, max_ii, options, backend, &executor, width,
-        ));
-    }
-
-    // One SAT session spans the whole II search: in incremental mode (the
-    // default) its solver carries clauses, learnt state and phases from
-    // probe to probe. The mutex makes it reachable from the portfolio's
-    // racing closure; with SAT first on the executor there is no contention.
-    let sat_session = match backend {
-        ExactBackend::Sat | ExactBackend::Portfolio(_) => Some(Mutex::new(SatProbeSession::new(
-            &p,
-            options.sat_incremental,
-        ))),
-        ExactBackend::BranchAndBound => None,
-    };
-
-    let mut nodes = 0u64;
-    let mut conflicts = 0u64;
-    let mut probes = Vec::new();
-    let mut lower_bound = min_ii;
-    let mut chain_unbroken = true;
-    let mut schedule = None;
-
-    for ii in min_ii..=max_ii {
-        // The step budget is shared across probes (and, in the portfolio,
-        // across both rival engines): each probe gets the remainder.
-        let remaining = options.node_budget.saturating_sub(nodes + conflicts);
-        if remaining == 0 {
-            break;
-        }
-        let probe_options = options.with_node_budget(remaining);
-        let before = (nodes, conflicts);
-        let _probe = mvp_trace::span!("exact.probe", ii = ii);
-        let (outcome, solver, sat_stats) = run_probe(
-            &p,
-            ii,
-            &probe_options,
-            backend,
-            sat_session.as_ref(),
-            &mut nodes,
-            &mut conflicts,
-        );
-        let verdict = match outcome {
-            FixedIiOutcome::Feasible { ops, comms } => {
-                schedule = Some(assemble(&p, ii, ops, comms, backend.scheduler_name()));
-                IiVerdict::Feasible
-            }
-            FixedIiOutcome::Infeasible => IiVerdict::Infeasible,
-            FixedIiOutcome::Budget | FixedIiOutcome::Cancelled => IiVerdict::Unknown,
-        };
-        probes.push(IiProbe {
-            ii,
-            verdict,
-            nodes: nodes - before.0,
-            conflicts: conflicts - before.1,
-            solver,
-            reused_clauses: sat_stats.reused_clauses,
-            kept_learned: sat_stats.kept_learned,
-        });
-        match verdict {
-            IiVerdict::Feasible => break,
-            IiVerdict::Infeasible => {
-                if chain_unbroken {
-                    lower_bound = ii + 1;
-                }
-            }
-            IiVerdict::Unknown => {
-                // Budget exhausted: stop probing — further probes would get
-                // no budget either — and keep the bound certified so far.
-                chain_unbroken = false;
-                break;
-            }
-        }
-    }
-
-    let proved_optimal = schedule
-        .as_ref()
-        .is_some_and(|s: &Schedule| s.ii() == lower_bound && chain_unbroken);
-    Ok(ExactOutcome {
-        min_ii,
-        schedule,
-        lower_bound,
-        proved_optimal,
-        nodes,
-        conflicts,
-        backend: backend.kind(),
-        probes,
-    })
+    Ok(ladder_search(&p, min_ii, max_ii, options, backend))
 }
 
 /// Longest learnt clause worth exporting from a retired ladder rung: short
@@ -231,28 +146,28 @@ const LADDER_EXPORT_MAX_LEN: usize = 4;
 /// pool (and every later rung's import cost) bounded.
 const LADDER_EXPORT_CAP: usize = 256;
 
-/// Resolves the speculative-ladder plan for this search: `Some((executor,
-/// width))` to run rounds of `width` concurrent fixed-II rungs, `None` for
-/// the classic sequential loop. An explicit [`ExactOptions::ladder_width`]
-/// (or the `MVP_EXACT_LADDER` environment default behind it) wins; *auto*
-/// (`0`) enables the ladder only for the portfolio backend, sized by its
-/// executor — the single-engine backends stay sequential unless asked,
+/// The ladder width of this search. An explicit
+/// [`ExactOptions::ladder_width`] wins; *auto* (`0`) sizes the portfolio
+/// by its executor and keeps the single-engine backends at width 1,
 /// because they are what the differential suites treat as the reference.
-/// Explicitly widened single-engine searches round on the process-global
-/// executor.
-fn ladder_plan(options: &ExactOptions, backend: &ExactBackend) -> Option<(Arc<Executor>, u32)> {
+fn ladder_width(options: &ExactOptions, backend: &ExactBackend) -> u32 {
     match (options.ladder_width, backend) {
-        (0, ExactBackend::Portfolio(e)) => {
-            let width = u32::try_from(e.threads()).unwrap_or(u32::MAX);
-            (width > 1).then(|| (Arc::clone(e), width))
-        }
-        (0 | 1, _) => None,
-        (w, ExactBackend::Portfolio(e)) => Some((Arc::clone(e), w)),
-        (w, _) => Some((Executor::global(), w)),
+        (0, ExactBackend::Portfolio(e)) => u32::try_from(e.threads()).unwrap_or(u32::MAX),
+        (0, _) => 1,
+        (w, _) => w,
     }
 }
 
-/// What one speculative rung brings back to the commit loop.
+/// The executor a widened search rounds on: the portfolio's own, the
+/// process-global one for the single-engine backends.
+fn ladder_executor(backend: &ExactBackend) -> Arc<Executor> {
+    match backend {
+        ExactBackend::Portfolio(e) => Arc::clone(e),
+        _ => Executor::global(),
+    }
+}
+
+/// What one rung brings back to the commit loop.
 struct RungResult {
     outcome: FixedIiOutcome,
     solver: SolverKind,
@@ -262,7 +177,7 @@ struct RungResult {
     /// SAT steps this rung consumed.
     conflicts: u64,
     /// Global-prefix learnt clauses exported for later rounds (only from a
-    /// deciding SAT engine).
+    /// decided speculative rung).
     exports: Vec<Vec<Lit>>,
     /// Clauses this rung imported from the shared pool.
     imported: u64,
@@ -271,47 +186,20 @@ struct RungResult {
 impl RungResult {
     /// A rung that observed its cancellation flag before starting.
     fn skipped(backend: &ExactBackend) -> Self {
+        Self::of(FixedIiOutcome::Cancelled, backend.kind())
+    }
+
+    /// A rung result with no steps, statistics or clause traffic yet.
+    fn of(outcome: FixedIiOutcome, solver: SolverKind) -> Self {
         Self {
-            outcome: FixedIiOutcome::Cancelled,
-            solver: backend.kind(),
+            outcome,
+            solver,
             stats: SatProbeStats::default(),
             nodes: 0,
             conflicts: 0,
             exports: Vec::new(),
             imported: 0,
         }
-    }
-}
-
-/// One SAT-engine rung: a private single-layer session seeded from the
-/// shared pool, with exports harvested when the engine decides (an
-/// undecided or cancelled run may hold clauses learnt from a search
-/// prefix another thread aborted nondeterministically, so only decided —
-/// and therefore deterministic — runs feed the pool).
-fn sat_rung(
-    p: &Problem<'_, '_>,
-    ii: u32,
-    options: &ExactOptions,
-    pool: &[Vec<Lit>],
-    cancel: &AtomicBool,
-) -> RungResult {
-    let mut session = SatProbeSession::new(p, options.sat_incremental);
-    let mut steps = 0u64;
-    let (outcome, stats, imported) =
-        session.probe_seeded(ii, options, &mut steps, Some(cancel), pool);
-    let exports = if decided(&outcome) {
-        session.export_shared(LADDER_EXPORT_MAX_LEN, LADDER_EXPORT_CAP)
-    } else {
-        Vec::new()
-    };
-    RungResult {
-        outcome,
-        solver: SolverKind::Sat,
-        stats,
-        nodes: 0,
-        conflicts: steps,
-        exports,
-        imported,
     }
 }
 
@@ -331,123 +219,159 @@ const DOVETAIL_ESCALATION: u64 = 4;
 /// over, so split budgets cost what one continuous solve would), while
 /// the stateless branch-and-bound restarts from scratch each cycle. The
 /// quantum schedule is fixed, so the rung's verdict *and* its step counts
-/// are a pure function of the problem, the II and the budget — unlike the
-/// racing portfolio — and the rung's total cost is bounded by a constant
-/// factor of the *cheaper* engine's solo cost, so one engine's
-/// pathological II (say, a refutation SAT grinds on but branch-and-bound
-/// dispatches) cannot sink the round's wall-clock.
+/// are a pure function of the problem, the II, the budget and the session
+/// state, and the rung's total cost is bounded by a constant factor of the
+/// *cheaper* engine's solo cost, so one engine's pathological II (say, a
+/// refutation SAT grinds on but branch-and-bound dispatches) cannot sink
+/// the search.
 fn dovetail_rung(
     p: &Problem<'_, '_>,
     ii: u32,
     options: &ExactOptions,
+    session: &mut SatProbeSession<'_, '_, '_>,
     pool: &[Vec<Lit>],
-    cancel: &AtomicBool,
+    cancel: Option<&AtomicBool>,
 ) -> RungResult {
-    let mut session = SatProbeSession::new(p, options.sat_incremental);
-    let mut conflicts = 0u64;
-    let mut nodes = 0u64;
-    let mut stats = SatProbeStats::default();
-    let mut imported = 0u64;
+    let mut r = RungResult::of(FixedIiOutcome::Budget, SolverKind::Portfolio);
     let mut quantum = DOVETAIL_QUANTUM;
     let mut first = true;
-    let (outcome, solver) = loop {
-        let remaining = options.node_budget.saturating_sub(conflicts + nodes);
+    loop {
+        let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
         if remaining == 0 {
-            break (FixedIiOutcome::Budget, SolverKind::Portfolio);
+            return r;
         }
         let sat_options = options.with_node_budget(quantum.min(remaining));
         let outcome = if first {
             first = false;
-            let (outcome, first_stats, first_imported) =
-                session.probe_seeded(ii, &sat_options, &mut conflicts, Some(cancel), pool);
-            stats = first_stats;
-            imported = first_imported;
+            let (outcome, stats, imported) =
+                session.probe_seeded(ii, &sat_options, &mut r.conflicts, cancel, pool);
+            r.stats = stats;
+            r.imported = imported;
             outcome
         } else {
-            session.resume(ii, &sat_options, &mut conflicts, Some(cancel))
+            session.resume(ii, &sat_options, &mut r.conflicts, cancel)
         };
         if !matches!(outcome, FixedIiOutcome::Budget) {
-            break (outcome, SolverKind::Sat);
+            r.outcome = outcome;
+            r.solver = SolverKind::Sat;
+            return r;
         }
-        let remaining = options.node_budget.saturating_sub(conflicts + nodes);
+        let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
         if remaining == 0 {
-            break (FixedIiOutcome::Budget, SolverKind::Portfolio);
+            return r;
         }
         let bnb_options = options.with_node_budget(quantum.min(remaining));
-        let mut bnb_steps = 0u64;
-        let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut bnb_steps, Some(cancel));
-        nodes += bnb_steps;
+        let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut r.nodes, cancel);
         if !matches!(outcome, FixedIiOutcome::Budget) {
-            break (outcome, SolverKind::BranchAndBound);
+            r.outcome = outcome;
+            r.solver = SolverKind::BranchAndBound;
+            return r;
         }
         quantum = quantum.saturating_mul(DOVETAIL_ESCALATION);
-    };
-    // A decided dovetail cut the SAT engine at deterministic quantum
-    // boundaries, so the session's learnt set is deterministic and safe to
-    // share even when branch-and-bound was the engine that decided; a
-    // cancelled rung aborted wherever the flag caught it and exports
-    // nothing.
-    let exports = if decided(&outcome) {
-        session.export_shared(LADDER_EXPORT_MAX_LEN, LADDER_EXPORT_CAP)
-    } else {
-        Vec::new()
-    };
-    RungResult {
-        outcome,
-        solver,
-        stats,
-        nodes,
-        conflicts,
-        exports,
-        imported,
     }
 }
 
-/// Runs one speculative rung of the ladder on `backend`. The portfolio
-/// dovetails its two engines (see [`dovetail_rung`]) rather than racing
-/// them: the ladder's parallelism is across rungs, and a dovetailed
-/// rung's committed step counts are deterministic.
+/// Runs one rung of the ladder on `backend`, probing SAT through
+/// `session` (seeded from `pool` if the session is still fresh) and
+/// polling `cancel` when the rung is speculative.
 fn run_rung(
     p: &Problem<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     backend: &ExactBackend,
+    session: &mut SatProbeSession<'_, '_, '_>,
     pool: &[Vec<Lit>],
-    cancel: &AtomicBool,
+    cancel: Option<&AtomicBool>,
 ) -> RungResult {
-    let _span = mvp_trace::span!("exact.ladder.rung", ii = ii);
+    let _span = mvp_trace::span!("exact.probe", ii = ii);
     match backend {
         ExactBackend::BranchAndBound => {
             let mut nodes = 0u64;
-            let outcome = solve_fixed_ii(p, ii, options, &mut nodes, Some(cancel));
+            let outcome = solve_fixed_ii(p, ii, options, &mut nodes, cancel);
             RungResult {
-                outcome,
-                solver: SolverKind::BranchAndBound,
-                stats: SatProbeStats::default(),
                 nodes,
-                conflicts: 0,
-                exports: Vec::new(),
-                imported: 0,
+                ..RungResult::of(outcome, SolverKind::BranchAndBound)
             }
         }
-        ExactBackend::Sat => sat_rung(p, ii, options, pool, cancel),
-        ExactBackend::Portfolio(_) => dovetail_rung(p, ii, options, pool, cancel),
+        ExactBackend::Sat => {
+            let mut conflicts = 0u64;
+            let (outcome, stats, imported) =
+                session.probe_seeded(ii, options, &mut conflicts, cancel, pool);
+            RungResult {
+                stats,
+                conflicts,
+                imported,
+                ..RungResult::of(outcome, SolverKind::Sat)
+            }
+        }
+        ExactBackend::Portfolio(_) => dovetail_rung(p, ii, options, session, pool, cancel),
     }
 }
 
-/// The speculative parallel II ladder: rounds of `width` consecutive
-/// candidate IIs probed concurrently on `executor`, committed strictly in
-/// II order so the classic invariant — a contiguous certified-infeasible
-/// prefix, then the first feasible II — terminates the search exactly as
-/// the sequential loop would.
+/// One speculative round: the rungs `iis` probed concurrently on
+/// `executor`, each on a private SAT session seeded from `pool`.
+///
+/// Rungs are cancelled *logically*: a terminal verdict at one rung flags
+/// every higher rung of the round, because the commit loop stops at that
+/// II. A decided rung exports its short global-prefix learnt clauses for
+/// later rounds. Its SAT engine ran to a verdict, or was cut at the
+/// dovetail's fixed quantum boundaries, so its learnt set is deterministic
+/// even when branch-and-bound decided. A cancelled rung stopped wherever
+/// the flag caught it and exports nothing.
+fn speculative_round(
+    p: &Problem<'_, '_>,
+    iis: &[u32],
+    options: &ExactOptions,
+    backend: &ExactBackend,
+    pool: &[Vec<Lit>],
+    executor: &Executor,
+) -> Vec<RungResult> {
+    let _round = mvp_trace::span!("exact.ladder.round", ii = iis[0], rungs = iis.len());
+    let cancels: Vec<AtomicBool> = iis.iter().map(|_| AtomicBool::new(false)).collect();
+    executor.map_indexed(iis, |idx, &ii| {
+        if cancels[idx].load(Ordering::Relaxed) {
+            return RungResult::skipped(backend);
+        }
+        let mut session = SatProbeSession::new(p, options.sat_incremental);
+        let mut result = run_rung(
+            p,
+            ii,
+            options,
+            backend,
+            &mut session,
+            pool,
+            Some(&cancels[idx]),
+        );
+        if decided(&result.outcome) {
+            result.exports = session.export_shared(LADDER_EXPORT_MAX_LEN, LADDER_EXPORT_CAP);
+        }
+        if matches!(
+            result.outcome,
+            FixedIiOutcome::Feasible { .. } | FixedIiOutcome::Budget
+        ) {
+            for flag in &cancels[idx + 1..] {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+        result
+    })
+}
+
+/// The II search: rounds of `width` consecutive candidate IIs (see
+/// [`ladder_width`]), committed strictly in II order so the search ends
+/// exactly where the invariant says — a contiguous certified-infeasible
+/// prefix, then the first feasible II.
+///
+/// Width 1 probes inline on the caller's thread through one SAT session
+/// that spans the whole search: its solver carries clauses and learnt
+/// state from probe to probe. Wider rounds run [`speculative_round`].
 ///
 /// Determinism: the committed outcome is a pure function of the problem,
-/// the options and the ladder width. Rungs are cancelled *logically* (a
-/// terminal verdict at one rung flags every higher rung of its round), but
-/// a committed rung is never one of the flagged ones — every rung below
-/// the round's first terminal verdict ran to its own verdict with a
-/// deterministic budget — so thread count and scheduling only affect how
-/// much speculative work was wasted, never what is committed.
+/// the options and the ladder width. A committed rung is never a cancelled
+/// one — every rung below the round's first terminal verdict ran to its
+/// own verdict with a deterministic budget — so thread count and
+/// scheduling only affect how much speculative work was wasted, never what
+/// is committed.
 ///
 /// Budget semantics: every rung of a round gets the round-start remainder
 /// of the shared step budget. A *decided* rung always commits its verdict
@@ -458,21 +382,21 @@ fn run_rung(
 /// and vice versa; that is the one place ladder widths may differ, and the
 /// verdict contract is scoped to non-binding budgets accordingly). An
 /// exhausted rung commits [`IiVerdict::Unknown`] and ends the search, and
-/// a rung the budget ran dry before is not logged at all — both exactly as
-/// the sequential loop. Charged steps are clamped so `nodes + conflicts`
-/// never exceeds the budget; the speculative excess is reported through
-/// the `exact.ladder.wasted_steps` counter instead of silently vanishing.
-#[allow(clippy::too_many_lines)]
+/// a rung the budget ran dry before is not logged at all. A rung launched
+/// with more than its sequential remainder is charged at most that
+/// remainder; the speculative excess lands in
+/// [`SpeculationStats::wasted_steps`] instead of silently vanishing.
 fn ladder_search(
     p: &Problem<'_, '_>,
     min_ii: u32,
     max_ii: u32,
     options: &ExactOptions,
     backend: &ExactBackend,
-    executor: &Executor,
-    width: u32,
 ) -> ExactOutcome {
+    let width = ladder_width(options, backend);
+    let executor = (width > 1).then(|| ladder_executor(backend));
     let _span = mvp_trace::span!("exact.ladder.search", min_ii = min_ii, width = width);
+    let mut session = SatProbeSession::new(p, options.sat_incremental);
     let mut nodes = 0u64;
     let mut conflicts = 0u64;
     let mut probes: Vec<IiProbe> = Vec::new();
@@ -482,8 +406,8 @@ fn ladder_search(
     // Global-prefix learnt clauses exported by committed rungs, seeding
     // every rung of the following rounds.
     let mut pool: Vec<Vec<Lit>> = Vec::new();
+    let mut speculation = SpeculationStats::default();
     let mut launched = 0u64;
-    let mut wasted = 0u64;
     let mut next_ii = min_ii;
     let mut ended = false;
 
@@ -494,61 +418,59 @@ fn ladder_search(
         }
         let round_hi = next_ii.saturating_add(width - 1).min(max_ii);
         let iis: Vec<u32> = (next_ii..=round_hi).collect();
-        launched += iis.len() as u64;
-        mvp_trace::counter_handle!("exact.ladder.speculative_probes", Stable)
-            .add(iis.len() as u64 - 1);
         // Every rung gets the round-start remainder (not its own
         // sequential remainder, which depends on the still-unknown lower
         // rungs): deterministic, and reconciled at commit time below.
         let probe_options = options.with_node_budget(round_budget);
-        let cancels: Vec<AtomicBool> = iis.iter().map(|_| AtomicBool::new(false)).collect();
-        let _round = mvp_trace::span!("exact.ladder.round", ii = next_ii, rungs = iis.len());
-        let results = executor.map_indexed(&iis, |idx, &ii| {
-            if cancels[idx].load(Ordering::Relaxed) {
-                return RungResult::skipped(backend);
-            }
-            let result = run_rung(p, ii, &probe_options, backend, &pool, &cancels[idx]);
-            // A terminal verdict here means no higher rung of the round
-            // can commit (the commit loop stops at this II): fold the
-            // speculation above it.
-            if matches!(
-                result.outcome,
-                FixedIiOutcome::Feasible { .. } | FixedIiOutcome::Budget
-            ) {
-                for flag in &cancels[idx + 1..] {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            }
-            result
-        });
+        let results = match &executor {
+            Some(executor) => speculative_round(p, &iis, &probe_options, backend, &pool, executor),
+            None => vec![run_rung(
+                p,
+                next_ii,
+                &probe_options,
+                backend,
+                &mut session,
+                &[],
+                None,
+            )],
+        };
+        launched += iis.len() as u64;
+        speculation.speculative_probes += iis.len() as u64 - 1;
 
-        for (idx, r) in results.into_iter().enumerate() {
+        for (ii, r) in iis.into_iter().zip(results) {
             if ended {
-                wasted += r.nodes + r.conflicts;
+                speculation.wasted_steps += r.nodes + r.conflicts;
                 continue;
             }
-            let ii = iis[idx];
             let remaining = options.node_budget.saturating_sub(nodes + conflicts);
             if remaining == 0 {
-                // Sequential mirror: the budget ran dry before this II was
-                // probed, so the search breaks without logging it.
+                // The budget ran dry before this II's sequential turn, so
+                // the search ends without logging it.
                 ended = true;
-                wasted += r.nodes + r.conflicts;
+                speculation.wasted_steps += r.nodes + r.conflicts;
                 continue;
             }
             debug_assert!(
                 !matches!(r.outcome, FixedIiOutcome::Cancelled),
                 "a committed rung is below every cancellation source"
             );
-            let spent = r.nodes + r.conflicts;
-            // Charge at most the budget remainder; the excess is
-            // speculative waste, reported but never silently dropped.
-            let conflicts_charged = r.conflicts.min(remaining);
-            let nodes_charged = r.nodes.min(remaining - conflicts_charged);
-            wasted += spent - conflicts_charged - nodes_charged;
+            // A rung launched with more than its sequential remainder is
+            // charged at most that remainder, the excess being speculative
+            // waste. Any other rung (every rung at width 1) is charged what
+            // the sequential search would charge.
+            let (nodes_charged, conflicts_charged) = if remaining < round_budget {
+                let conflicts_charged = r.conflicts.min(remaining);
+                (
+                    r.nodes.min(remaining - conflicts_charged),
+                    conflicts_charged,
+                )
+            } else {
+                (r.nodes, r.conflicts)
+            };
+            speculation.wasted_steps += r.nodes + r.conflicts - nodes_charged - conflicts_charged;
+            speculation.imported_clauses += r.imported;
             nodes += nodes_charged;
             conflicts += conflicts_charged;
-            mvp_trace::counter_handle!("exact.ladder.imported_clauses", Stable).add(r.imported);
             let verdict = match r.outcome {
                 FixedIiOutcome::Feasible { ops, comms } => {
                     schedule = Some(assemble(p, ii, ops, comms, backend.scheduler_name()));
@@ -575,6 +497,8 @@ fn ladder_search(
                     pool.extend(r.exports);
                 }
                 IiVerdict::Unknown => {
+                    // Budget exhausted: further probes would get no budget
+                    // either; keep the bound certified so far.
                     chain_unbroken = false;
                     ended = true;
                 }
@@ -583,9 +507,14 @@ fn ladder_search(
         next_ii = round_hi + 1;
     }
 
+    speculation.cancelled_probes = launched - probes.len() as u64;
+    mvp_trace::counter_handle!("exact.ladder.speculative_probes", Stable)
+        .add(speculation.speculative_probes);
     mvp_trace::counter_handle!("exact.ladder.cancelled_probes", Stable)
-        .add(launched - probes.len() as u64);
-    mvp_trace::counter_handle!("exact.ladder.wasted_steps", Runtime).add(wasted);
+        .add(speculation.cancelled_probes);
+    mvp_trace::counter_handle!("exact.ladder.imported_clauses", Stable)
+        .add(speculation.imported_clauses);
+    mvp_trace::counter_handle!("exact.ladder.wasted_steps", Runtime).add(speculation.wasted_steps);
     mvp_trace::instant!("exact.ladder.done", ii = next_ii, width = width);
 
     let proved_optimal = schedule
@@ -600,39 +529,7 @@ fn ladder_search(
         conflicts,
         backend: backend.kind(),
         probes,
-    }
-}
-
-/// Runs one probe on the chosen backend, charging branch-and-bound nodes to
-/// `nodes` and SAT steps to `conflicts`. SAT-capable backends probe through
-/// the search-wide `sat` session (clause retention across IIs).
-fn run_probe(
-    p: &Problem<'_, '_>,
-    ii: u32,
-    options: &ExactOptions,
-    backend: &ExactBackend,
-    sat: Option<&Mutex<SatProbeSession<'_, '_, '_>>>,
-    nodes: &mut u64,
-    conflicts: &mut u64,
-) -> (FixedIiOutcome, SolverKind, SatProbeStats) {
-    match backend {
-        ExactBackend::BranchAndBound => (
-            solve_fixed_ii(p, ii, options, nodes, None),
-            SolverKind::BranchAndBound,
-            SatProbeStats::default(),
-        ),
-        ExactBackend::Sat => {
-            let session = sat.expect("the Sat backend carries a session");
-            let (outcome, stats) = session
-                .lock()
-                .expect("no SAT rival panicked")
-                .probe(ii, options, conflicts, None);
-            (outcome, SolverKind::Sat, stats)
-        }
-        ExactBackend::Portfolio(executor) => {
-            let session = sat.expect("the portfolio carries a SAT session");
-            race_probe(p, ii, options, executor, session, nodes, conflicts)
-        }
+        speculation,
     }
 }
 
@@ -643,107 +540,6 @@ fn decided(outcome: &FixedIiOutcome) -> bool {
         outcome,
         FixedIiOutcome::Feasible { .. } | FixedIiOutcome::Infeasible
     )
-}
-
-/// Races the SAT and branch-and-bound engines on one probe via
-/// [`Executor::race`]. The first engine to reach a certificate poisons the
-/// rival, which aborts at its next step and charges only the steps it
-/// actually took. Both engines' steps count against the shared pool — the
-/// portfolio pays for its parallelism in steps, and its headline claim
-/// (fewer *total* steps than branch-and-bound alone) is measured on that
-/// inclusive sum. SAT sits at index 0, so the race's lowest-index tie-break
-/// keeps the historical "SAT wins a double decide" rule.
-fn race_probe(
-    p: &Problem<'_, '_>,
-    ii: u32,
-    options: &ExactOptions,
-    executor: &Executor,
-    session: &Mutex<SatProbeSession<'_, '_, '_>>,
-    nodes: &mut u64,
-    conflicts: &mut u64,
-) -> (FixedIiOutcome, SolverKind, SatProbeStats) {
-    let rivals = [SolverKind::Sat, SolverKind::BranchAndBound];
-    let (_winner_idx, mut results) = executor.race(
-        &rivals,
-        |&kind, poison| {
-            let mut steps = 0u64;
-            let (outcome, stats) = match kind {
-                SolverKind::Sat => session.lock().expect("no SAT rival panicked").probe(
-                    ii,
-                    options,
-                    &mut steps,
-                    Some(poison),
-                ),
-                _ => (
-                    solve_fixed_ii(p, ii, options, &mut steps, Some(poison)),
-                    SatProbeStats::default(),
-                ),
-            };
-            let done_ns = if mvp_trace::timing_enabled() {
-                mvp_trace::now_ns()
-            } else {
-                0
-            };
-            (outcome, steps, done_ns, stats)
-        },
-        |(outcome, ..)| decided(outcome),
-    );
-    let (bnb_outcome, bnb_steps, bnb_done_ns, _) = results.pop().expect("two rivals ran");
-    let (sat_outcome, sat_steps, sat_done_ns, sat_stats) = results.pop().expect("two rivals ran");
-    *conflicts += sat_steps;
-    *nodes += bnb_steps;
-
-    if decided(&sat_outcome) && decided(&bnb_outcome) {
-        // Differential cross-check: two independent engines must agree on
-        // every certificate. A mismatch is a soundness bug, not a tie to
-        // break.
-        let sat_feasible = matches!(sat_outcome, FixedIiOutcome::Feasible { .. });
-        let bnb_feasible = matches!(bnb_outcome, FixedIiOutcome::Feasible { .. });
-        assert_eq!(
-            sat_feasible,
-            bnb_feasible,
-            "portfolio rivals disagree at II={ii} for {}: SAT says {}, B&B says {}",
-            p.l.name(),
-            if sat_feasible {
-                "feasible"
-            } else {
-                "infeasible"
-            },
-            if bnb_feasible {
-                "feasible"
-            } else {
-                "infeasible"
-            },
-        );
-    }
-
-    let (sat_decided, bnb_decided) = (decided(&sat_outcome), decided(&bnb_outcome));
-    let (outcome, winner) = if sat_decided {
-        (sat_outcome, SolverKind::Sat)
-    } else if bnb_decided {
-        (bnb_outcome, SolverKind::BranchAndBound)
-    } else {
-        // Neither decided: the poison flag was never raised, so both ran
-        // out of budget.
-        (FixedIiOutcome::Budget, SolverKind::Portfolio)
-    };
-    match winner {
-        SolverKind::Sat => mvp_trace::counter_handle!("portfolio.sat_wins", Runtime).incr(),
-        SolverKind::BranchAndBound => {
-            mvp_trace::counter_handle!("portfolio.bnb_wins", Runtime).incr();
-        }
-        SolverKind::Portfolio => {}
-    }
-    // Poison latency: how long the loser kept running after the winner's
-    // certificate. Only measurable when timing is on (done_ns is 0 otherwise)
-    // and only meaningful when exactly one rival decided — a double decide is
-    // the cross-checked case, not a cancellation.
-    if bnb_done_ns != 0 && sat_done_ns != 0 && sat_decided != bnb_decided {
-        mvp_trace::counter_handle!("portfolio.poison.latency_ns", Runtime)
-            .add(bnb_done_ns.abs_diff(sat_done_ns));
-    }
-    mvp_trace::instant!("portfolio.winner", ii = ii, solver = winner);
-    (outcome, winner, sat_stats)
 }
 
 /// Assembles the search solution into a public [`Schedule`], computing the
@@ -1049,8 +845,8 @@ mod tests {
         assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.conflicts, b.conflicts);
         assert_eq!(a.schedule, b.schedule);
-        // SAT runs first on a 1-thread executor and decides the probe; the
-        // branch-and-bound rival is poisoned before charging a node.
+        // SAT takes the first dovetail quantum and decides the probe, so
+        // branch-and-bound never gets a turn.
         assert_eq!(a.probes.last().unwrap().solver, SolverKind::Sat);
         assert_eq!(a.nodes, 0);
         let scheduler = ExactScheduler::new().with_backend(backend);
@@ -1108,28 +904,27 @@ mod tests {
     }
 
     #[test]
-    fn ladder_plans_follow_the_width_and_backend_rules() {
+    fn ladder_widths_follow_the_width_and_backend_rules() {
         let opts = |w| ExactOptions::new().with_ladder_width(w);
         let pool = Arc::new(Executor::new(4));
         let portfolio = ExactBackend::portfolio(Arc::clone(&pool));
-        // Auto engages only on a multi-thread portfolio, sized by its pool.
-        assert!(ladder_plan(&opts(0), &ExactBackend::BranchAndBound).is_none());
-        assert!(ladder_plan(&opts(0), &ExactBackend::Sat).is_none());
-        let (e, w) = ladder_plan(&opts(0), &portfolio).expect("auto ladder");
-        assert!(Arc::ptr_eq(&e, &pool));
-        assert_eq!(w, 4);
+        // Auto widens only a multi-thread portfolio, sized by its pool.
+        assert_eq!(ladder_width(&opts(0), &ExactBackend::BranchAndBound), 1);
+        assert_eq!(ladder_width(&opts(0), &ExactBackend::Sat), 1);
+        assert_eq!(ladder_width(&opts(0), &portfolio), 4);
         let solo = ExactBackend::portfolio(Arc::new(Executor::new(1)));
-        assert!(ladder_plan(&opts(0), &solo).is_none());
-        // Width 1 is the sequential escape hatch on every backend.
-        assert!(ladder_plan(&opts(1), &portfolio).is_none());
-        assert!(ladder_plan(&opts(1), &ExactBackend::Sat).is_none());
-        // An explicit width wins: the portfolio rounds on its own pool, the
-        // single-engine backends on the process-global executor.
-        let (e, w) = ladder_plan(&opts(3), &portfolio).expect("explicit ladder");
-        assert!(Arc::ptr_eq(&e, &pool));
-        assert_eq!(w, 3);
-        let (_, w) = ladder_plan(&opts(3), &ExactBackend::Sat).expect("explicit ladder");
-        assert_eq!(w, 3);
+        assert_eq!(ladder_width(&opts(0), &solo), 1);
+        // An explicit width wins on every backend.
+        assert_eq!(ladder_width(&opts(1), &portfolio), 1);
+        assert_eq!(ladder_width(&opts(3), &portfolio), 3);
+        assert_eq!(ladder_width(&opts(3), &ExactBackend::Sat), 3);
+        // The portfolio rounds on its own pool, the single-engine backends
+        // on the process-global executor.
+        assert!(Arc::ptr_eq(&ladder_executor(&portfolio), &pool));
+        assert!(Arc::ptr_eq(
+            &ladder_executor(&ExactBackend::Sat),
+            &Executor::global()
+        ));
     }
 
     #[test]
@@ -1177,15 +972,16 @@ mod tests {
         let machine = presets::motivating_example_machine();
         let narrow = ExactBackend::portfolio(Arc::new(Executor::new(1)));
         let wide = ExactBackend::portfolio(Arc::new(Executor::new(4)));
-        for width in [2, 4] {
+        for width in [1, 2, 4] {
             let options = ExactOptions::new().with_ladder_width(width);
             let a = solve_with(&l, &machine, &options, &narrow).unwrap();
             let b = solve_with(&l, &machine, &options, &wide).unwrap();
             assert_eq!(fingerprint(&a), fingerprint(&b), "width {width}");
-            // Inline rungs charge deterministic step counts, so even the
+            // Committed rungs charge deterministic step counts, so even the
             // provenance matches across thread counts at a fixed width.
             assert_eq!(a.nodes, b.nodes, "width {width}");
             assert_eq!(a.conflicts, b.conflicts, "width {width}");
+            assert_eq!(a.probes, b.probes, "width {width}");
         }
     }
 

@@ -63,8 +63,8 @@ pub(crate) enum FixedIiOutcome {
     Infeasible,
     /// The node budget ran out before the probe was decided.
     Budget,
-    /// A portfolio rival raised the poison flag before the probe was
-    /// decided (never produced without a cancellation flag).
+    /// A superseded speculative ladder rung raised the cancellation flag
+    /// before the probe was decided (never produced without a flag).
     Cancelled,
 }
 
@@ -123,8 +123,8 @@ struct Searcher<'p, 'l, 'm> {
     /// anchor.
     dominance_cuts: u64,
     budget: u64,
-    /// Portfolio poison flag: polled on every charged node so a rival
-    /// solver's certificate aborts this search promptly.
+    /// Cancellation flag: polled on every charged node so a superseded
+    /// speculative ladder rung aborts promptly.
     cancel: Option<&'p AtomicBool>,
     cancelled: bool,
     solution: Option<RawSolution>,
@@ -420,7 +420,7 @@ pub(crate) fn solve_fixed_ii(
     let step = searcher.dfs(0);
     *nodes_used += searcher.nodes;
     // One registry flush per probe; the search loop itself touches no
-    // atomics. Stable for non-racing runs (a cancelled portfolio rival's
+    // atomics. Stable for non-speculative runs (a cancelled ladder rung's
     // partial node count is scheduling-dependent, like the SAT side).
     mvp_trace::counter_handle!("exact.bnb.nodes", Stable).add(searcher.nodes);
     mvp_trace::counter_handle!("exact.bnb.backjumps", Stable).add(searcher.backjumps);

@@ -231,40 +231,6 @@ impl Executor {
         self.map_indexed(items, |_, item| f(item))
     }
 
-    /// Races `items` against each other: every contender runs `run` with a
-    /// shared poison flag, and a contender whose result satisfies `decided`
-    /// raises the flag on completion so the rivals can abort cooperatively
-    /// (the flag is advisory — `run` must poll it; nothing is pre-empted).
-    ///
-    /// Returns the index of the **lowest-indexed** decided contender (the
-    /// race's deterministic tie-break: whenever several contenders decide,
-    /// the winner is a property of the results, not of the scheduling) and
-    /// *all* results, in input order — losers are not discarded, so the
-    /// caller can charge every contender's work to a shared budget and
-    /// cross-check rival verdicts.
-    ///
-    /// On a 1-thread executor the contenders run inline in input order, so
-    /// contender 0 finishes (and, if it decides, poisons) before contender 1
-    /// starts — a fully deterministic degenerate race.
-    pub fn race<T, R, F, D>(&self, items: &[T], run: F, decided: D) -> (Option<usize>, Vec<R>)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T, &AtomicBool) -> R + Sync,
-        D: Fn(&R) -> bool + Sync,
-    {
-        let poison = AtomicBool::new(false);
-        let results = self.map(items, |item| {
-            let r = run(item, &poison);
-            if decided(&r) {
-                poison.store(true, Ordering::Relaxed);
-            }
-            r
-        });
-        let winner = results.iter().position(&decided);
-        (winner, results)
-    }
-
     /// Like [`map`](Executor::map), but the job also receives its input
     /// index (useful for seeding and labelling).
     pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -756,63 +722,6 @@ mod tests {
             ]
         );
         assert!(!Executor::is_worker_thread());
-    }
-
-    #[test]
-    fn race_returns_the_lowest_indexed_decided_contender() {
-        let exec = Executor::new(4);
-        // Contenders 1 and 3 decide; the winner must be 1 regardless of
-        // which thread finished first.
-        let (winner, results) =
-            exec.race(&[0usize, 1, 2, 3], |&i, _poison| i, |&r| r == 1 || r == 3);
-        assert_eq!(winner, Some(1));
-        assert_eq!(results, vec![0, 1, 2, 3], "losers are returned too");
-        // Nobody decides: no winner, all results intact.
-        let (winner, results) = exec.race(&[5u32, 6], |&x, _| x, |_| false);
-        assert_eq!(winner, None);
-        assert_eq!(results, vec![5, 6]);
-    }
-
-    #[test]
-    fn race_poisons_rivals_once_decided() {
-        // Contender 0 decides instantly; contender 1 spins on the flag. If
-        // the decider failed to poison, this test would hang.
-        let exec = Executor::new(2);
-        let (winner, results) = exec.race(
-            &[0u32, 1],
-            |&i, poison: &AtomicBool| {
-                if i == 0 {
-                    return true;
-                }
-                while !poison.load(Ordering::Relaxed) {
-                    std::thread::yield_now();
-                }
-                false
-            },
-            |&r| r,
-        );
-        assert_eq!(winner, Some(0));
-        assert_eq!(results, vec![true, false]);
-    }
-
-    #[test]
-    fn a_single_threaded_race_runs_in_input_order_and_poisons_early() {
-        let exec = Executor::new(1);
-        // Contender 0 decides, so contender 1 must observe the poison flag
-        // already raised when it runs (the sequential degenerate race).
-        let (winner, results) = exec.race(
-            &[0u32, 1],
-            |&i, poison: &AtomicBool| {
-                if i == 0 {
-                    (i, false)
-                } else {
-                    (i, poison.load(Ordering::Relaxed))
-                }
-            },
-            |&(i, _)| i == 0,
-        );
-        assert_eq!(winner, Some(0));
-        assert!(results[1].1, "the second contender saw the poison flag");
     }
 
     #[test]

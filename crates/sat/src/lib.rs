@@ -32,8 +32,8 @@
 //!   core means the formula is unconditionally unsatisfiable).
 //! * **Budgets and cancellation.** [`Solver::solve`] counts *steps*
 //!   (decisions + conflicts), aborts with [`SolveResult::Budget`] past a
-//!   step budget, and polls an optional [`AtomicBool`] poison flag so a
-//!   portfolio race can cancel the losing solver.
+//!   step budget, and polls an optional [`AtomicBool`] cancellation flag
+//!   so a caller running speculative solves can abort the superseded ones.
 //!
 //! Cardinality constraints ([`Solver::at_most_k`]) use the Sinz
 //! sequential-counter encoding, which is arc-consistent under unit
@@ -739,9 +739,9 @@ impl Solver {
         // Flush this solve's deltas into the metrics registry in one shot —
         // the CDCL loop itself never touches an atomic. The counters are
         // stable: a solver run on a fixed formula with a fixed budget does
-        // the same work at any executor width (portfolio *races* cancel
-        // rivals nondeterministically, which is why the deterministic
-        // snapshot is taken from non-racing passes).
+        // the same work at any executor width (speculative ladder rungs are
+        // cancelled nondeterministically, which is why the deterministic
+        // snapshot is taken from non-speculative passes).
         let conflicts = self.conflicts - conflicts0;
         mvp_trace::counter_handle!("sat.decisions", Stable).add(self.steps - steps0 - conflicts);
         mvp_trace::counter_handle!("sat.conflicts", Stable).add(conflicts);

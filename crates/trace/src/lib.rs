@@ -1,9 +1,8 @@
 //! Unified tracing and metrics for the scheduling service.
 //!
 //! Every layer of the workspace — the pipeline, the work-stealing executor,
-//! the schedule cache, the branch-and-bound search, the SAT solver and the
-//! portfolio race — reports through this one crate instead of ad-hoc stat
-//! structs. Two facilities share it:
+//! the schedule cache, the branch-and-bound search and the SAT solver —
+//! reports through this one crate instead of ad-hoc stat structs. Two facilities share it:
 //!
 //! * **Events and spans** ([`span()`], [`instant()`]): timestamped records with
 //!   a `&'static str` name, a stable per-thread logical id and up to
@@ -39,24 +38,23 @@
 //!   `pipeline.sim`, `pipeline.gap_oracle`, `exec.batch`,
 //!   `exec.worker.batch`, `exec.job`, `schedcache.hit`, `schedcache.miss`,
 //!   `schedcache.evict`, `exact.probe`, `exact.ladder.search`,
-//!   `exact.ladder.round`, `exact.ladder.rung`, `exact.ladder.done`,
-//!   `portfolio.winner`.
+//!   `exact.ladder.round`, `exact.ladder.done`.
 //! * stable counters: `sat.decisions`, `sat.conflicts`, `sat.restarts`,
 //!   `sat.learned_clauses`, `sat.atmostk.aux_vars`, `sat.assumption_probes`,
 //!   `sat.kept_learned`, `sat.reencoded_clauses`, `exact.sat.cegar_rounds`,
 //!   `exact.bnb.nodes`, `exact.bnb.backjumps`, `exact.bnb.dominance_cuts`,
 //!   `pipeline.runs`, `pipeline.gap_oracle.runs`,
 //!   `exact.ladder.speculative_probes`, `exact.ladder.cancelled_probes`,
-//!   `exact.ladder.imported_clauses` (the ladder counters are stable at a
-//!   fixed ladder width: rounds, commits and pool traffic are pure
-//!   functions of the problem and the width, not of the thread count —
+//!   `exact.ladder.imported_clauses` (the ladder counters aggregate each
+//!   search's own speculation statistics and are stable at a fixed ladder
+//!   width: rounds, commits and pool traffic are pure functions of the
+//!   problem and the width, not of the thread count —
 //!   though speculative *rungs* additionally tick the raw `sat.*` solver
 //!   counters for work the commit loop may discard, which is why the
 //!   deterministic snapshot pass pins the ladder off).
 //! * runtime counters: `exec.steals`, `exec.parks`, `exec.wakes`,
 //!   `exec.batches`, `schedcache.hits`, `schedcache.misses`,
-//!   `schedcache.evictions`, `portfolio.sat_wins`, `portfolio.bnb_wins`,
-//!   `portfolio.poison.latency_ns`, `exact.ladder.wasted_steps`
+//!   `schedcache.evictions`, `exact.ladder.wasted_steps`
 //!   (speculative search steps cancellation or the budget clamp threw
 //!   away), and every `*.ns` elapsed-time accumulator
 //!   (`pipeline.schedule.ns`, `pipeline.sim.ns`, `pipeline.gap_oracle.ns`,

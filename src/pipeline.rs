@@ -66,9 +66,9 @@ pub enum SchedulerChoice {
     /// search, but every probe is decided by CNF refutation / model
     /// decoding instead of branch-and-bound.
     ExactSat,
-    /// The exact scheduler racing the SAT and branch-and-bound engines per
-    /// probe on the pipeline's executor — first certificate wins, rival
-    /// cancelled, agreeing certificates cross-checked.
+    /// The exact scheduler dovetailing the SAT and branch-and-bound engines
+    /// per probe in escalating step quanta until one decides; the
+    /// pipeline's executor sizes its automatic ladder width.
     Portfolio,
 }
 
@@ -105,7 +105,7 @@ impl SchedulerChoice {
 
     /// The probe backend of the exact-family choices ([`Exact`],
     /// [`ExactSat`], [`Portfolio`]); `None` for the heuristics. The
-    /// portfolio races on `executor`.
+    /// portfolio's ladder rounds run on `executor`.
     ///
     /// [`Exact`]: SchedulerChoice::Exact
     /// [`ExactSat`]: SchedulerChoice::ExactSat
@@ -121,9 +121,9 @@ impl SchedulerChoice {
     }
 
     /// Builds the scheduler implementation with the given options. The
-    /// [`Portfolio`](SchedulerChoice::Portfolio) configuration races on the
-    /// process-wide [`Executor::global`] here; pipelines built through
-    /// [`PipelineBuilder`] race on the pipeline's own executor instead.
+    /// [`Portfolio`](SchedulerChoice::Portfolio) configuration's ladder
+    /// runs on the process-wide [`Executor::global`] here; pipelines built
+    /// through [`PipelineBuilder`] use the pipeline's own executor instead.
     #[must_use]
     pub fn build(self, options: SchedulerOptions) -> Box<dyn ModuloScheduler + Send + Sync> {
         match self {
@@ -293,10 +293,9 @@ impl PipelineBuilder {
     /// configurations (see [`ExactOptions::ladder_width`]: `0` = auto, `1`
     /// = sequential). Like [`exact_node_budget`](Self::exact_node_budget)
     /// this is only consulted by the exact-family choices; unset, the
-    /// [`ExactOptions`] default (auto, overridable via `MVP_EXACT_LADDER`)
-    /// applies. Benchmark harnesses that measure *batch* scaling pin width
-    /// `1` so the executor's parallelism is spent across loops rather than
-    /// inside each exact search.
+    /// [`ExactOptions`] default (auto) applies. Benchmark harnesses that
+    /// measure *batch* scaling pin width `1` so the executor's parallelism
+    /// is spent across loops rather than inside each exact search.
     #[must_use]
     pub fn exact_ladder_width(mut self, width: u32) -> Self {
         self.exact_ladder_width = Some(width);
@@ -1106,9 +1105,8 @@ mod tests {
     fn portfolio_retires_the_figure3_node_count() {
         // Branch-and-bound alone needs 490,291 nodes to prove II=3 on the
         // figure-3 loop; the portfolio must beat that on the *inclusive*
-        // total (its own SAT steps plus every cancelled rival's nodes). A
-        // 1-thread executor makes the race deterministic: SAT runs first,
-        // the branch-and-bound rival is poisoned before charging a node.
+        // total (its SAT steps plus every dovetailed branch-and-bound
+        // instalment). A 1-thread executor means ladder width 1.
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = presets::motivating_example_machine();
         let backend = ExactBackend::portfolio(Arc::new(Executor::new(1)));
@@ -1121,7 +1119,7 @@ mod tests {
             outcome.search_steps()
         );
 
-        // The same race through the pipeline front end.
+        // The same search through the pipeline front end.
         let report = Pipeline::builder()
             .scheduler(SchedulerChoice::Portfolio)
             .machine(machine)
