@@ -80,9 +80,15 @@ pub struct IiProbe {
     /// branch-and-bound probes.
     pub reused_clauses: u64,
     /// Learnt clauses the incremental SAT solver retained from earlier
-    /// probes of the same search (CEGAR blocking clauses included). Zero in
-    /// the same cases as [`reused_clauses`](Self::reused_clauses).
+    /// probes of the same search. Zero in the same cases as
+    /// [`reused_clauses`](Self::reused_clauses).
     pub kept_learned: u64,
+    /// Register-pressure refinement (CEGAR) rounds the probe's SAT engine
+    /// ran: models re-priced as overflowing and answered with explanation
+    /// lemmas. Zero for pure branch-and-bound probes. The process-wide
+    /// `exact.sat.cegar_rounds` counter only sums these over committed
+    /// probes.
+    pub cegar_rounds: u64,
 }
 
 /// Speculation accounting of one II search's ladder (see
@@ -223,6 +229,7 @@ mod tests {
                 solver: SolverKind::Sat,
                 reused_clauses: 0,
                 kept_learned: 0,
+                cegar_rounds: 0,
             }],
             speculation: SpeculationStats::default(),
         };

@@ -34,11 +34,14 @@
 //!   exclusive. Transfers longer than the II force co-location outright;
 //!   unbounded bus sets need no clauses at all (any window cycle is free);
 //! * **register pressure** (`RegisterFileOverflow`): checked *outside* the
-//!   CNF by counterexample-guided refinement — a model whose exact MaxLive
-//!   pressure overflows a register file is excluded by a blocking clause
-//!   over its start and cluster literals and the solver re-runs on its
-//!   learnt state. The paper corpus never triggers a refinement, so the
-//!   common path pays nothing for the rule.
+//!   CNF by counterexample-guided refinement (CEGAR). Every model is
+//!   re-priced with the exact MaxLive computation; for each cluster it
+//!   overflows, an *explanation lemma* names only the values that push the
+//!   cluster past its file — their cluster literals and the start bounds
+//!   that make their lifetimes long — and the solver re-runs on its learnt
+//!   state. One lemma removes every model sharing that overlap, not just
+//!   the one found. On the gap corpus three points refine, in 26 rounds
+//!   all told; a model free of overflow pays only the re-price.
 //!
 //! The **time-shift dominance rule** of the branch-and-bound search carries
 //! over as a single clause: some operation with `earliest == 0` starts at
@@ -59,13 +62,13 @@
 //! layer is *retired* soundly by the unit `¬act_ii` plus freezing its
 //! still-free variables to false at the root. What carries over between
 //! probes is the *clausal* state the from-scratch path discards: the
-//! learnt-clause database, including the CEGAR MaxLive blocking clauses
-//! (which range over per-layer start variables and are auto-satisfied once
-//! the layer retires). The branching *heuristic* state — VSIDS activities
-//! and saved phases — is deliberately restarted cold at every layer
-//! boundary: it describes a placement shape the previous probe refuted,
-//! and carrying it over measurably traps the register-pressure CEGAR loop
-//! (see [`Encoder::begin_layer`]).
+//! learnt-clause database. The CEGAR lemmas are layer clauses like any
+//! other — they carry `¬act_ii`, since their start bounds depend on the
+//! II's windows — and retire with their layer. The branching *heuristic*
+//! state — VSIDS activities and saved phases — is deliberately restarted
+//! cold at every layer boundary: it describes a placement shape the
+//! previous probe refuted, and carrying it over measurably traps the
+//! register-pressure CEGAR loop (see [`Encoder::begin_layer`]).
 //!
 //! The from-scratch path ([`ExactOptions::sat_incremental`] `= false`)
 //! builds a fresh unguarded encoder per probe — clause-for-clause the
@@ -90,10 +93,11 @@ use crate::model::Problem;
 use crate::options::ExactOptions;
 use crate::propagate::{windows, Windows};
 use crate::search::FixedIiOutcome;
-use mvp_core::lifetime;
+use mvp_core::{lifetime, PlacedOp};
 use mvp_ir::{EdgeKind, OpId};
 use mvp_resmodel::PartialSchedule;
 use mvp_sat::{Lit, SolveResult, Solver, Var};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -255,7 +259,8 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         // letting them steer the next probe parks the solver inside a
         // register-pressure-violating family and the CEGAR loop burns
         // hundreds of thousands of steps enumerating it (e.g. 325k steps
-        // where a cold heuristic with the same retained clauses takes 223).
+        // where a cold heuristic with the same retained clauses takes 223;
+        // measured when each refinement still blocked a single model).
         self.solver.reset_activities();
         self.solver.reset_phases();
         self.layers += 1;
@@ -279,7 +284,8 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         // conflict-free branch order would fix a clustering first and then
         // enumerate start permutations inside it — which sends the
         // register-pressure CEGAR loop through an enormous family of
-        // equivalent counterexamples.
+        // equivalent counterexamples (measured when each refinement still
+        // blocked a single model).
         for i in 0..self.starts.len() {
             for k in 0..self.starts[i].len() {
                 let v = self.starts[i][k];
@@ -707,28 +713,89 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             .expect("the cluster one-hot selects a cluster")
     }
 
-    /// Excludes the current model's (start, cluster) combination — the
-    /// counterexample-guided refinement step for register pressure. The
-    /// blocking clause is deliberately unguarded: it ranges over this
-    /// layer's start variables (auto-satisfied once the layer retires) and
-    /// the shared cluster variables, so it keeps pruning CEGAR-refuted
-    /// shapes for the rest of the session.
-    fn block_current_model(&mut self) {
-        let mut clause: Vec<Lit> = self
-            .p
-            .l
-            .op_ids()
-            .map(|op| !self.start_lit(op, self.decoded_start(op)))
-            .collect();
-        if !self.clusters.is_empty() {
-            clause.extend(
-                self.p
-                    .l
-                    .op_ids()
-                    .map(|op| Lit::negative(self.clusters[op.index()][self.decoded_cluster(op)])),
-            );
+    /// The literal "op runs on cluster `c`" (`None` on single-cluster
+    /// machines, where it is constant true).
+    fn on_cluster(&self, op: OpId, c: usize) -> Option<Lit> {
+        self.clusters
+            .get(op.index())
+            .map(|per_op| Lit::positive(per_op[c]))
+    }
+
+    /// The register-pressure explanation for cluster `c` overflowing under
+    /// the placements `ops` (the decoded model): a clause naming only the
+    /// values that push `c` past its file, false under the model.
+    ///
+    /// Each term mirrors one summand of
+    /// [`lifetime::register_pressure`] on `c`, with a condition that
+    /// guarantees at least its weight in any assignment:
+    ///
+    /// * an **own value** `v` on `c` whose lifetime needs `k ≥ 2` registers:
+    ///   `cluster(v)=c ∧ start(v) ≤ t_v ∧ start(u) ≥ t_v + (k−1)·II + 1 − II·d`
+    ///   for the consumer `u` (edge distance `d`) that sets the lifetime —
+    ///   a self-edge needs no start literals. Any value with a consumer
+    ///   holds at least one register, so `k = 1` needs `cluster(v)=c` only;
+    /// * a **copy** of a value `v` off `c` with a data consumer `u` on `c`:
+    ///   `¬cluster(v)=c ∧ cluster(u)=c`, weight 1. Sound for every
+    ///   assignment meeting the dependence clauses: latencies are at least
+    ///   1, so a value with a consumer on another cluster lives at least a
+    ///   cycle and is never the zero-lifetime case that skips its copies.
+    ///
+    /// Terms are taken heaviest first (ties by op id) until their weight
+    /// exceeds the file; the clause is the negation of their conjunction.
+    /// Window-constant bounds drop out.
+    fn pressure_lemma(&self, ops: &[PlacedOp], c: usize) -> Vec<Lit> {
+        let (l, ii, ii32) = (self.p.l, self.ii, self.ii as u32);
+        let mut terms: Vec<(u32, OpId, Vec<Lit>)> = Vec::new();
+        for v in l.op_ids() {
+            let def = &ops[v.index()];
+            let data_succs = || l.succs(v).filter(|e| e.kind == EdgeKind::Data);
+            if def.cluster == c {
+                if !l.op(v).kind.produces_value() || l.succs(v).next().is_none() {
+                    continue;
+                }
+                let lifetime = lifetime::value_lifetime(l, ops, v, ii32);
+                let k = lifetime.div_ceil(ii32).max(1);
+                let mut lits: Vec<Lit> = self.on_cluster(v, c).map(|x| !x).into_iter().collect();
+                if k >= 2 {
+                    let t_v = i64::from(def.cycle);
+                    let self_edge = data_succs().any(|e| e.dst == v && e.distance >= k);
+                    if !self_edge {
+                        let e = data_succs()
+                            .max_by_key(|e| {
+                                let use_at = i64::from(ops[e.dst.index()].cycle)
+                                    + ii * i64::from(e.distance);
+                                (use_at, Reverse(e.dst.index()))
+                            })
+                            .expect("a multi-register lifetime has a data consumer");
+                        let need = t_v + i64::from(k - 1) * ii + 1 - ii * i64::from(e.distance);
+                        let kept = self.leq(v, t_v).push_onto(&mut lits, false)
+                            && self.leq(e.dst, need - 1).push_onto(&mut lits, true);
+                        debug_assert!(kept, "the model satisfies its own lemma's condition");
+                    }
+                }
+                terms.push((k, v, lits));
+            } else if let Some(u) = data_succs()
+                .map(|e| e.dst)
+                .find(|u| ops[u.index()].cluster == c)
+            {
+                let lits = [self.on_cluster(v, c), self.on_cluster(u, c).map(|x| !x)];
+                terms.push((1, v, lits.into_iter().flatten().collect()));
+            }
         }
-        self.solver.add_clause(&clause);
+        terms.sort_by_key(|&(w, v, _)| (Reverse(w), v));
+        let cap = self.p.register_file[c];
+        let mut weight = 0u32;
+        let mut clause: Vec<Lit> = Vec::new();
+        for (w, _, lits) in terms {
+            // A literal two terms share repeats; `Solver::add_clause`
+            // drops the duplicate.
+            clause.extend(lits);
+            weight += w;
+            if weight > cap {
+                return clause;
+            }
+        }
+        unreachable!("the terms sum to the overflowing pressure of cluster {c}")
     }
 }
 
@@ -751,6 +818,9 @@ pub(crate) struct SatProbeSession<'a, 'l, 'm> {
     p: &'a Problem<'l, 'm>,
     incremental: bool,
     enc: Option<Encoder<'a, 'l, 'm>>,
+    /// Register-pressure refinement rounds of the current probe, summed
+    /// over its [`SatProbeSession::resume`] instalments.
+    cegar_rounds: u64,
 }
 
 impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
@@ -759,7 +829,15 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             p,
             incremental,
             enc: None,
+            cegar_rounds: 0,
         }
+    }
+
+    /// Register-pressure refinement rounds the current probe has run so
+    /// far (every instalment since the last
+    /// [`SatProbeSession::probe_seeded`]).
+    pub(crate) fn cegar_rounds(&self) -> u64 {
+        self.cegar_rounds
     }
 
     /// [`SatProbeSession::probe_seeded`] with an empty pool.
@@ -800,6 +878,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         pool: &[Vec<Lit>],
     ) -> (FixedIiOutcome, SatProbeStats, u64) {
         let p = self.p;
+        self.cegar_rounds = 0;
         if ii == 0 || p.resource_infeasible(ii) {
             return (FixedIiOutcome::Infeasible, SatProbeStats::default(), 0);
         }
@@ -909,17 +988,19 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             let ops = ps.placed_ops();
             if options.enforce_register_pressure {
                 let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
-                if pressure
-                    .iter()
-                    .zip(&p.register_file)
-                    .any(|(&used, &cap)| used > cap)
-                {
-                    enc.block_current_model();
-                    mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).incr();
+                let overflowing: Vec<usize> = (0..pressure.len())
+                    .filter(|&c| pressure[c] > p.register_file[c])
+                    .collect();
+                if !overflowing.is_empty() {
+                    for c in overflowing {
+                        let lemma = enc.pressure_lemma(&ops, c);
+                        enc.clause(&lemma);
+                    }
+                    self.cegar_rounds += 1;
                     mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
                     // A cancelled probe (a superseded ladder rung) aborts
                     // between refinement rounds instead of paying for
-                    // another full re-price/block cycle.
+                    // another full re-price/refine cycle.
                     if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                         break FixedIiOutcome::Cancelled;
                     }
@@ -959,7 +1040,9 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     /// Only **single-layer incremental** sessions export; everything else
     /// returns an empty set. In such a session every clause mentioning a
     /// layer variable positively carries the layer's negated activation
-    /// literal (originals by construction; learnt clauses by induction —
+    /// literal (originals by construction, the CEGAR lemmas included, which
+    /// go through [`Encoder::clause`] like every layer clause; learnt
+    /// clauses by induction —
     /// resolving a positive layer literal away must pass through a clause
     /// that carries `¬act`, and `¬act` itself can never be resolved away
     /// because no clause contains `act` positively). A learnt clause over
@@ -1173,6 +1256,168 @@ mod tests {
             probe(&l, &machine, 2),
             FixedIiOutcome::Feasible { .. }
         ));
+    }
+
+    /// A two-cluster machine, one unit of each kind and `regs` registers
+    /// per cluster.
+    fn starved(regs: usize) -> mvp_machine::MachineConfig {
+        use mvp_machine::{BusConfig, CacheGeometry, ClusterConfig, MachineConfig};
+        MachineConfig::builder(format!("starved-{regs}"))
+            .homogeneous_clusters(
+                2,
+                ClusterConfig::new(1, 1, 1, regs, CacheGeometry::direct_mapped(1024)),
+            )
+            .register_buses(BusConfig::finite(1, 1))
+            .memory_buses(BusConfig::finite(1, 1))
+            .build()
+            .unwrap()
+    }
+
+    /// Loops of at most four operations covering every lemma term: copies
+    /// to several clusters, a self-edge lifetime, loop-carried consumers,
+    /// and a store that holds no register.
+    fn tiny_loops() -> Vec<Loop> {
+        let mut loops = vec![chain()];
+        let mut b = Loop::builder("fan-out");
+        let x = b.fp_op("X");
+        for name in ["Y", "Z", "W"] {
+            let y = b.fp_op(name);
+            b.data_edge(x, y, 0);
+        }
+        loops.push(b.build().unwrap());
+        let mut b = Loop::builder("self-edge");
+        let x = b.fp_op("X");
+        let y = b.fp_op("Y");
+        b.data_edge(x, x, 2);
+        b.data_edge(x, y, 0);
+        loops.push(b.build().unwrap());
+        let mut b = Loop::builder("carried");
+        let x = b.fp_op("X");
+        let y = b.fp_op("Y");
+        let z = b.int_op("Z");
+        b.data_edge(x, y, 2);
+        b.data_edge(x, z, 0);
+        b.data_edge(y, z, 0);
+        loops.push(b.build().unwrap());
+        loops
+    }
+
+    #[test]
+    fn pressure_lemmas_only_exclude_overflowing_assignments() {
+        // Every (start, cluster) assignment in the windows that meets the
+        // dependence clauses (the lemmas lean on them, see
+        // `Encoder::pressure_lemma`) is priced; each overflowing cluster's
+        // lemma is then checked against every assignment: whatever
+        // falsifies it must overflow that cluster too.
+        let options = ExactOptions::new().with_horizon_stages(1);
+        let (mut lemmas_checked, mut general) = (0usize, 0usize);
+        for regs in [1, 2] {
+            let machine = starved(regs);
+            for l in &tiny_loops() {
+                let p = Problem::new(l, &machine).unwrap();
+                let min_ii = mvp_ir::mii::minimum_ii(l, &machine);
+                for ii in min_ii..=min_ii + 1 {
+                    let Some(win) = windows(&p, ii, |asap| p.horizon(asap, ii, &options)) else {
+                        continue;
+                    };
+                    let enc = Encoder::scratch(&p, ii, win.clone());
+                    let n = p.num_ops();
+                    let choices: Vec<Vec<(i64, usize)>> = (0..n)
+                        .map(|i| {
+                            (win.earliest[i]..=win.latest[i])
+                                .flat_map(|t| (0..2).map(move |c| (t, c)))
+                                .collect()
+                        })
+                        .collect();
+                    let mut assignments: Vec<Vec<PlacedOp>> = Vec::new();
+                    let mut digits = vec![0usize; n];
+                    'enumerate: loop {
+                        let ops: Vec<PlacedOp> = (0..n)
+                            .map(|i| {
+                                let (t, cluster) = choices[i][digits[i]];
+                                PlacedOp {
+                                    op: OpId::from_index(i),
+                                    cluster,
+                                    cycle: t as u32,
+                                    stage: t as u32 / ii,
+                                    row: t as u32 % ii,
+                                    assumed_latency: p.latency[i],
+                                    miss_scheduled: false,
+                                }
+                            })
+                            .collect();
+                        let legal = l.edges().iter().filter(|e| e.src != e.dst).all(|e| {
+                            i64::from(ops[e.dst.index()].cycle)
+                                - i64::from(ops[e.src.index()].cycle)
+                                >= p.edge_weight(e, ii)
+                        });
+                        if legal {
+                            assignments.push(ops);
+                        }
+                        for i in 0..n {
+                            digits[i] += 1;
+                            if digits[i] < choices[i].len() {
+                                continue 'enumerate;
+                            }
+                            digits[i] = 0;
+                        }
+                        break;
+                    }
+                    // What each lemma variable means, to evaluate lemmas
+                    // against an assignment.
+                    let mut prefix_of = BTreeMap::new();
+                    let mut cluster_of = BTreeMap::new();
+                    for i in 0..n {
+                        for (k, &v) in enc.prefix[i].iter().enumerate() {
+                            prefix_of.insert(v, (i, win.earliest[i] + k as i64));
+                        }
+                        for (c, &v) in enc.clusters[i].iter().enumerate() {
+                            cluster_of.insert(v, (i, c));
+                        }
+                    }
+                    let holds = |lit: Lit, ops: &[PlacedOp]| {
+                        let value = if let Some(&(i, t)) = prefix_of.get(&lit.var()) {
+                            i64::from(ops[i].cycle) <= t
+                        } else {
+                            let (i, c) = cluster_of[&lit.var()];
+                            ops[i].cluster == c
+                        };
+                        value == lit.is_positive()
+                    };
+                    let pressure = |ops: &[PlacedOp]| lifetime::register_pressure(l, ops, ii, 2);
+                    let mut lemmas = std::collections::BTreeSet::new();
+                    for ops in &assignments {
+                        for (c, &used) in pressure(ops).iter().enumerate() {
+                            if used > p.register_file[c] {
+                                let mut lemma = enc.pressure_lemma(ops, c);
+                                assert!(lemma.iter().all(|&x| !holds(x, ops)), "{lemma:?}");
+                                lemma.sort_unstable();
+                                lemmas.insert((c, lemma));
+                            }
+                        }
+                    }
+                    for (c, lemma) in &lemmas {
+                        let mut excluded = 0;
+                        for ops in &assignments {
+                            if lemma.iter().all(|&x| !holds(x, ops)) {
+                                excluded += 1;
+                                assert!(
+                                    pressure(ops)[*c] > p.register_file[*c],
+                                    "{} on {} at II={ii}: lemma {lemma:?} for cluster {c} \
+                                     excludes the fitting assignment {ops:?}",
+                                    l.name(),
+                                    machine.name,
+                                );
+                            }
+                        }
+                        lemmas_checked += 1;
+                        general += usize::from(excluded > 1);
+                    }
+                }
+            }
+        }
+        assert!(lemmas_checked > 0, "the fixtures must overflow somewhere");
+        assert!(general > 0, "some lemma must exclude more than one model");
     }
 
     #[test]

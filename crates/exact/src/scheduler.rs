@@ -176,6 +176,8 @@ struct RungResult {
     nodes: u64,
     /// SAT steps this rung consumed.
     conflicts: u64,
+    /// Register-pressure refinement rounds of this rung's SAT probe.
+    cegar_rounds: u64,
     /// Global-prefix learnt clauses exported for later rounds (only from a
     /// decided speculative rung).
     exports: Vec<Vec<Lit>>,
@@ -197,6 +199,7 @@ impl RungResult {
             stats: SatProbeStats::default(),
             nodes: 0,
             conflicts: 0,
+            cegar_rounds: 0,
             exports: Vec::new(),
             imported: 0,
         }
@@ -300,11 +303,18 @@ fn run_rung(
             RungResult {
                 stats,
                 conflicts,
+                cegar_rounds: session.cegar_rounds(),
                 imported,
                 ..RungResult::of(outcome, SolverKind::Sat)
             }
         }
-        ExactBackend::Portfolio(_) => dovetail_rung(p, ii, options, session, pool, cancel),
+        ExactBackend::Portfolio(_) => {
+            let r = dovetail_rung(p, ii, options, session, pool, cancel);
+            RungResult {
+                cegar_rounds: session.cegar_rounds(),
+                ..r
+            }
+        }
     }
 }
 
@@ -487,7 +497,9 @@ fn ladder_search(
                 solver: r.solver,
                 reused_clauses: r.stats.reused_clauses,
                 kept_learned: r.stats.kept_learned,
+                cegar_rounds: r.cegar_rounds,
             });
+            mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).add(r.cegar_rounds);
             match verdict {
                 IiVerdict::Feasible => ended = true,
                 IiVerdict::Infeasible => {

@@ -2,9 +2,9 @@
 //! infeasibility, budget behaviour, and the Figure-3 pinned regression.
 
 use mvp_core::{validate_schedule, BaselineScheduler, ModuloScheduler, RmcaScheduler};
-use mvp_exact::{solve, ExactOptions, ExactScheduler, IiVerdict};
+use mvp_exact::{solve, solve_with, ExactBackend, ExactOptions, ExactScheduler, IiVerdict};
 use mvp_ir::{mii, Loop};
-use mvp_machine::presets;
+use mvp_machine::{presets, BusConfig, CacheGeometry, ClusterConfig, MachineConfig};
 use mvp_workloads::generator::{GeneratorConfig, LoopGenerator};
 use mvp_workloads::motivating::{motivating_loop, MotivatingParams};
 use mvp_workloads::rng::SplitMix64;
@@ -209,4 +209,78 @@ fn exact_scheduler_is_a_drop_in_modulo_scheduler() {
         iis.push(schedule.ii());
     }
     assert!(iis[1] >= iis[0], "heuristic beat the exact scheduler");
+}
+
+/// SAT and branch-and-bound agree on every II both decide when register
+/// files are tiny. The gap corpus refines register pressure on only three
+/// points, so this is what exercises the SAT engine's explanation lemmas.
+#[test]
+fn sat_and_branch_and_bound_agree_per_ii_on_register_starved_machines() {
+    let machines: Vec<MachineConfig> = [(2, 2), (2, 3), (4, 2)]
+        .into_iter()
+        .map(|(clusters, regs)| {
+            MachineConfig::builder(format!("starved-{clusters}x{regs}"))
+                .homogeneous_clusters(
+                    clusters,
+                    ClusterConfig::new(1, 1, 1, regs, CacheGeometry::direct_mapped(1024)),
+                )
+                .register_buses(BusConfig::finite(1, 1))
+                .memory_buses(BusConfig::finite(1, 1))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let cfg = GeneratorConfig {
+        min_ops: 3,
+        max_ops: 6,
+        ..GeneratorConfig::default()
+    };
+    let options = ExactOptions::new()
+        .with_node_budget(20_000)
+        .with_ladder_width(1);
+    let mut meta = SplitMix64::seed_from_u64(0x5EED_4E65);
+    let (mut compared, mut cegar_rounds) = (0usize, 0u64);
+    for case in 0..12 {
+        let seed = meta.next_u64();
+        let l = LoopGenerator::new(cfg, seed).generate();
+        for machine in &machines {
+            let bnb = solve_with(&l, machine, &options, &ExactBackend::BranchAndBound).unwrap();
+            let sat = solve_with(&l, machine, &options, &ExactBackend::Sat).unwrap();
+            let at = |ii: u32, o: &mvp_exact::ExactOutcome| {
+                o.probes
+                    .iter()
+                    .find(|p| p.ii == ii && p.verdict != IiVerdict::Unknown)
+                    .map(|p| p.verdict)
+            };
+            for probe in &sat.probes {
+                if let (Some(s), Some(b)) = (at(probe.ii, &sat), at(probe.ii, &bnb)) {
+                    assert_eq!(
+                        s, b,
+                        "case {case} seed {seed:#x} on {}: II={} SAT says {s}, B&B {b}",
+                        machine.name, probe.ii
+                    );
+                    compared += 1;
+                }
+            }
+            for (a, b) in [(&sat, &bnb), (&bnb, &sat)] {
+                assert!(
+                    a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
+                    "case {case} seed {seed:#x} on {}: a {} schedule beats the {} bound",
+                    machine.name,
+                    a.backend,
+                    b.backend
+                );
+                if let Some(s) = &a.schedule {
+                    let v = validate_schedule(&l, machine, s);
+                    assert!(v.is_empty(), "case {case} seed {seed:#x}: {v:?}");
+                }
+            }
+            cegar_rounds += sat.probes.iter().map(|p| p.cegar_rounds).sum::<u64>();
+        }
+    }
+    assert!(compared > 0);
+    assert!(
+        cegar_rounds > 0,
+        "the register files must starve some model"
+    );
 }
