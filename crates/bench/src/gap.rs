@@ -36,8 +36,7 @@ pub struct GapParams {
     pub node_budget: u64,
     /// The exact engine pricing the rows (default: branch-and-bound, which
     /// keeps the historical tables and the Figure-3 node-count pins
-    /// byte-identical). [`SolverKind::Portfolio`] dovetails both engines,
-    /// its ladder sized by the process-wide executor.
+    /// byte-identical). [`SolverKind::Portfolio`] dovetails both engines.
     pub solver: SolverKind,
 }
 
@@ -56,14 +55,13 @@ impl Default for GapParams {
     }
 }
 
-/// The [`ExactBackend`] a [`SolverKind`] selection names. The portfolio's
-/// automatic ladder width is the process-wide executor's thread count.
+/// The [`ExactBackend`] a [`SolverKind`] selection names.
 #[must_use]
 pub fn backend_of(solver: SolverKind) -> ExactBackend {
     match solver {
         SolverKind::BranchAndBound => ExactBackend::BranchAndBound,
         SolverKind::Sat => ExactBackend::Sat,
-        SolverKind::Portfolio => ExactBackend::portfolio(Executor::global()),
+        SolverKind::Portfolio => ExactBackend::Portfolio,
     }
 }
 

@@ -14,10 +14,6 @@
 //!   the `portfolio-solvers.csv` artifact),
 //! * `wallclock` — suite wall-clock per executor thread count
 //!   (`MVP_WALLCLOCK_CSV` for the CI artifact),
-//! * `exact_ladder` — sequential vs speculative-parallel II-ladder bracket
-//!   over the gap corpus: per-point wall-clock, wasted speculative steps
-//!   and a verdict cross-check (`MVP_LADDER_CSV` for the
-//!   `exact-ladder.csv` artifact; exits non-zero on a verdict change),
 //! * `serve` — batch service replay: cold pass vs warm cache-hit replays
 //!   of the suite stream, sustained loops/sec (`MVP_SERVE_CSV` for the CI
 //!   artifact),
@@ -45,7 +41,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod gap;
 pub mod json;
-pub mod ladder;
 pub mod portfolio;
 pub mod report;
 pub mod runner;

@@ -94,9 +94,7 @@ pub fn run(params: &GapParams) -> Vec<PortfolioRow> {
     run_on(params, &Executor::global())
 }
 
-/// Runs the differential on an explicit executor (each grid point is one
-/// job; a widened portfolio's ladder rounds then run inline on that job's
-/// thread).
+/// Runs the differential on an explicit executor, one job per grid point.
 #[must_use]
 pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
     let options = ExactOptions::new().with_node_budget(params.node_budget);

@@ -134,14 +134,10 @@ pub fn deterministic_pass(params: &TraceParams, executor: &Arc<Executor>) {
         (SchedulerChoice::Rmca, true),
         (SchedulerChoice::ExactSat, false),
     ] {
-        // Ladder width pinned to 1: speculative rungs tick the solver's
-        // stable counters for work the commit loop then discards, which
-        // would break the width-independence this pass exists to pin.
         let mut builder = Pipeline::builder()
             .scheduler(choice)
             .executor(Arc::clone(executor))
-            .exact_node_budget(params.node_budget)
-            .exact_ladder_width(1);
+            .exact_node_budget(params.node_budget);
         if gap {
             builder = builder.optimality_gap_options(oracle);
         }
@@ -164,16 +160,11 @@ fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> Vec<Event> {
         1024,
         executor.threads(),
     ));
-    // Ladder width pinned to 1 so each exact search probes inline on its
-    // pipeline job's thread and the executor's parallelism goes across
-    // loops (the speculative ladder's round spans are exercised by the
-    // `exact_ladder` binary).
     let pipeline = Pipeline::builder()
         .scheduler(SchedulerChoice::Portfolio)
         .executor(Arc::clone(executor))
         .schedule_cache(cache)
         .exact_node_budget(params.node_budget)
-        .exact_ladder_width(1)
         .build()
         .expect("default-machine pipelines are valid");
     mvp_trace::set_mode(TraceMode::Full);

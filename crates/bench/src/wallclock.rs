@@ -149,16 +149,11 @@ pub fn run(params: &WallclockParams) -> Vec<WallclockRow> {
             // `exact_node_budget` — the exact scheduler's own search, so the
             // exact rows of a suite-scale run no longer burn the 1M-node
             // default per loop.
-            // Ladder width pinned to 1: this measurement times *batch*
-            // scaling (one loop per executor job), so the exact search must
-            // not additionally parallelise inside each solve. The
-            // `exact_ladder` binary measures intra-search scaling.
             let pipeline = Pipeline::builder()
                 .scheduler(scheduler)
                 .executor(Arc::clone(&executor))
                 .optimality_gap_options(gap_options)
                 .exact_node_budget(params.gap_node_budget)
-                .exact_ladder_width(1)
                 .build()
                 .expect("default-machine pipelines are valid");
             let phases_before = phase_counters.map(mvp_trace::Counter::get);

@@ -7,13 +7,6 @@
 
 use mvp_bench::gap::{corpus, machines, GapParams};
 use mvp_exact::{solve_with, ExactBackend, ExactOptions};
-use mvp_exec::Executor;
-use std::sync::Arc;
-
-/// The sequential SAT search at the default step budget.
-fn sat_options() -> ExactOptions {
-    ExactOptions::new().with_ladder_width(1)
-}
 
 /// `random_7` on four clusters overflows a register file in many models
 /// at II=3; the lemmas prove II=3 optimal in 16 rounds.
@@ -28,7 +21,7 @@ fn random_7_on_four_clusters_is_proved_in_few_refinement_rounds() {
         .into_iter()
         .find(|m| m.name == "4-cluster")
         .expect("the corpus sweeps the 4-cluster preset");
-    let o = solve_with(l, &machine, &sat_options(), &ExactBackend::Sat).unwrap();
+    let o = solve_with(l, &machine, &ExactOptions::new(), &ExactBackend::Sat).unwrap();
     assert!(o.proved_optimal, "{o}");
     assert_eq!(o.schedule_ii(), Some(3));
     let rounds: u64 = o.probes.iter().map(|p| p.cegar_rounds).sum();
@@ -38,8 +31,7 @@ fn random_7_on_four_clusters_is_proved_in_few_refinement_rounds() {
     );
     // The dovetailed portfolio's SAT half refines too, and its probes
     // report the rounds of every instalment.
-    let portfolio = ExactBackend::portfolio(Arc::new(Executor::new(1)));
-    let o = solve_with(l, &machine, &sat_options(), &portfolio).unwrap();
+    let o = solve_with(l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio).unwrap();
     assert!(o.proved_optimal, "{o}");
     assert!(
         o.probes.iter().any(|p| p.cegar_rounds > 0),
@@ -55,7 +47,7 @@ fn sat_proves_the_whole_gap_corpus() {
     let mut refined = 0;
     for machine in machines() {
         for l in &loops {
-            let o = solve_with(l, &machine, &sat_options(), &ExactBackend::Sat).unwrap();
+            let o = solve_with(l, &machine, &ExactOptions::new(), &ExactBackend::Sat).unwrap();
             assert!(o.proved_optimal, "{} on {}: {o}", l.name(), machine.name);
             refined += usize::from(o.probes.iter().any(|p| p.cegar_rounds > 0));
         }

@@ -16,9 +16,7 @@
 //! hands it to the in-workspace CDCL solver of `mvp-sat`
 //! ([`ExactBackend::Sat`]); [`ExactBackend::Portfolio`] dovetails both
 //! engines per probe in escalating step quanta until one decides. Every
-//! backend runs the same upward II loop; with a ladder width above 1 (see
-//! [`ExactOptions::ladder_width`]) it probes several IIs at once on a
-//! persistent `mvp-exec` pool and still commits them in II order.
+//! backend runs the same sequential upward II loop, one probe at a time.
 //!
 //! # The constraint model is the validator's rule set
 //!
@@ -115,7 +113,7 @@ mod search;
 
 pub use model::Problem;
 pub use options::ExactOptions;
-pub use outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind, SpeculationStats};
+pub use outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
 pub use scheduler::{solve, solve_with, ExactBackend, ExactScheduler};
 
 #[cfg(test)]

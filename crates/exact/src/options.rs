@@ -34,15 +34,6 @@ pub struct ExactOptions {
     /// switches it off, which the differential suites use to compare the
     /// two modes.
     pub sat_incremental: bool,
-    /// Width of the speculative parallel II ladder: how many consecutive
-    /// candidate IIs the outer search probes concurrently per round. `0`
-    /// (the default) means *auto* — the portfolio backend uses its
-    /// executor's thread count, the single-engine backends stay sequential.
-    /// `1` forces the sequential search on any backend. The ladder's
-    /// verdict contract: the committed `ExactOutcome` is identical to the
-    /// sequential search's whenever the step budget does not bind — only
-    /// step/wallclock provenance may vary.
-    pub ladder_width: u32,
 }
 
 impl ExactOptions {
@@ -58,7 +49,6 @@ impl ExactOptions {
             horizon_stages: 8,
             enforce_register_pressure: true,
             sat_incremental: true,
-            ladder_width: 0,
         }
     }
 
@@ -97,11 +87,13 @@ impl ExactOptions {
         self
     }
 
-    /// Returns a copy with the given speculative ladder width (`0` = auto,
-    /// `1` = sequential; see [`ExactOptions::ladder_width`]).
+    /// Returns `self` unchanged: this builder sets nothing. It exists only
+    /// because the benchmark package (`perfbench/src/exact.rs`) still calls
+    /// `.with_ladder_width(1)`, and it is deleted right after the benchmark
+    /// drops that call.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_ladder_width(mut self, width: u32) -> Self {
-        self.ladder_width = width;
+    pub fn with_ladder_width(self, _width: u32) -> Self {
         self
     }
 
@@ -137,14 +129,13 @@ mod tests {
             .with_node_budget(0)
             .with_horizon_stages(0)
             .with_register_pressure(false)
-            .with_sat_incremental(false)
-            .with_ladder_width(4);
+            .with_sat_incremental(false);
         assert_eq!(o.max_ii_slack, 4);
         assert_eq!(o.node_budget, 1);
         assert_eq!(o.horizon_stages, 1);
         assert!(!o.enforce_register_pressure);
         assert!(!o.sat_incremental);
-        assert_eq!(o.ladder_width, 4);
+        assert_eq!(o.with_ladder_width(4), o, "the shim sets nothing");
     }
 
     #[test]

@@ -91,26 +91,6 @@ pub struct IiProbe {
     pub cegar_rounds: u64,
 }
 
-/// Speculation accounting of one II search's ladder (see
-/// [`ExactOptions::ladder_width`](crate::ExactOptions::ladder_width)). All
-/// zero at width 1, which never speculates. The process-wide
-/// `exact.ladder.*` counters only aggregate these per-search figures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpeculationStats {
-    /// Rungs launched beyond the first of each round.
-    pub speculative_probes: u64,
-    /// Launched rungs that never committed (cancelled, skipped, or above
-    /// the round's terminal verdict).
-    pub cancelled_probes: u64,
-    /// Learnt clauses committed rungs imported from the shared export pool.
-    pub imported_clauses: u64,
-    /// Search steps speculation spent beyond what the search charged:
-    /// rungs above a terminal verdict, and the excess of rungs launched
-    /// with more than their sequential budget remainder. Depends on
-    /// scheduling, unlike the other three figures.
-    pub wasted_steps: u64,
-}
-
 /// Outcome of the exact II search for one loop on one machine.
 ///
 /// The invariants every consumer can rely on:
@@ -146,8 +126,6 @@ pub struct ExactOutcome {
     pub backend: SolverKind,
     /// Per-II probe log, in probing order.
     pub probes: Vec<IiProbe>,
-    /// What the ladder speculated beyond the committed probes.
-    pub speculation: SpeculationStats,
 }
 
 impl ExactOutcome {
@@ -231,7 +209,6 @@ mod tests {
                 kept_learned: 0,
                 cegar_rounds: 0,
             }],
-            speculation: SpeculationStats::default(),
         };
         assert!((outcome.optimality_gap_of(4)).abs() < 1e-12);
         assert!((outcome.optimality_gap_of(6) - 0.5).abs() < 1e-12);

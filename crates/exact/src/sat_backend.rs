@@ -8,9 +8,10 @@
 //! `[earliest, latest]` (from [`crate::propagate::windows`]): one-hot start
 //! variables `s[op][t]` channelled to monotone prefix variables
 //! `P[op][k] ⇔ start ≤ earliest + k`, so the dependence difference
-//! constraints become single watched clauses instead of quadratic conflict
-//! ladders. On multi-cluster machines each operation also carries a one-hot
-//! cluster choice restricted to clusters owning a unit of its kind.
+//! constraints become single watched clauses instead of quadratic sets of
+//! pairwise conflict clauses. On multi-cluster machines each operation also
+//! carries a one-hot cluster choice restricted to clusters owning a unit of
+//! its kind.
 //!
 //! The validator's rule set maps onto clauses as follows:
 //!
@@ -99,7 +100,6 @@ use mvp_resmodel::PartialSchedule;
 use mvp_sat::{Lit, SolveResult, Solver, Var};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The order-encoding query "start(op) ≤ t": a literal inside the window, a
 /// constant outside it.
@@ -155,13 +155,6 @@ struct Encoder<'a, 'l, 'm> {
     /// First variable of the current layer: retirement freezes the range
     /// `[layer_base, num_vars)`.
     layer_base: Var,
-    /// First variable past the II-independent section (0 in from-scratch
-    /// mode): the global prefix `[0, global_base)` is encoded identically
-    /// for *any* II, which is what makes cross-solver clause sharing over
-    /// it sound (see [`SatProbeSession::export_shared`]).
-    global_base: Var,
-    /// How many layers this encoder has opened (via [`Encoder::begin_layer`]).
-    layers: u32,
     /// One-hot start variables: `starts[op][k]` ⇔ start = `earliest[op] + k`.
     starts: Vec<Vec<Var>>,
     /// Monotone prefix variables: `prefix[op][k]` ⇔ start ≤ `earliest + k`,
@@ -209,7 +202,6 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                 let _ = enc.same_lit(a, b);
             }
         }
-        enc.global_base = enc.solver.num_vars() as Var;
         let win = enc.win.clone();
         enc.begin_layer(ii, win);
         enc
@@ -226,8 +218,6 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             win,
             act: None,
             layer_base: 0,
-            global_base: 0,
-            layers: 0,
             starts: Vec::new(),
             prefix: Vec::new(),
             transfers: BTreeMap::new(),
@@ -263,7 +253,6 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         // measured when each refinement still blocked a single model).
         self.solver.reset_activities();
         self.solver.reset_phases();
-        self.layers += 1;
         self.ii = i64::from(ii);
         self.win = win;
         self.starts.clear();
@@ -834,59 +823,32 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     }
 
     /// Register-pressure refinement rounds the current probe has run so
-    /// far (every instalment since the last
-    /// [`SatProbeSession::probe_seeded`]).
+    /// far (every instalment since the last [`SatProbeSession::probe`]).
     pub(crate) fn cegar_rounds(&self) -> u64 {
         self.cegar_rounds
-    }
-
-    /// [`SatProbeSession::probe_seeded`] with an empty pool.
-    #[cfg(test)]
-    pub(crate) fn probe(
-        &mut self,
-        ii: u32,
-        options: &ExactOptions,
-        steps_used: &mut u64,
-        cancel: Option<&AtomicBool>,
-    ) -> (FixedIiOutcome, SatProbeStats) {
-        let (outcome, stats, _) = self.probe_seeded(ii, options, steps_used, cancel, &[]);
-        (outcome, stats)
     }
 
     /// Runs one fixed-II probe: certificates first (resource counts,
     /// positive dependence cycles — shared with the branch-and-bound), then
     /// CNF encoding, CDCL search and kernel-checked decoding. `steps_used`
     /// is incremented by the solver steps (decisions + conflicts) the probe
-    /// consumed; the budget and cancellation contracts match
+    /// consumed; the budget contract matches
     /// [`crate::search::solve_fixed_ii`].
-    ///
-    /// A *fresh* incremental session additionally seeds its solver with the
-    /// global-prefix clauses of `pool` before solving (clauses mentioning
-    /// any per-layer variable are filtered out — only the II-independent
-    /// prefix is numbered identically across sessions). The third return
-    /// value is the number of clauses imported. The speculative II ladder
-    /// gives every rung a private single-layer session, and the pool
-    /// carries the short learnt clauses retired rungs exported via
-    /// [`SatProbeSession::export_shared`]; the sequential search passes an
-    /// empty pool to its one search-wide session.
-    pub(crate) fn probe_seeded(
+    pub(crate) fn probe(
         &mut self,
         ii: u32,
         options: &ExactOptions,
         steps_used: &mut u64,
-        cancel: Option<&AtomicBool>,
-        pool: &[Vec<Lit>],
-    ) -> (FixedIiOutcome, SatProbeStats, u64) {
+    ) -> (FixedIiOutcome, SatProbeStats) {
         let p = self.p;
         self.cegar_rounds = 0;
         if ii == 0 || p.resource_infeasible(ii) {
-            return (FixedIiOutcome::Infeasible, SatProbeStats::default(), 0);
+            return (FixedIiOutcome::Infeasible, SatProbeStats::default());
         }
         let Some(win) = windows(p, ii, |asap| p.horizon(asap, ii, options)) else {
-            return (FixedIiOutcome::Infeasible, SatProbeStats::default(), 0);
+            return (FixedIiOutcome::Infeasible, SatProbeStats::default());
         };
         let mut stats = SatProbeStats::default();
-        let mut imported = 0u64;
         if self.incremental {
             let enc = match self.enc.as_mut() {
                 Some(enc) => {
@@ -895,20 +857,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
                     enc.begin_layer(ii, win);
                     enc
                 }
-                None => {
-                    let mut enc = Encoder::incremental(p, ii, win);
-                    if !pool.is_empty() {
-                        let global = enc.global_base;
-                        let shared: Vec<Vec<Lit>> = pool
-                            .iter()
-                            .filter(|c| !c.is_empty() && c.iter().all(|l| l.var() < global))
-                            .cloned()
-                            .collect();
-                        imported = enc.solver.import_clauses(&shared);
-                    }
-                    self.enc = Some(enc);
-                    self.enc.as_mut().expect("just inserted")
-                }
+                None => self.enc.insert(Encoder::incremental(p, ii, win)),
             };
             mvp_trace::counter_handle!("sat.assumption_probes", Stable).incr();
             mvp_trace::counter_handle!("sat.kept_learned", Stable).add(stats.kept_learned);
@@ -927,42 +876,40 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             mvp_trace::counter_handle!("exact.sat.encoded_clauses", Stable)
                 .add(enc.solver.num_clauses() as u64);
         }
-        let outcome = self.solve_layer(ii, options, steps_used, cancel);
-        (outcome, stats, imported)
+        let outcome = self.solve_layer(ii, options, steps_used);
+        (outcome, stats)
     }
 
     /// Re-enters the budget/CEGAR loop of the current layer with a fresh
     /// step budget, without re-encoding anything: the solver keeps every
     /// clause it has learnt so far, so an interleaving caller (the
-    /// dovetailed portfolio rung) can hand the engine its budget
+    /// dovetailed portfolio probe) can hand the engine its budget
     /// in instalments and still pay the total cost of one continuous
     /// solve. `ii` must be the II of the layer the last
-    /// [`SatProbeSession::probe_seeded`] call encoded.
+    /// [`SatProbeSession::probe`] call encoded.
     pub(crate) fn resume(
         &mut self,
         ii: u32,
         options: &ExactOptions,
         steps_used: &mut u64,
-        cancel: Option<&AtomicBool>,
     ) -> FixedIiOutcome {
         if self.enc.is_none() {
             // The first probe decided before encoding (structurally
             // infeasible II); there is nothing to resume.
             return FixedIiOutcome::Infeasible;
         }
-        self.solve_layer(ii, options, steps_used, cancel)
+        self.solve_layer(ii, options, steps_used)
     }
 
     /// The budget/CEGAR loop of the current layer: repeated
     /// assumption-solves under the layer's activation literals, with
-    /// MaxLive refinement between models, until a verdict, the step
-    /// budget, or cancellation.
+    /// MaxLive refinement between models, until a verdict or the step
+    /// budget.
     fn solve_layer(
         &mut self,
         ii: u32,
         options: &ExactOptions,
         steps_used: &mut u64,
-        cancel: Option<&AtomicBool>,
     ) -> FixedIiOutcome {
         let p = self.p;
         let enc = self.enc.as_mut().expect("encoder initialised by probe");
@@ -977,11 +924,10 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             }
             match enc
                 .solver
-                .solve_under_assumptions(&assumptions, Some(remaining), cancel)
+                .solve_under_assumptions(&assumptions, Some(remaining))
             {
                 SolveResult::Unsat => break FixedIiOutcome::Infeasible,
                 SolveResult::Budget => break FixedIiOutcome::Budget,
-                SolveResult::Cancelled => break FixedIiOutcome::Cancelled,
                 SolveResult::Sat => {}
             }
             let ps = enc.decode();
@@ -998,12 +944,6 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
                     }
                     self.cegar_rounds += 1;
                     mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
-                    // A cancelled probe (a superseded ladder rung) aborts
-                    // between refinement rounds instead of paying for
-                    // another full re-price/refine cycle.
-                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        break FixedIiOutcome::Cancelled;
-                    }
                     continue;
                 }
             }
@@ -1030,45 +970,6 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         *steps_used += enc.solver.steps() - steps0;
         outcome
     }
-
-    /// Exports this session's short global-prefix learnt clauses (at most
-    /// `cap` clauses of at most `max_len` literals each), for seeding a
-    /// *different* session's solver via [`SatProbeSession::probe_seeded`].
-    ///
-    /// # Soundness
-    ///
-    /// Only **single-layer incremental** sessions export; everything else
-    /// returns an empty set. In such a session every clause mentioning a
-    /// layer variable positively carries the layer's negated activation
-    /// literal (originals by construction, the CEGAR lemmas included, which
-    /// go through [`Encoder::clause`] like every layer clause; learnt
-    /// clauses by induction —
-    /// resolving a positive layer literal away must pass through a clause
-    /// that carries `¬act`, and `¬act` itself can never be resolved away
-    /// because no clause contains `act` positively). A learnt clause over
-    /// global variables only is therefore derived from the global section
-    /// alone — plus root-level facts, which in a single-layer session are
-    /// themselves global consequences — so it is implied by the global
-    /// clauses and sound in any solver sharing that prefix. A *multi*-layer
-    /// session breaks the argument: retiring a layer freezes its variables
-    /// with unguarded root units, and first-UIP learning silently drops
-    /// root-false literals, leaving global-only clauses conditional on
-    /// those arbitrary freezes.
-    pub(crate) fn export_shared(&self, max_len: usize, cap: usize) -> Vec<Vec<Lit>> {
-        let Some(enc) = self.enc.as_ref() else {
-            return Vec::new();
-        };
-        if !self.incremental || enc.layers != 1 {
-            return Vec::new();
-        }
-        let global = enc.global_base;
-        enc.solver
-            .export_learned(max_len)
-            .into_iter()
-            .filter(|c| c.iter().all(|l| l.var() < global))
-            .take(cap)
-            .collect()
-    }
 }
 
 /// One-shot convenience wrapper: a single probe on a fresh
@@ -1081,10 +982,9 @@ pub(crate) fn solve_fixed_ii_sat(
     ii: u32,
     options: &ExactOptions,
     steps_used: &mut u64,
-    cancel: Option<&AtomicBool>,
 ) -> FixedIiOutcome {
     SatProbeSession::new(p, options.sat_incremental)
-        .probe(ii, options, steps_used, cancel)
+        .probe(ii, options, steps_used)
         .0
 }
 
@@ -1097,7 +997,7 @@ mod tests {
     fn probe(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
         let p = Problem::new(l, machine).unwrap();
         let mut steps = 0;
-        solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut steps, None)
+        solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut steps)
     }
 
     /// The same probe through a from-scratch (unguarded) session.
@@ -1105,7 +1005,7 @@ mod tests {
         let p = Problem::new(l, machine).unwrap();
         let mut steps = 0;
         let options = ExactOptions::new().with_sat_incremental(false);
-        solve_fixed_ii_sat(&p, ii, &options, &mut steps, None)
+        solve_fixed_ii_sat(&p, ii, &options, &mut steps)
     }
 
     fn chain() -> Loop {
@@ -1197,27 +1097,9 @@ mod tests {
         let machine = presets::two_cluster();
         let p = Problem::new(&l, &machine).unwrap();
         let mut steps = 0;
-        let out = solve_fixed_ii_sat(
-            &p,
-            2,
-            &ExactOptions::new().with_node_budget(1),
-            &mut steps,
-            None,
-        );
+        let out = solve_fixed_ii_sat(&p, 2, &ExactOptions::new().with_node_budget(1), &mut steps);
         assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");
         assert!(steps >= 1);
-    }
-
-    #[test]
-    fn a_raised_poison_flag_cancels_the_probe() {
-        use std::sync::atomic::AtomicBool;
-        let l = chain();
-        let machine = presets::two_cluster();
-        let p = Problem::new(&l, &machine).unwrap();
-        let cancel = AtomicBool::new(true);
-        let mut steps = 0;
-        let out = solve_fixed_ii_sat(&p, 2, &ExactOptions::new(), &mut steps, Some(&cancel));
-        assert!(matches!(out, FixedIiOutcome::Cancelled), "{out:?}");
     }
 
     #[test]
@@ -1436,65 +1318,15 @@ mod tests {
         let p = Problem::new(&l, &machine).unwrap();
         let mut session = SatProbeSession::new(&p, true);
         let mut steps = 0;
-        let (first, first_stats) = session.probe(2, &ExactOptions::new(), &mut steps, None);
+        let (first, first_stats) = session.probe(2, &ExactOptions::new(), &mut steps);
         assert!(matches!(first, FixedIiOutcome::Infeasible), "{first:?}");
         assert_eq!(first_stats.reused_clauses, 0, "first probe starts fresh");
-        let (second, second_stats) = session.probe(3, &ExactOptions::new(), &mut steps, None);
+        let (second, second_stats) = session.probe(3, &ExactOptions::new(), &mut steps);
         assert!(matches!(second, FixedIiOutcome::Feasible { .. }));
         assert!(
             second_stats.reused_clauses > 0,
             "the II=3 probe must reuse the II=2 instance's clauses"
         );
-    }
-
-    #[test]
-    fn shared_clauses_flow_between_single_layer_sessions_without_changing_verdicts() {
-        // The ladder pattern: one single-layer session per II, the earlier
-        // rung's exports seeding the later rung's solver. Verdicts must be
-        // unaffected, and only global-prefix clauses may travel.
-        let mut b = Loop::builder("slack-rec");
-        let x = b.fp_op("X");
-        let y = b.fp_op("Y");
-        b.data_edge(x, y, 0);
-        b.data_edge(y, x, 2);
-        let l = b.build().unwrap();
-        let machine = presets::motivating_example_machine();
-        let p = Problem::new(&l, &machine).unwrap();
-
-        let mut first = SatProbeSession::new(&p, true);
-        let mut steps = 0;
-        let (v2, _) = first.probe(2, &ExactOptions::new(), &mut steps, None);
-        assert!(matches!(v2, FixedIiOutcome::Infeasible), "{v2:?}");
-        let pool = first.export_shared(4, 256);
-        assert!(
-            pool.iter().all(|c| (2..=4).contains(&c.len())),
-            "exports are short attached clauses: {pool:?}"
-        );
-
-        let mut second = SatProbeSession::new(&p, true);
-        let mut steps = 0;
-        let (v3, _, imported) =
-            second.probe_seeded(3, &ExactOptions::new(), &mut steps, None, &pool);
-        assert!(matches!(v3, FixedIiOutcome::Feasible { .. }), "{v3:?}");
-        assert_eq!(
-            imported,
-            pool.len() as u64,
-            "prefix-only pools import whole"
-        );
-
-        // A multi-layer session refuses to export (soundness guard).
-        let mut multi = SatProbeSession::new(&p, true);
-        let mut steps = 0;
-        let _ = multi.probe(2, &ExactOptions::new(), &mut steps, None);
-        let _ = multi.probe(3, &ExactOptions::new(), &mut steps, None);
-        assert!(multi.export_shared(4, 256).is_empty());
-
-        // From-scratch sessions never export either (their variable
-        // numbering puts starts first, so no shared prefix exists).
-        let mut scratch = SatProbeSession::new(&p, false);
-        let mut steps = 0;
-        let _ = scratch.probe(2, &ExactOptions::new(), &mut steps, None);
-        assert!(scratch.export_shared(4, 256).is_empty());
     }
 
     #[test]
@@ -1511,8 +1343,8 @@ mod tests {
                 let mut scr = SatProbeSession::new(&p, false);
                 for ii in 1..=4u32 {
                     let (mut si, mut ss) = (0, 0);
-                    let (a, _) = inc.probe(ii, &ExactOptions::new(), &mut si, None);
-                    let (b, _) = scr.probe(ii, &ExactOptions::new(), &mut ss, None);
+                    let (a, _) = inc.probe(ii, &ExactOptions::new(), &mut si);
+                    let (b, _) = scr.probe(ii, &ExactOptions::new(), &mut ss);
                     assert_eq!(
                         matches!(a, FixedIiOutcome::Feasible { .. }),
                         matches!(b, FixedIiOutcome::Feasible { .. }),

@@ -3,20 +3,16 @@
 //! [`solve`] probes candidate initiation intervals upwards from
 //! `max(ResMII, RecMII)`. Each probe ends in one of three ways
 //! ([`IiVerdict`]): *feasible* (a legal schedule is assembled and the search
-//! stops), *infeasible* (the lower bound advances past this II — but only
-//! while the chain of certificates from the minimum II is unbroken), or
+//! stops), *infeasible* (the lower bound advances past this II), or
 //! *unknown* (the budget ran out; the search stops and reports the bound
 //! certified so far). The result is either a provably optimal schedule, a
 //! schedule plus a smaller certified lower bound, or a lower bound alone.
 //!
 //! # One commit loop
 //!
-//! The probes run in rounds of `width` consecutive IIs (the *ladder*, see
-//! [`ExactOptions::ladder_width`]) and are committed strictly in II order.
-//! Width 1 is the sequential search: one probe per round, run inline on the
-//! caller's thread through one SAT session that spans the whole search.
-//! Wider rounds probe speculatively on an [`Executor`], each rung on a fresh
-//! SAT session seeded with the learnt clauses earlier rounds exported.
+//! The probes run one at a time, strictly in II order, on the caller's
+//! thread. One SAT session spans the whole search, so its solver carries
+//! clauses and learnt state from probe to probe.
 //!
 //! # Backends
 //!
@@ -29,21 +25,16 @@
 
 use crate::model::Problem;
 use crate::options::ExactOptions;
-use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind, SpeculationStats};
+use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
 use crate::sat_backend::{SatProbeSession, SatProbeStats};
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
 use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule, SchedulerOptions};
-use mvp_exec::Executor;
 use mvp_ir::{mii, Loop};
 use mvp_machine::MachineConfig;
-use mvp_sat::Lit;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// The engine (or engine combination) driving the fixed-II probes.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExactBackend {
     /// The branch-and-bound search (the default; every certificate is an
     /// exhausted search tree).
@@ -55,45 +46,28 @@ pub enum ExactBackend {
     Sat,
     /// Both engines dovetailed per probe: SAT and branch-and-bound take
     /// turns in escalating step quanta until one decides. The verdict and
-    /// the step counts are deterministic. The executor sizes the automatic
-    /// ladder width and runs its speculative rounds.
-    Portfolio(Arc<Executor>),
+    /// the step counts are deterministic.
+    Portfolio,
 }
 
 impl ExactBackend {
-    /// A portfolio backend whose ladder rounds run on the given executor.
-    #[must_use]
-    pub fn portfolio(executor: Arc<Executor>) -> Self {
-        ExactBackend::Portfolio(executor)
-    }
-
     /// The outcome-level tag for this backend.
     #[must_use]
-    pub fn kind(&self) -> SolverKind {
+    pub fn kind(self) -> SolverKind {
         match self {
             ExactBackend::BranchAndBound => SolverKind::BranchAndBound,
             ExactBackend::Sat => SolverKind::Sat,
-            ExactBackend::Portfolio(_) => SolverKind::Portfolio,
+            ExactBackend::Portfolio => SolverKind::Portfolio,
         }
     }
 
     /// The scheduler name stamped on emitted schedules.
     #[must_use]
-    pub fn scheduler_name(&self) -> &'static str {
+    pub fn scheduler_name(self) -> &'static str {
         match self {
             ExactBackend::BranchAndBound => "exact",
             ExactBackend::Sat => "exact-sat",
-            ExactBackend::Portfolio(_) => "exact-portfolio",
-        }
-    }
-}
-
-impl fmt::Debug for ExactBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExactBackend::BranchAndBound => f.write_str("BranchAndBound"),
-            ExactBackend::Sat => f.write_str("Sat"),
-            ExactBackend::Portfolio(e) => write!(f, "Portfolio({} threads)", e.threads()),
+            ExactBackend::Portfolio => "exact-portfolio",
         }
     }
 }
@@ -135,63 +109,24 @@ pub fn solve_with(
         });
     }
     let max_ii = min_ii.saturating_add(options.max_ii_slack);
-    Ok(ladder_search(&p, min_ii, max_ii, options, backend))
+    Ok(ii_search(&p, min_ii, max_ii, options, *backend))
 }
 
-/// Longest learnt clause worth exporting from a retired ladder rung: short
-/// clauses propagate the most per byte, and the global prefix filter makes
-/// long ones mostly layer-local anyway.
-const LADDER_EXPORT_MAX_LEN: usize = 4;
-/// At most this many clauses travel out of one rung, keeping the shared
-/// pool (and every later rung's import cost) bounded.
-const LADDER_EXPORT_CAP: usize = 256;
-
-/// The ladder width of this search. An explicit
-/// [`ExactOptions::ladder_width`] wins; *auto* (`0`) sizes the portfolio
-/// by its executor and keeps the single-engine backends at width 1,
-/// because they are what the differential suites treat as the reference.
-fn ladder_width(options: &ExactOptions, backend: &ExactBackend) -> u32 {
-    match (options.ladder_width, backend) {
-        (0, ExactBackend::Portfolio(e)) => u32::try_from(e.threads()).unwrap_or(u32::MAX),
-        (0, _) => 1,
-        (w, _) => w,
-    }
-}
-
-/// The executor a widened search rounds on: the portfolio's own, the
-/// process-global one for the single-engine backends.
-fn ladder_executor(backend: &ExactBackend) -> Arc<Executor> {
-    match backend {
-        ExactBackend::Portfolio(e) => Arc::clone(e),
-        _ => Executor::global(),
-    }
-}
-
-/// What one rung brings back to the commit loop.
-struct RungResult {
+/// What one probe brings back to the commit loop.
+struct ProbeResult {
     outcome: FixedIiOutcome,
     solver: SolverKind,
     stats: SatProbeStats,
-    /// Branch-and-bound steps this rung consumed.
+    /// Branch-and-bound steps this probe consumed.
     nodes: u64,
-    /// SAT steps this rung consumed.
+    /// SAT steps this probe consumed.
     conflicts: u64,
-    /// Register-pressure refinement rounds of this rung's SAT probe.
+    /// Register-pressure refinement rounds of this probe's SAT engine.
     cegar_rounds: u64,
-    /// Global-prefix learnt clauses exported for later rounds (only from a
-    /// decided speculative rung).
-    exports: Vec<Vec<Lit>>,
-    /// Clauses this rung imported from the shared pool.
-    imported: u64,
 }
 
-impl RungResult {
-    /// A rung that observed its cancellation flag before starting.
-    fn skipped(backend: &ExactBackend) -> Self {
-        Self::of(FixedIiOutcome::Cancelled, backend.kind())
-    }
-
-    /// A rung result with no steps, statistics or clause traffic yet.
+impl ProbeResult {
+    /// A probe result with no steps or statistics yet.
     fn of(outcome: FixedIiOutcome, solver: SolverKind) -> Self {
         Self {
             outcome,
@@ -200,15 +135,13 @@ impl RungResult {
             nodes: 0,
             conflicts: 0,
             cegar_rounds: 0,
-            exports: Vec::new(),
-            imported: 0,
         }
     }
 }
 
-/// First instalment of a dovetailed portfolio rung, in steps. Small
-/// enough that easy rungs (the common case) decide in their first SAT
-/// call exactly as a plain SAT rung would.
+/// First instalment of a dovetailed portfolio probe, in steps. Small
+/// enough that easy probes (the common case) decide in their first SAT
+/// call exactly as a plain SAT probe would.
 const DOVETAIL_QUANTUM: u64 = 1 << 12;
 
 /// Quantum multiplier between dovetail cycles. Geometric escalation
@@ -216,26 +149,24 @@ const DOVETAIL_QUANTUM: u64 = 1 << 12;
 /// engine's spend) by a constant factor of the deciding attempt.
 const DOVETAIL_ESCALATION: u64 = 4;
 
-/// One portfolio rung, dovetailed: SAT and branch-and-bound alternate in
+/// One portfolio probe, dovetailed: SAT and branch-and-bound alternate in
 /// geometrically escalating step quanta until one of them decides. The
 /// SAT session persists across instalments (its learnt clauses carry
 /// over, so split budgets cost what one continuous solve would), while
 /// the stateless branch-and-bound restarts from scratch each cycle. The
-/// quantum schedule is fixed, so the rung's verdict *and* its step counts
+/// quantum schedule is fixed, so the probe's verdict *and* its step counts
 /// are a pure function of the problem, the II, the budget and the session
-/// state, and the rung's total cost is bounded by a constant factor of the
+/// state, and the probe's total cost is bounded by a constant factor of the
 /// *cheaper* engine's solo cost, so one engine's pathological II (say, a
 /// refutation SAT grinds on but branch-and-bound dispatches) cannot sink
 /// the search.
-fn dovetail_rung(
+fn dovetail_probe(
     p: &Problem<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     session: &mut SatProbeSession<'_, '_, '_>,
-    pool: &[Vec<Lit>],
-    cancel: Option<&AtomicBool>,
-) -> RungResult {
-    let mut r = RungResult::of(FixedIiOutcome::Budget, SolverKind::Portfolio);
+) -> ProbeResult {
+    let mut r = ProbeResult::of(FixedIiOutcome::Budget, SolverKind::Portfolio);
     let mut quantum = DOVETAIL_QUANTUM;
     let mut first = true;
     loop {
@@ -246,13 +177,11 @@ fn dovetail_rung(
         let sat_options = options.with_node_budget(quantum.min(remaining));
         let outcome = if first {
             first = false;
-            let (outcome, stats, imported) =
-                session.probe_seeded(ii, &sat_options, &mut r.conflicts, cancel, pool);
+            let (outcome, stats) = session.probe(ii, &sat_options, &mut r.conflicts);
             r.stats = stats;
-            r.imported = imported;
             outcome
         } else {
-            session.resume(ii, &sat_options, &mut r.conflicts, cancel)
+            session.resume(ii, &sat_options, &mut r.conflicts)
         };
         if !matches!(outcome, FixedIiOutcome::Budget) {
             r.outcome = outcome;
@@ -264,7 +193,7 @@ fn dovetail_rung(
             return r;
         }
         let bnb_options = options.with_node_budget(quantum.min(remaining));
-        let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut r.nodes, cancel);
+        let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut r.nodes);
         if !matches!(outcome, FixedIiOutcome::Budget) {
             r.outcome = outcome;
             r.solver = SolverKind::BranchAndBound;
@@ -274,43 +203,37 @@ fn dovetail_rung(
     }
 }
 
-/// Runs one rung of the ladder on `backend`, probing SAT through
-/// `session` (seeded from `pool` if the session is still fresh) and
-/// polling `cancel` when the rung is speculative.
-fn run_rung(
+/// Runs one probe on `backend`, probing SAT through `session`.
+fn run_probe(
     p: &Problem<'_, '_>,
     ii: u32,
     options: &ExactOptions,
-    backend: &ExactBackend,
+    backend: ExactBackend,
     session: &mut SatProbeSession<'_, '_, '_>,
-    pool: &[Vec<Lit>],
-    cancel: Option<&AtomicBool>,
-) -> RungResult {
+) -> ProbeResult {
     let _span = mvp_trace::span!("exact.probe", ii = ii);
     match backend {
         ExactBackend::BranchAndBound => {
             let mut nodes = 0u64;
-            let outcome = solve_fixed_ii(p, ii, options, &mut nodes, cancel);
-            RungResult {
+            let outcome = solve_fixed_ii(p, ii, options, &mut nodes);
+            ProbeResult {
                 nodes,
-                ..RungResult::of(outcome, SolverKind::BranchAndBound)
+                ..ProbeResult::of(outcome, SolverKind::BranchAndBound)
             }
         }
         ExactBackend::Sat => {
             let mut conflicts = 0u64;
-            let (outcome, stats, imported) =
-                session.probe_seeded(ii, options, &mut conflicts, cancel, pool);
-            RungResult {
+            let (outcome, stats) = session.probe(ii, options, &mut conflicts);
+            ProbeResult {
                 stats,
                 conflicts,
                 cegar_rounds: session.cegar_rounds(),
-                imported,
-                ..RungResult::of(outcome, SolverKind::Sat)
+                ..ProbeResult::of(outcome, SolverKind::Sat)
             }
         }
-        ExactBackend::Portfolio(_) => {
-            let r = dovetail_rung(p, ii, options, session, pool, cancel);
-            RungResult {
+        ExactBackend::Portfolio => {
+            let r = dovetail_probe(p, ii, options, session);
+            ProbeResult {
                 cegar_rounds: session.cegar_rounds(),
                 ..r
             }
@@ -318,220 +241,73 @@ fn run_rung(
     }
 }
 
-/// One speculative round: the rungs `iis` probed concurrently on
-/// `executor`, each on a private SAT session seeded from `pool`.
+/// The II search: one probe per candidate II, upwards from `min_ii`, so
+/// the search ends exactly where the invariant says — a contiguous
+/// certified-infeasible prefix, then the first feasible II.
 ///
-/// Rungs are cancelled *logically*: a terminal verdict at one rung flags
-/// every higher rung of the round, because the commit loop stops at that
-/// II. A decided rung exports its short global-prefix learnt clauses for
-/// later rounds. Its SAT engine ran to a verdict, or was cut at the
-/// dovetail's fixed quantum boundaries, so its learnt set is deterministic
-/// even when branch-and-bound decided. A cancelled rung stopped wherever
-/// the flag caught it and exports nothing.
-fn speculative_round(
-    p: &Problem<'_, '_>,
-    iis: &[u32],
-    options: &ExactOptions,
-    backend: &ExactBackend,
-    pool: &[Vec<Lit>],
-    executor: &Executor,
-) -> Vec<RungResult> {
-    let _round = mvp_trace::span!("exact.ladder.round", ii = iis[0], rungs = iis.len());
-    let cancels: Vec<AtomicBool> = iis.iter().map(|_| AtomicBool::new(false)).collect();
-    executor.map_indexed(iis, |idx, &ii| {
-        if cancels[idx].load(Ordering::Relaxed) {
-            return RungResult::skipped(backend);
-        }
-        let mut session = SatProbeSession::new(p, options.sat_incremental);
-        let mut result = run_rung(
-            p,
-            ii,
-            options,
-            backend,
-            &mut session,
-            pool,
-            Some(&cancels[idx]),
-        );
-        if decided(&result.outcome) {
-            result.exports = session.export_shared(LADDER_EXPORT_MAX_LEN, LADDER_EXPORT_CAP);
-        }
-        if matches!(
-            result.outcome,
-            FixedIiOutcome::Feasible { .. } | FixedIiOutcome::Budget
-        ) {
-            for flag in &cancels[idx + 1..] {
-                flag.store(true, Ordering::Relaxed);
-            }
-        }
-        result
-    })
-}
-
-/// The II search: rounds of `width` consecutive candidate IIs (see
-/// [`ladder_width`]), committed strictly in II order so the search ends
-/// exactly where the invariant says — a contiguous certified-infeasible
-/// prefix, then the first feasible II.
-///
-/// Width 1 probes inline on the caller's thread through one SAT session
-/// that spans the whole search: its solver carries clauses and learnt
-/// state from probe to probe. Wider rounds run [`speculative_round`].
-///
-/// Determinism: the committed outcome is a pure function of the problem,
-/// the options and the ladder width. A committed rung is never a cancelled
-/// one — every rung below the round's first terminal verdict ran to its
-/// own verdict with a deterministic budget — so thread count and
-/// scheduling only affect how much speculative work was wasted, never what
-/// is committed.
-///
-/// Budget semantics: every rung of a round gets the round-start remainder
-/// of the shared step budget. A *decided* rung always commits its verdict
-/// — a certificate is sound regardless of what it cost, so speculation
-/// never loses an answer (under a binding budget it may even decide an II
-/// the sequential search had to give up on, since per-rung sessions pay
-/// fresh-encoding costs the sequential search's retained clauses avoid,
-/// and vice versa; that is the one place ladder widths may differ, and the
-/// verdict contract is scoped to non-binding budgets accordingly). An
-/// exhausted rung commits [`IiVerdict::Unknown`] and ends the search, and
-/// a rung the budget ran dry before is not logged at all. A rung launched
-/// with more than its sequential remainder is charged at most that
-/// remainder; the speculative excess lands in
-/// [`SpeculationStats::wasted_steps`] instead of silently vanishing.
-fn ladder_search(
+/// Every probe gets what is left of the shared step budget. An exhausted
+/// probe commits [`IiVerdict::Unknown`] and ends the search; once the
+/// budget is spent no further II is probed or logged.
+fn ii_search(
     p: &Problem<'_, '_>,
     min_ii: u32,
     max_ii: u32,
     options: &ExactOptions,
-    backend: &ExactBackend,
+    backend: ExactBackend,
 ) -> ExactOutcome {
-    let width = ladder_width(options, backend);
-    let executor = (width > 1).then(|| ladder_executor(backend));
-    let _span = mvp_trace::span!("exact.ladder.search", min_ii = min_ii, width = width);
+    let _span = mvp_trace::span!("exact.search", min_ii = min_ii);
     let mut session = SatProbeSession::new(p, options.sat_incremental);
     let mut nodes = 0u64;
     let mut conflicts = 0u64;
     let mut probes: Vec<IiProbe> = Vec::new();
     let mut lower_bound = min_ii;
-    let mut chain_unbroken = true;
     let mut schedule = None;
-    // Global-prefix learnt clauses exported by committed rungs, seeding
-    // every rung of the following rounds.
-    let mut pool: Vec<Vec<Lit>> = Vec::new();
-    let mut speculation = SpeculationStats::default();
-    let mut launched = 0u64;
-    let mut next_ii = min_ii;
-    let mut ended = false;
 
-    while !ended && next_ii <= max_ii {
-        let round_budget = options.node_budget.saturating_sub(nodes + conflicts);
-        if round_budget == 0 {
+    for ii in min_ii..=max_ii {
+        let remaining = options.node_budget.saturating_sub(nodes + conflicts);
+        if remaining == 0 {
             break;
         }
-        let round_hi = next_ii.saturating_add(width - 1).min(max_ii);
-        let iis: Vec<u32> = (next_ii..=round_hi).collect();
-        // Every rung gets the round-start remainder (not its own
-        // sequential remainder, which depends on the still-unknown lower
-        // rungs): deterministic, and reconciled at commit time below.
-        let probe_options = options.with_node_budget(round_budget);
-        let results = match &executor {
-            Some(executor) => speculative_round(p, &iis, &probe_options, backend, &pool, executor),
-            None => vec![run_rung(
-                p,
-                next_ii,
-                &probe_options,
-                backend,
-                &mut session,
-                &[],
-                None,
-            )],
+        let r = run_probe(
+            p,
+            ii,
+            &options.with_node_budget(remaining),
+            backend,
+            &mut session,
+        );
+        nodes += r.nodes;
+        conflicts += r.conflicts;
+        let verdict = match r.outcome {
+            FixedIiOutcome::Feasible { ops, comms } => {
+                schedule = Some(assemble(p, ii, ops, comms, backend.scheduler_name()));
+                IiVerdict::Feasible
+            }
+            FixedIiOutcome::Infeasible => IiVerdict::Infeasible,
+            FixedIiOutcome::Budget => IiVerdict::Unknown,
         };
-        launched += iis.len() as u64;
-        speculation.speculative_probes += iis.len() as u64 - 1;
-
-        for (ii, r) in iis.into_iter().zip(results) {
-            if ended {
-                speculation.wasted_steps += r.nodes + r.conflicts;
-                continue;
-            }
-            let remaining = options.node_budget.saturating_sub(nodes + conflicts);
-            if remaining == 0 {
-                // The budget ran dry before this II's sequential turn, so
-                // the search ends without logging it.
-                ended = true;
-                speculation.wasted_steps += r.nodes + r.conflicts;
-                continue;
-            }
-            debug_assert!(
-                !matches!(r.outcome, FixedIiOutcome::Cancelled),
-                "a committed rung is below every cancellation source"
-            );
-            // A rung launched with more than its sequential remainder is
-            // charged at most that remainder, the excess being speculative
-            // waste. Any other rung (every rung at width 1) is charged what
-            // the sequential search would charge.
-            let (nodes_charged, conflicts_charged) = if remaining < round_budget {
-                let conflicts_charged = r.conflicts.min(remaining);
-                (
-                    r.nodes.min(remaining - conflicts_charged),
-                    conflicts_charged,
-                )
-            } else {
-                (r.nodes, r.conflicts)
-            };
-            speculation.wasted_steps += r.nodes + r.conflicts - nodes_charged - conflicts_charged;
-            speculation.imported_clauses += r.imported;
-            nodes += nodes_charged;
-            conflicts += conflicts_charged;
-            let verdict = match r.outcome {
-                FixedIiOutcome::Feasible { ops, comms } => {
-                    schedule = Some(assemble(p, ii, ops, comms, backend.scheduler_name()));
-                    IiVerdict::Feasible
-                }
-                FixedIiOutcome::Infeasible => IiVerdict::Infeasible,
-                FixedIiOutcome::Budget | FixedIiOutcome::Cancelled => IiVerdict::Unknown,
-            };
-            probes.push(IiProbe {
-                ii,
-                verdict,
-                nodes: nodes_charged,
-                conflicts: conflicts_charged,
-                solver: r.solver,
-                reused_clauses: r.stats.reused_clauses,
-                kept_learned: r.stats.kept_learned,
-                cegar_rounds: r.cegar_rounds,
-            });
-            mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).add(r.cegar_rounds);
-            match verdict {
-                IiVerdict::Feasible => ended = true,
-                IiVerdict::Infeasible => {
-                    if chain_unbroken {
-                        lower_bound = ii + 1;
-                    }
-                    pool.extend(r.exports);
-                }
-                IiVerdict::Unknown => {
-                    // Budget exhausted: further probes would get no budget
-                    // either; keep the bound certified so far.
-                    chain_unbroken = false;
-                    ended = true;
-                }
-            }
+        probes.push(IiProbe {
+            ii,
+            verdict,
+            nodes: r.nodes,
+            conflicts: r.conflicts,
+            solver: r.solver,
+            reused_clauses: r.stats.reused_clauses,
+            kept_learned: r.stats.kept_learned,
+            cegar_rounds: r.cegar_rounds,
+        });
+        mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).add(r.cegar_rounds);
+        match verdict {
+            IiVerdict::Infeasible => lower_bound = ii + 1,
+            // A schedule ends the search; so does an exhausted budget,
+            // which keeps the bound certified so far.
+            IiVerdict::Feasible | IiVerdict::Unknown => break,
         }
-        next_ii = round_hi + 1;
     }
 
-    speculation.cancelled_probes = launched - probes.len() as u64;
-    mvp_trace::counter_handle!("exact.ladder.speculative_probes", Stable)
-        .add(speculation.speculative_probes);
-    mvp_trace::counter_handle!("exact.ladder.cancelled_probes", Stable)
-        .add(speculation.cancelled_probes);
-    mvp_trace::counter_handle!("exact.ladder.imported_clauses", Stable)
-        .add(speculation.imported_clauses);
-    mvp_trace::counter_handle!("exact.ladder.wasted_steps", Runtime).add(speculation.wasted_steps);
-    mvp_trace::instant!("exact.ladder.done", ii = next_ii, width = width);
-
+    // Every II below the schedule's was refuted, so a schedule is optimal.
     let proved_optimal = schedule
         .as_ref()
-        .is_some_and(|s: &Schedule| s.ii() == lower_bound && chain_unbroken);
+        .is_some_and(|s: &Schedule| s.ii() == lower_bound);
     ExactOutcome {
         min_ii,
         schedule,
@@ -541,17 +317,7 @@ fn ladder_search(
         conflicts,
         backend: backend.kind(),
         probes,
-        speculation,
     }
-}
-
-/// Whether a probe outcome is a certificate (rather than an exhausted budget
-/// or a cancellation).
-fn decided(outcome: &FixedIiOutcome) -> bool {
-    matches!(
-        outcome,
-        FixedIiOutcome::Feasible { .. } | FixedIiOutcome::Infeasible
-    )
 }
 
 /// Assembles the search solution into a public [`Schedule`], computing the
@@ -829,8 +595,8 @@ mod tests {
     fn the_portfolio_matches_both_engines_and_records_the_winner() {
         let l = search_refuted_recurrence();
         let machine = presets::motivating_example_machine();
-        let backend = ExactBackend::portfolio(Arc::new(Executor::new(2)));
-        let outcome = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
+        let outcome =
+            solve_with(&l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio).unwrap();
         assert_eq!(outcome.min_ii, 2);
         assert_eq!(outcome.schedule_ii(), Some(3));
         assert!(outcome.proved_optimal);
@@ -848,10 +614,10 @@ mod tests {
     }
 
     #[test]
-    fn a_single_threaded_portfolio_is_deterministic_and_sat_wins() {
+    fn the_portfolio_is_deterministic_and_sat_wins() {
         let l = chain();
         let machine = presets::two_cluster();
-        let backend = ExactBackend::portfolio(Arc::new(Executor::new(1)));
+        let backend = ExactBackend::Portfolio;
         let a = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
         let b = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
         assert_eq!(a.nodes, b.nodes);
@@ -877,7 +643,11 @@ mod tests {
         // helper must price a heuristic II=3 schedule at gap 0.
         let l = search_refuted_recurrence();
         let machine = presets::motivating_example_machine();
-        for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
+        for backend in [
+            ExactBackend::BranchAndBound,
+            ExactBackend::Sat,
+            ExactBackend::Portfolio,
+        ] {
             let full = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
             assert_eq!(full.schedule_ii(), Some(3), "{backend:?}");
             assert!(full.proved_optimal);
@@ -900,156 +670,6 @@ mod tests {
             // The certified bound prices heuristics even without an optimum.
             assert!((starved.optimality_gap_of(3)).abs() < 1e-12);
             assert!((starved.optimality_gap_of(6) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    /// The committed outcome fields the ladder's verdict contract pins:
-    /// everything except step/wallclock provenance.
-    fn fingerprint(o: &ExactOutcome) -> (u32, u32, Option<u32>, bool, Vec<(u32, IiVerdict)>) {
-        (
-            o.min_ii,
-            o.lower_bound,
-            o.schedule_ii(),
-            o.proved_optimal,
-            o.probes.iter().map(|p| (p.ii, p.verdict)).collect(),
-        )
-    }
-
-    #[test]
-    fn ladder_widths_follow_the_width_and_backend_rules() {
-        let opts = |w| ExactOptions::new().with_ladder_width(w);
-        let pool = Arc::new(Executor::new(4));
-        let portfolio = ExactBackend::portfolio(Arc::clone(&pool));
-        // Auto widens only a multi-thread portfolio, sized by its pool.
-        assert_eq!(ladder_width(&opts(0), &ExactBackend::BranchAndBound), 1);
-        assert_eq!(ladder_width(&opts(0), &ExactBackend::Sat), 1);
-        assert_eq!(ladder_width(&opts(0), &portfolio), 4);
-        let solo = ExactBackend::portfolio(Arc::new(Executor::new(1)));
-        assert_eq!(ladder_width(&opts(0), &solo), 1);
-        // An explicit width wins on every backend.
-        assert_eq!(ladder_width(&opts(1), &portfolio), 1);
-        assert_eq!(ladder_width(&opts(3), &portfolio), 3);
-        assert_eq!(ladder_width(&opts(3), &ExactBackend::Sat), 3);
-        // The portfolio rounds on its own pool, the single-engine backends
-        // on the process-global executor.
-        assert!(Arc::ptr_eq(&ladder_executor(&portfolio), &pool));
-        assert!(Arc::ptr_eq(
-            &ladder_executor(&ExactBackend::Sat),
-            &Executor::global()
-        ));
-    }
-
-    #[test]
-    fn the_ladder_commits_the_sequential_outcome_on_every_backend() {
-        let loops = [chain(), search_refuted_recurrence()];
-        let machine = presets::motivating_example_machine();
-        for l in &loops {
-            for backend in [
-                ExactBackend::BranchAndBound,
-                ExactBackend::Sat,
-                ExactBackend::portfolio(Arc::new(Executor::new(2))),
-            ] {
-                let sequential = solve_with(
-                    l,
-                    &machine,
-                    &ExactOptions::new().with_ladder_width(1),
-                    &backend,
-                )
-                .unwrap();
-                for width in [2, 4] {
-                    let ladder = solve_with(
-                        l,
-                        &machine,
-                        &ExactOptions::new().with_ladder_width(width),
-                        &backend,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        fingerprint(&ladder),
-                        fingerprint(&sequential),
-                        "{} width {width} on {backend:?}",
-                        l.name()
-                    );
-                    let s = ladder.schedule.as_ref().expect("both fixtures schedule");
-                    assert!(validate_schedule(l, &machine, s).is_empty());
-                    assert_eq!(s.scheduler_name, backend.scheduler_name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_ladder_is_deterministic_across_thread_counts_at_a_fixed_width() {
-        let l = search_refuted_recurrence();
-        let machine = presets::motivating_example_machine();
-        let narrow = ExactBackend::portfolio(Arc::new(Executor::new(1)));
-        let wide = ExactBackend::portfolio(Arc::new(Executor::new(4)));
-        for width in [1, 2, 4] {
-            let options = ExactOptions::new().with_ladder_width(width);
-            let a = solve_with(&l, &machine, &options, &narrow).unwrap();
-            let b = solve_with(&l, &machine, &options, &wide).unwrap();
-            assert_eq!(fingerprint(&a), fingerprint(&b), "width {width}");
-            // Committed rungs charge deterministic step counts, so even the
-            // provenance matches across thread counts at a fixed width.
-            assert_eq!(a.nodes, b.nodes, "width {width}");
-            assert_eq!(a.conflicts, b.conflicts, "width {width}");
-            assert_eq!(a.probes, b.probes, "width {width}");
-        }
-    }
-
-    #[test]
-    fn ladder_budget_exhaustion_stays_sound_and_within_the_budget() {
-        let l = search_refuted_recurrence();
-        let machine = presets::motivating_example_machine();
-        for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
-            // A one-step budget exhausts the first rung: the ladder ends at
-            // II=2 with an Unknown, exactly like the sequential search.
-            let starved_options = ExactOptions::new().with_node_budget(1).with_ladder_width(4);
-            let starved = solve_with(&l, &machine, &starved_options, &backend).unwrap();
-            assert_eq!(starved.lower_bound, 2, "{backend:?}");
-            assert!(starved.schedule.is_none(), "{backend:?}");
-            let last = starved.probes.last().unwrap();
-            assert_eq!(last.verdict, IiVerdict::Unknown, "{backend:?}");
-            assert_eq!(last.ii, 2, "{backend:?}");
-
-            // Enough budget to refute II=2 but (sequentially) not to finish
-            // II=3: the speculative II=3 rung ran with the round budget and
-            // may commit a *real* certificate the sequential search had to
-            // give up on — never an unsound one — while the charged steps
-            // stay clamped to the shared budget either way.
-            let full = solve_with(
-                &l,
-                &machine,
-                &ExactOptions::new().with_ladder_width(1),
-                &backend,
-            )
-            .unwrap();
-            let refute_cost = full.probes[0].nodes + full.probes[0].conflicts;
-            let tight_options = ExactOptions::new()
-                .with_node_budget(refute_cost + 1)
-                .with_ladder_width(4);
-            let tight = solve_with(&l, &machine, &tight_options, &backend).unwrap();
-            assert_eq!(tight.lower_bound, 3, "{backend:?}");
-            assert_eq!(tight.probes[0].verdict, IiVerdict::Infeasible);
-            let last = tight.probes.last().unwrap();
-            assert_eq!(last.ii, 3, "{backend:?}");
-            match last.verdict {
-                IiVerdict::Feasible => {
-                    let s = tight.schedule.as_ref().expect("feasible probes schedule");
-                    assert_eq!(s.ii(), 3);
-                    assert!(validate_schedule(&l, &machine, s).is_empty());
-                    assert!(tight.proved_optimal, "{backend:?}");
-                }
-                IiVerdict::Unknown => {
-                    assert!(tight.schedule.is_none(), "{backend:?}");
-                    assert!(!tight.proved_optimal, "{backend:?}");
-                }
-                IiVerdict::Infeasible => panic!("II=3 is feasible on {backend:?}"),
-            }
-            assert!(
-                tight.nodes + tight.conflicts <= refute_cost + 1,
-                "{backend:?} charged past the shared budget"
-            );
         }
     }
 }

@@ -46,7 +46,6 @@ use mvp_core::lifetime;
 use mvp_core::schedule::{Communication, PlacedOp};
 use mvp_ir::OpId;
 use mvp_resmodel::{PartialSchedule, PlaceError, Token, TransferPair};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of one fixed-II probe.
 #[derive(Debug)]
@@ -63,9 +62,6 @@ pub(crate) enum FixedIiOutcome {
     Infeasible,
     /// The node budget ran out before the probe was decided.
     Budget,
-    /// A superseded speculative ladder rung raised the cancellation flag
-    /// before the probe was decided (never produced without a flag).
-    Cancelled,
 }
 
 /// Result of the subtree rooted at one decision level.
@@ -123,21 +119,11 @@ struct Searcher<'p, 'l, 'm> {
     /// anchor.
     dominance_cuts: u64,
     budget: u64,
-    /// Cancellation flag: polled on every charged node so a superseded
-    /// speculative ladder rung aborts promptly.
-    cancel: Option<&'p AtomicBool>,
-    cancelled: bool,
     solution: Option<RawSolution>,
 }
 
 impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
-    fn new(
-        p: &'p Problem<'l, 'm>,
-        ii: u32,
-        win: &'p Windows,
-        options: &ExactOptions,
-        cancel: Option<&'p AtomicBool>,
-    ) -> Self {
+    fn new(p: &'p Problem<'l, 'm>, ii: u32, win: &'p Windows, options: &ExactOptions) -> Self {
         let order = p.branch_order(&win.widths());
         Self {
             p,
@@ -152,17 +138,11 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
             backjumps: 0,
             dominance_cuts: 0,
             budget: options.node_budget,
-            cancel,
-            cancelled: false,
             solution: None,
         }
     }
 
     fn charge_node(&mut self) -> bool {
-        if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            self.cancelled = true;
-            return false;
-        }
         self.nodes += 1;
         self.nodes <= self.budget
     }
@@ -408,7 +388,6 @@ pub(crate) fn solve_fixed_ii(
     ii: u32,
     options: &ExactOptions,
     nodes_used: &mut u64,
-    cancel: Option<&AtomicBool>,
 ) -> FixedIiOutcome {
     if ii == 0 || p.resource_infeasible(ii) {
         return FixedIiOutcome::Infeasible;
@@ -416,12 +395,11 @@ pub(crate) fn solve_fixed_ii(
     let Some(win) = windows(p, ii, |asap| p.horizon(asap, ii, options)) else {
         return FixedIiOutcome::Infeasible;
     };
-    let mut searcher = Searcher::new(p, ii, &win, options, cancel);
+    let mut searcher = Searcher::new(p, ii, &win, options);
     let step = searcher.dfs(0);
     *nodes_used += searcher.nodes;
     // One registry flush per probe; the search loop itself touches no
-    // atomics. Stable for non-speculative runs (a cancelled ladder rung's
-    // partial node count is scheduling-dependent, like the SAT side).
+    // atomics.
     mvp_trace::counter_handle!("exact.bnb.nodes", Stable).add(searcher.nodes);
     mvp_trace::counter_handle!("exact.bnb.backjumps", Stable).add(searcher.backjumps);
     mvp_trace::counter_handle!("exact.bnb.dominance_cuts", Stable).add(searcher.dominance_cuts);
@@ -432,7 +410,6 @@ pub(crate) fn solve_fixed_ii(
                 .expect("solved searches record a solution");
             FixedIiOutcome::Feasible { ops, comms }
         }
-        Step::Budget if searcher.cancelled => FixedIiOutcome::Cancelled,
         Step::Budget => FixedIiOutcome::Budget,
         Step::Fail(_) => FixedIiOutcome::Infeasible,
     }
@@ -447,7 +424,7 @@ mod tests {
     fn probe(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
         let p = Problem::new(l, machine).unwrap();
         let mut nodes = 0;
-        solve_fixed_ii(&p, ii, &ExactOptions::new(), &mut nodes, None)
+        solve_fixed_ii(&p, ii, &ExactOptions::new(), &mut nodes)
     }
 
     fn chain() -> Loop {
@@ -515,27 +492,9 @@ mod tests {
         let machine = presets::two_cluster();
         let p = Problem::new(&l, &machine).unwrap();
         let mut nodes = 0;
-        let out = solve_fixed_ii(
-            &p,
-            1,
-            &ExactOptions::new().with_node_budget(1),
-            &mut nodes,
-            None,
-        );
+        let out = solve_fixed_ii(&p, 1, &ExactOptions::new().with_node_budget(1), &mut nodes);
         assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");
         assert!(nodes >= 1);
-    }
-
-    #[test]
-    fn a_raised_poison_flag_cancels_the_probe() {
-        let l = chain();
-        let machine = presets::two_cluster();
-        let p = Problem::new(&l, &machine).unwrap();
-        let cancel = AtomicBool::new(true);
-        let mut nodes = 0;
-        let out = solve_fixed_ii(&p, 1, &ExactOptions::new(), &mut nodes, Some(&cancel));
-        assert!(matches!(out, FixedIiOutcome::Cancelled), "{out:?}");
-        assert_eq!(nodes, 0, "cancelled probes charge no nodes");
     }
 
     #[test]

@@ -211,11 +211,14 @@ fn exact_scheduler_is_a_drop_in_modulo_scheduler() {
     assert!(iis[1] >= iis[0], "heuristic beat the exact scheduler");
 }
 
-/// SAT and branch-and-bound agree on every II both decide when register
-/// files are tiny. The gap corpus refines register pressure on only three
-/// points, so this is what exercises the SAT engine's explanation lemmas.
+/// The three exact engines (branch-and-bound, SAT and their dovetailed
+/// portfolio) agree on every II two of them decide when register files are
+/// tiny, and every schedule they emit is validator-clean. The gap corpus
+/// refines register pressure on only three points, so this is what
+/// exercises the SAT engine's explanation lemmas, alone and inside the
+/// portfolio.
 #[test]
-fn sat_and_branch_and_bound_agree_per_ii_on_register_starved_machines() {
+fn exact_engines_agree_per_ii_on_register_starved_machines() {
     let machines: Vec<MachineConfig> = [(2, 2), (2, 3), (4, 2)]
         .into_iter()
         .map(|(clusters, regs)| {
@@ -235,52 +238,66 @@ fn sat_and_branch_and_bound_agree_per_ii_on_register_starved_machines() {
         max_ops: 6,
         ..GeneratorConfig::default()
     };
-    let options = ExactOptions::new()
-        .with_node_budget(20_000)
-        .with_ladder_width(1);
+    let options = ExactOptions::new().with_node_budget(20_000);
     let mut meta = SplitMix64::seed_from_u64(0x5EED_4E65);
-    let (mut compared, mut cegar_rounds) = (0usize, 0u64);
+    let (mut compared, mut cegar_rounds, mut portfolio_schedules) = (0usize, 0u64, 0usize);
     for case in 0..12 {
         let seed = meta.next_u64();
         let l = LoopGenerator::new(cfg, seed).generate();
         for machine in &machines {
-            let bnb = solve_with(&l, machine, &options, &ExactBackend::BranchAndBound).unwrap();
-            let sat = solve_with(&l, machine, &options, &ExactBackend::Sat).unwrap();
+            let outcomes = [
+                ExactBackend::BranchAndBound,
+                ExactBackend::Sat,
+                ExactBackend::Portfolio,
+            ]
+            .map(|backend| solve_with(&l, machine, &options, &backend).unwrap());
             let at = |ii: u32, o: &mvp_exact::ExactOutcome| {
                 o.probes
                     .iter()
                     .find(|p| p.ii == ii && p.verdict != IiVerdict::Unknown)
                     .map(|p| p.verdict)
             };
-            for probe in &sat.probes {
-                if let (Some(s), Some(b)) = (at(probe.ii, &sat), at(probe.ii, &bnb)) {
-                    assert_eq!(
-                        s, b,
-                        "case {case} seed {seed:#x} on {}: II={} SAT says {s}, B&B {b}",
-                        machine.name, probe.ii
-                    );
-                    compared += 1;
+            for (i, a) in outcomes.iter().enumerate() {
+                for b in &outcomes[i + 1..] {
+                    for probe in &a.probes {
+                        if let (Some(x), Some(y)) = (at(probe.ii, a), at(probe.ii, b)) {
+                            assert_eq!(
+                                x, y,
+                                "case {case} seed {seed:#x} on {}: II={} {} says {x}, {} {y}",
+                                machine.name, probe.ii, a.backend, b.backend
+                            );
+                            compared += 1;
+                        }
+                    }
                 }
             }
-            for (a, b) in [(&sat, &bnb), (&bnb, &sat)] {
-                assert!(
-                    a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
-                    "case {case} seed {seed:#x} on {}: a {} schedule beats the {} bound",
-                    machine.name,
-                    a.backend,
-                    b.backend
-                );
+            for a in &outcomes {
+                for b in &outcomes {
+                    assert!(
+                        a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
+                        "case {case} seed {seed:#x} on {}: a {} schedule beats the {} bound",
+                        machine.name,
+                        a.backend,
+                        b.backend
+                    );
+                }
                 if let Some(s) = &a.schedule {
                     let v = validate_schedule(&l, machine, s);
                     assert!(v.is_empty(), "case {case} seed {seed:#x}: {v:?}");
                 }
             }
+            let [_, sat, portfolio] = &outcomes;
             cegar_rounds += sat.probes.iter().map(|p| p.cegar_rounds).sum::<u64>();
+            portfolio_schedules += usize::from(portfolio.schedule.is_some());
         }
     }
     assert!(compared > 0);
     assert!(
         cegar_rounds > 0,
         "the register files must starve some model"
+    );
+    assert!(
+        portfolio_schedules > 0,
+        "the portfolio must schedule some loop"
     );
 }

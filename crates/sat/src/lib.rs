@@ -30,10 +30,8 @@
 //!   does *not* latch the solver; final-conflict analysis leaves the
 //!   subset of assumptions responsible in [`Solver::unsat_core`] (an empty
 //!   core means the formula is unconditionally unsatisfiable).
-//! * **Budgets and cancellation.** [`Solver::solve`] counts *steps*
-//!   (decisions + conflicts), aborts with [`SolveResult::Budget`] past a
-//!   step budget, and polls an optional [`AtomicBool`] cancellation flag
-//!   so a caller running speculative solves can abort the superseded ones.
+//! * **Budgets.** [`Solver::solve`] counts *steps* (decisions +
+//!   conflicts) and aborts with [`SolveResult::Budget`] past a step budget.
 //!
 //! Cardinality constraints ([`Solver::at_most_k`]) use the Sinz
 //! sequential-counter encoding, which is arc-consistent under unit
@@ -41,7 +39,6 @@
 
 use std::fmt;
 use std::ops::Not;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A propositional variable, numbered from 0.
 pub type Var = u32;
@@ -107,8 +104,6 @@ pub enum SolveResult {
     Unsat,
     /// The step budget (decisions + conflicts) ran out first.
     Budget,
-    /// The cancellation flag was raised by another thread.
-    Cancelled,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -178,9 +173,6 @@ pub struct Solver {
     conflicts: u64,
     restarts: u64,
     learned: u64,
-    /// Clause indices of the attached learnt clauses, in learn order —
-    /// the export set of [`Solver::export_learned`].
-    learnt_refs: Vec<u32>,
     seen: Vec<bool>,
     /// After an assumption-relative [`SolveResult::Unsat`]: the subset of
     /// the assumptions responsible (empty = unconditionally unsat).
@@ -216,7 +208,6 @@ impl Solver {
             conflicts: 0,
             restarts: 0,
             learned: 0,
-            learnt_refs: Vec::new(),
             seen: Vec::new(),
             conflict_core: Vec::new(),
         }
@@ -708,12 +699,11 @@ impl Solver {
     }
 
     /// Runs the CDCL loop until a model is found, unsatisfiability is
-    /// proved, `budget` steps (decisions + conflicts) are consumed, or
-    /// `cancel` is observed `true`. On [`SolveResult::Sat`] the model is
+    /// proved, or `budget` steps (decisions + conflicts) are consumed. On [`SolveResult::Sat`] the model is
     /// stored (read via [`Solver::value`]) and the trail is rewound, so
     /// more clauses can be added and the solver re-run.
-    pub fn solve(&mut self, budget: Option<u64>, cancel: Option<&AtomicBool>) -> SolveResult {
-        self.solve_under_assumptions(&[], budget, cancel)
+    pub fn solve(&mut self, budget: Option<u64>) -> SolveResult {
+        self.solve_under_assumptions(&[], budget)
     }
 
     /// [`Solver::solve`] under `assumptions`: each literal is enqueued as a
@@ -730,18 +720,15 @@ impl Solver {
         &mut self,
         assumptions: &[Lit],
         budget: Option<u64>,
-        cancel: Option<&AtomicBool>,
     ) -> SolveResult {
         let _span = mvp_trace::span!("sat.solve", vars = self.num_vars());
         let (steps0, conflicts0) = (self.steps, self.conflicts);
         let (restarts0, learned0) = (self.restarts, self.learned);
-        let result = self.solve_inner(assumptions, budget, cancel);
+        let result = self.solve_inner(assumptions, budget);
         // Flush this solve's deltas into the metrics registry in one shot —
         // the CDCL loop itself never touches an atomic. The counters are
         // stable: a solver run on a fixed formula with a fixed budget does
-        // the same work at any executor width (speculative ladder rungs are
-        // cancelled nondeterministically, which is why the deterministic
-        // snapshot is taken from non-speculative passes).
+        // the same work at any executor width.
         let conflicts = self.conflicts - conflicts0;
         mvp_trace::counter_handle!("sat.decisions", Stable).add(self.steps - steps0 - conflicts);
         mvp_trace::counter_handle!("sat.conflicts", Stable).add(conflicts);
@@ -750,12 +737,7 @@ impl Solver {
         result
     }
 
-    fn solve_inner(
-        &mut self,
-        assumptions: &[Lit],
-        budget: Option<u64>,
-        cancel: Option<&AtomicBool>,
-    ) -> SolveResult {
+    fn solve_inner(&mut self, assumptions: &[Lit], budget: Option<u64>) -> SolveResult {
         self.conflict_core.clear();
         if !self.ok {
             return SolveResult::Unsat;
@@ -803,7 +785,6 @@ impl Solver {
                 } else {
                     let cref = self.attach_clause(learnt);
                     self.learned += 1;
-                    self.learnt_refs.push(cref);
                     let assert_lit = self.clauses[cref as usize].lits[0];
                     let enqueued = self.enqueue(assert_lit, Some(cref));
                     debug_assert!(enqueued, "asserting literal must be free after backjump");
@@ -812,10 +793,6 @@ impl Solver {
                 if used > budget_limit {
                     self.backtrack(0);
                     return SolveResult::Budget;
-                }
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    self.backtrack(0);
-                    return SolveResult::Cancelled;
                 }
             } else if conflicts_since_restart >= restart_limit {
                 conflicts_since_restart = 0;
@@ -861,10 +838,6 @@ impl Solver {
                         if used > budget_limit {
                             self.backtrack(0);
                             return SolveResult::Budget;
-                        }
-                        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                            self.backtrack(0);
-                            return SolveResult::Cancelled;
                         }
                         self.trail_lim.push(self.trail.len());
                         let enqueued = self.enqueue(lit, None);
@@ -956,48 +929,6 @@ impl Solver {
         self.add_clause(lits);
         self.at_most_one(lits);
     }
-
-    /// The learnt clauses currently attached to the database with at most
-    /// `max_len` literals, in learn order, each with its literals sorted
-    /// into canonical order (watch maintenance permutes literals in place,
-    /// so the stored order carries no meaning).
-    ///
-    /// This is the export half of cross-solver clause sharing: a caller
-    /// running several solvers over encodings that share a common variable
-    /// prefix can harvest one solver's short learnt clauses and feed the
-    /// prefix-only subset to another via [`Solver::import_clauses`]. The
-    /// *soundness* of such a transfer is entirely the caller's obligation —
-    /// a learnt clause is implied by the clauses it was derived from, so it
-    /// may only be imported into a solver whose clause set implies the
-    /// exporter's relevant clauses (e.g. an identical shared prefix whose
-    /// non-shared clauses are all guarded by activation literals; see the
-    /// exact scheduler's incremental encoder).
-    #[must_use]
-    pub fn export_learned(&self, max_len: usize) -> Vec<Vec<Lit>> {
-        self.learnt_refs
-            .iter()
-            .map(|&cref| &self.clauses[cref as usize].lits)
-            .filter(|lits| lits.len() <= max_len)
-            .map(|lits| {
-                let mut c = lits.clone();
-                c.sort_unstable();
-                c
-            })
-            .collect()
-    }
-
-    /// Adds every clause of `clauses` to the database (the import half of
-    /// cross-solver clause sharing; see [`Solver::export_learned`]). Each
-    /// clause goes through [`Solver::add_clause`], so level-0 simplification
-    /// and unit propagation apply as usual. Every variable mentioned must
-    /// already be allocated in this solver. Returns the number of clauses
-    /// imported.
-    pub fn import_clauses(&mut self, clauses: &[Vec<Lit>]) -> u64 {
-        for c in clauses {
-            self.add_clause(c);
-        }
-        clauses.len() as u64
-    }
 }
 
 impl fmt::Debug for Solver {
@@ -1039,17 +970,17 @@ mod tests {
         let x = vars(&mut s, 2);
         s.add_clause(&[x[0]]);
         s.add_clause(&[!x[0], x[1]]);
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
         assert!(s.value(0));
         assert!(s.value(1));
         assert!(s.lit_value(x[1]));
 
         // Now force a contradiction.
         s.add_clause(&[!x[1]]);
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
+        assert_eq!(s.solve(None), SolveResult::Unsat);
         assert!(!s.is_ok());
         // Unsat is latched.
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
+        assert_eq!(s.solve(None), SolveResult::Unsat);
     }
 
     #[test]
@@ -1057,7 +988,7 @@ mod tests {
         let mut s = Solver::new();
         let _ = vars(&mut s, 1);
         s.add_clause(&[]);
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
+        assert_eq!(s.solve(None), SolveResult::Unsat);
     }
 
     #[test]
@@ -1072,7 +1003,7 @@ mod tests {
             let col: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
             s.at_most_one(&col);
         }
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
+        assert_eq!(s.solve(None), SolveResult::Unsat);
         assert!(s.conflicts() > 0, "pigeonhole needs real search");
     }
 
@@ -1089,27 +1020,10 @@ mod tests {
             let col: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
             s.at_most_one(&col);
         }
-        assert_eq!(s.solve(Some(1), None), SolveResult::Budget);
+        assert_eq!(s.solve(Some(1)), SolveResult::Budget);
         assert!(s.steps() >= 1);
         // With the budget lifted the same solver finishes the proof.
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn cancellation_aborts_the_search() {
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> = (0..5).map(|_| vars(&mut s, 4)).collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for hole in 0..4 {
-            let col: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
-            s.at_most_one(&col);
-        }
-        let cancel = AtomicBool::new(true);
-        assert_eq!(s.solve(None, Some(&cancel)), SolveResult::Cancelled);
-        cancel.store(false, Ordering::Relaxed);
-        assert_eq!(s.solve(None, Some(&cancel)), SolveResult::Unsat);
+        assert_eq!(s.solve(None), SolveResult::Unsat);
     }
 
     #[test]
@@ -1120,7 +1034,7 @@ mod tests {
         let x = vars(&mut s, 4);
         s.exactly_one(&x);
         let mut models = 0;
-        while s.solve(None, None) == SolveResult::Sat {
+        while s.solve(None) == SolveResult::Sat {
             models += 1;
             assert_eq!(x.iter().filter(|&&l| s.lit_value(l)).count(), 1);
             let blocking: Vec<Lit> = x
@@ -1184,7 +1098,7 @@ mod tests {
             for c in &clauses {
                 s.add_clause(c);
             }
-            let got = s.solve(None, None);
+            let got = s.solve(None);
             let expect = brute_force_sat(n, &clauses);
             match (got, expect) {
                 (SolveResult::Sat, true) => {
@@ -1219,7 +1133,7 @@ mod tests {
                     }
                 }
                 let expect = pattern.count_ones() as usize <= k;
-                let got = s.solve(None, None) == SolveResult::Sat;
+                let got = s.solve(None) == SolveResult::Sat;
                 assert_eq!(got, expect, "k={k} pattern={pattern:05b}");
             }
         }
@@ -1240,17 +1154,14 @@ mod tests {
         s.add_clause(&[x[0], x[1]]);
         // Unsat under {!x0, !x1}, yet the formula itself stays satisfiable.
         assert_eq!(
-            s.solve_under_assumptions(&[!x[0], !x[1]], None, None),
+            s.solve_under_assumptions(&[!x[0], !x[1]], None),
             SolveResult::Unsat
         );
         assert!(s.is_ok(), "assumption-relative unsat must not latch");
         assert!(!s.unsat_core().is_empty());
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
         // And satisfiable again under either assumption alone.
-        assert_eq!(
-            s.solve_under_assumptions(&[!x[0]], None, None),
-            SolveResult::Sat
-        );
+        assert_eq!(s.solve_under_assumptions(&[!x[0]], None), SolveResult::Sat);
         assert!(s.lit_value(x[1]));
     }
 
@@ -1260,10 +1171,7 @@ mod tests {
         let x = vars(&mut s, 4);
         s.exactly_one(&x);
         for &a in &x {
-            assert_eq!(
-                s.solve_under_assumptions(&[a], None, None),
-                SolveResult::Sat
-            );
+            assert_eq!(s.solve_under_assumptions(&[a], None), SolveResult::Sat);
             assert!(s.lit_value(a));
             assert_eq!(x.iter().filter(|&&l| s.lit_value(l)).count(), 1);
         }
@@ -1278,7 +1186,7 @@ mod tests {
         s.add_clause(&[!x[0], x[1]]);
         s.add_clause(&[!x[1], x[2]]);
         assert_eq!(
-            s.solve_under_assumptions(&[x[3], x[0], !x[2]], None, None),
+            s.solve_under_assumptions(&[x[3], x[0], !x[2]], None),
             SolveResult::Unsat
         );
         let core = s.unsat_core();
@@ -1288,7 +1196,7 @@ mod tests {
 
         // Directly contradictory assumptions: both land in the core.
         assert_eq!(
-            s.solve_under_assumptions(&[x[0], !x[0]], None, None),
+            s.solve_under_assumptions(&[x[0], !x[0]], None),
             SolveResult::Unsat
         );
         let core = s.unsat_core();
@@ -1301,10 +1209,7 @@ mod tests {
         let x = vars(&mut s, 1);
         s.add_clause(&[x[0]]);
         s.add_clause(&[!x[0]]);
-        assert_eq!(
-            s.solve_under_assumptions(&[x[0]], None, None),
-            SolveResult::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[x[0]], None), SolveResult::Unsat);
         assert!(s.unsat_core().is_empty());
         assert!(!s.is_ok());
     }
@@ -1315,16 +1220,13 @@ mod tests {
         let x = vars(&mut s, 2);
         s.add_clause(&[x[0], x[1]]);
         assert_eq!(
-            s.solve_under_assumptions(&[!x[0], !x[1]], None, None),
+            s.solve_under_assumptions(&[!x[0], !x[1]], None),
             SolveResult::Unsat
         );
         // Growing the instance after a solve keeps working.
         let y = Lit::positive(s.new_var());
         s.add_clause(&[!y, x[0]]);
-        assert_eq!(
-            s.solve_under_assumptions(&[y], None, None),
-            SolveResult::Sat
-        );
+        assert_eq!(s.solve_under_assumptions(&[y], None), SolveResult::Sat);
         assert!(s.lit_value(x[0]));
     }
 
@@ -1340,15 +1242,12 @@ mod tests {
         for &l in &x {
             s.add_clause(&[l]); // force all 8 true
         }
-        assert_eq!(
-            s.solve_under_assumptions(&[act], None, None),
-            SolveResult::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[act], None), SolveResult::Unsat);
         assert!(s.is_ok(), "guarded unsat is assumption-relative");
         assert_eq!(s.unsat_core(), &[act]);
         // Retire the guard: the constraint dissolves for good.
         s.add_clause(&[!act]);
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
         assert_eq!(s.fixed_value(act.var()), Some(false));
     }
 
@@ -1368,7 +1267,7 @@ mod tests {
         for &l in &x {
             s.add_clause(&[l]);
         }
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
     }
 
     #[test]
@@ -1379,89 +1278,9 @@ mod tests {
         assert!(!s.saved_phase(0), "phases default to false");
         s.set_phase(0, true);
         assert!(s.saved_phase(0));
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
         // The warm-started phase steers the first decision.
         assert!(s.value(0));
-    }
-
-    #[test]
-    fn exported_learnt_clauses_are_implied_and_import_cleanly() {
-        // Pigeonhole (4 pigeons, 3 holes) forces real clause learning.
-        let build = |s: &mut Solver| -> Vec<Vec<Lit>> {
-            let p: Vec<Vec<Lit>> = (0..4).map(|_| vars(s, 3)).collect();
-            let mut originals = Vec::new();
-            for row in &p {
-                originals.push(row.clone());
-            }
-            for hole in 0..3 {
-                let col: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
-                for i in 0..col.len() {
-                    for j in i + 1..col.len() {
-                        originals.push(vec![!col[i], !col[j]]);
-                    }
-                }
-            }
-            for c in &originals {
-                s.add_clause(c);
-            }
-            originals
-        };
-        let mut exporter = Solver::new();
-        let originals = build(&mut exporter);
-        assert_eq!(exporter.solve(None, None), SolveResult::Unsat);
-        assert!(exporter.learned_clauses() > 0);
-        let exported = exporter.export_learned(usize::MAX);
-        assert!(!exported.is_empty());
-        // Every exported clause is implied by the original formula: the
-        // originals plus the clause's negation must be unsatisfiable.
-        for clause in &exported {
-            let mut check = Solver::new();
-            let _ = vars(&mut check, 12);
-            for c in &originals {
-                check.add_clause(c);
-            }
-            for &l in clause {
-                check.add_clause(&[!l]);
-            }
-            assert_eq!(
-                check.solve(None, None),
-                SolveResult::Unsat,
-                "exported clause {clause:?} is not implied by the formula"
-            );
-        }
-        // Importing into a fresh copy of the instance is accepted and the
-        // verdict is unchanged (just cheaper).
-        let mut importer = Solver::new();
-        let _ = build(&mut importer);
-        assert_eq!(importer.import_clauses(&exported), exported.len() as u64);
-        assert_eq!(importer.solve(None, None), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn export_honours_the_length_cap_and_learnt_units_are_excluded() {
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> = (0..5).map(|_| vars(&mut s, 4)).collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for hole in 0..4 {
-            let col: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
-            s.at_most_one(&col);
-        }
-        assert_eq!(s.solve(None, None), SolveResult::Unsat);
-        let all = s.export_learned(usize::MAX);
-        assert_eq!(all.len() as u64, s.learned_clauses());
-        // Attached learnt clauses are binary or longer (units backjump to
-        // level 0 instead of attaching), and the cap filters by length.
-        assert!(all.iter().all(|c| c.len() >= 2));
-        let short = s.export_learned(3);
-        assert!(short.iter().all(|c| c.len() <= 3));
-        assert!(short.len() <= all.len());
-        assert!(s.export_learned(0).is_empty());
-        // Exported literal order is canonical (sorted).
-        for c in &short {
-            assert!(c.windows(2).all(|w| w[0] <= w[1]), "{c:?}");
-        }
     }
 
     #[test]
@@ -1469,7 +1288,7 @@ mod tests {
         let mut s = Solver::new();
         let x = vars(&mut s, 2);
         s.add_clause(&[x[0], x[1]]);
-        assert_eq!(s.solve(None, None), SolveResult::Sat);
+        assert_eq!(s.solve(None), SolveResult::Sat);
         let dbg = format!("{s:?}");
         assert!(dbg.contains("vars: 2"), "{dbg}");
     }

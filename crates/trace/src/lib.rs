@@ -37,26 +37,16 @@
 //! * spans/events: `pipeline.cache.probe`, `pipeline.schedule`,
 //!   `pipeline.sim`, `pipeline.gap_oracle`, `exec.batch`,
 //!   `exec.worker.batch`, `exec.job`, `schedcache.hit`, `schedcache.miss`,
-//!   `schedcache.evict`, `exact.probe`, `exact.ladder.search`,
-//!   `exact.ladder.round`, `exact.ladder.done`.
+//!   `schedcache.evict`, `exact.search`, `exact.probe`, `exact.sat.probe`,
+//!   `exact.sat.cegar_round`, `sat.solve`.
 //! * stable counters: `sat.decisions`, `sat.conflicts`, `sat.restarts`,
 //!   `sat.learned_clauses`, `sat.atmostk.aux_vars`, `sat.assumption_probes`,
 //!   `sat.kept_learned`, `sat.reencoded_clauses`, `exact.sat.cegar_rounds`,
 //!   `exact.bnb.nodes`, `exact.bnb.backjumps`, `exact.bnb.dominance_cuts`,
-//!   `pipeline.runs`, `pipeline.gap_oracle.runs`,
-//!   `exact.ladder.speculative_probes`, `exact.ladder.cancelled_probes`,
-//!   `exact.ladder.imported_clauses` (the ladder counters aggregate each
-//!   search's own speculation statistics and are stable at a fixed ladder
-//!   width: rounds, commits and pool traffic are pure functions of the
-//!   problem and the width, not of the thread count —
-//!   though speculative *rungs* additionally tick the raw `sat.*` solver
-//!   counters for work the commit loop may discard, which is why the
-//!   deterministic snapshot pass pins the ladder off).
+//!   `pipeline.runs`, `pipeline.gap_oracle.runs`.
 //! * runtime counters: `exec.steals`, `exec.parks`, `exec.wakes`,
 //!   `exec.batches`, `schedcache.hits`, `schedcache.misses`,
-//!   `schedcache.evictions`, `exact.ladder.wasted_steps`
-//!   (speculative search steps cancellation or the budget clamp threw
-//!   away), and every `*.ns` elapsed-time accumulator
+//!   `schedcache.evictions`, and every `*.ns` elapsed-time accumulator
 //!   (`pipeline.schedule.ns`, `pipeline.sim.ns`, `pipeline.gap_oracle.ns`,
 //!   `pipeline.cache.probe.ns`).
 //!

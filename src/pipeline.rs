@@ -67,8 +67,7 @@ pub enum SchedulerChoice {
     /// decoding instead of branch-and-bound.
     ExactSat,
     /// The exact scheduler dovetailing the SAT and branch-and-bound engines
-    /// per probe in escalating step quanta until one decides; the
-    /// pipeline's executor sizes its automatic ladder width.
+    /// per probe in escalating step quanta until one decides.
     Portfolio,
 }
 
@@ -104,26 +103,22 @@ impl SchedulerChoice {
     }
 
     /// The probe backend of the exact-family choices ([`Exact`],
-    /// [`ExactSat`], [`Portfolio`]); `None` for the heuristics. The
-    /// portfolio's ladder rounds run on `executor`.
+    /// [`ExactSat`], [`Portfolio`]); `None` for the heuristics.
     ///
     /// [`Exact`]: SchedulerChoice::Exact
     /// [`ExactSat`]: SchedulerChoice::ExactSat
     /// [`Portfolio`]: SchedulerChoice::Portfolio
     #[must_use]
-    pub fn exact_backend(self, executor: &Arc<Executor>) -> Option<ExactBackend> {
+    pub fn exact_backend(self) -> Option<ExactBackend> {
         match self {
             SchedulerChoice::Exact => Some(ExactBackend::BranchAndBound),
             SchedulerChoice::ExactSat => Some(ExactBackend::Sat),
-            SchedulerChoice::Portfolio => Some(ExactBackend::portfolio(Arc::clone(executor))),
+            SchedulerChoice::Portfolio => Some(ExactBackend::Portfolio),
             _ => None,
         }
     }
 
-    /// Builds the scheduler implementation with the given options. The
-    /// [`Portfolio`](SchedulerChoice::Portfolio) configuration's ladder
-    /// runs on the process-wide [`Executor::global`] here; pipelines built
-    /// through [`PipelineBuilder`] use the pipeline's own executor instead.
+    /// Builds the scheduler implementation with the given options.
     #[must_use]
     pub fn build(self, options: SchedulerOptions) -> Box<dyn ModuloScheduler + Send + Sync> {
         match self {
@@ -136,9 +131,7 @@ impl SchedulerChoice {
                 options,
             )),
             SchedulerChoice::Exact | SchedulerChoice::ExactSat | SchedulerChoice::Portfolio => {
-                let backend = self
-                    .exact_backend(&Executor::global())
-                    .expect("exact-family choice");
+                let backend = self.exact_backend().expect("exact-family choice");
                 Box::new(ExactScheduler::from_scheduler_options(&options).with_backend(backend))
             }
         }
@@ -176,7 +169,6 @@ pub struct PipelineBuilder {
     sim_options: SimOptions,
     gap_oracle: Option<ExactOptions>,
     exact_node_budget: Option<u64>,
-    exact_ladder_width: Option<u32>,
     executor: Option<Arc<Executor>>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
     trace: bool,
@@ -191,7 +183,6 @@ impl Default for PipelineBuilder {
             sim_options: SimOptions::new(),
             gap_oracle: None,
             exact_node_budget: None,
-            exact_ladder_width: None,
             executor: None,
             schedule_cache: None,
             trace: true,
@@ -289,19 +280,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Pins the speculative II-ladder width of the exact-family
-    /// configurations (see [`ExactOptions::ladder_width`]: `0` = auto, `1`
-    /// = sequential). Like [`exact_node_budget`](Self::exact_node_budget)
-    /// this is only consulted by the exact-family choices; unset, the
-    /// [`ExactOptions`] default (auto) applies. Benchmark harnesses that
-    /// measure *batch* scaling pin width `1` so the executor's parallelism
-    /// is spent across loops rather than inside each exact search.
-    #[must_use]
-    pub fn exact_ladder_width(mut self, width: u32) -> Self {
-        self.exact_ladder_width = Some(width);
-        self
-    }
-
     /// Picks the executor batch runs ([`Pipeline::run_batch`],
     /// [`Pipeline::run_workloads`]) are parallelised on. Defaults to the
     /// process-wide [`Executor::global`] (sized by `MVP_THREADS` or the
@@ -373,13 +351,10 @@ impl PipelineBuilder {
             )));
         }
         let executor = self.executor.unwrap_or_else(Executor::global);
-        let scheduler = if let Some(backend) = self.scheduler.exact_backend(&executor) {
+        let scheduler = if let Some(backend) = self.scheduler.exact_backend() {
             let mut options = ExactOptions::from_scheduler_options(&self.scheduler_options);
             if let Some(budget) = self.exact_node_budget {
                 options = options.with_node_budget(budget);
-            }
-            if let Some(width) = self.exact_ladder_width {
-                options = options.with_ladder_width(width);
             }
             Box::new(ExactScheduler::with_options(options).with_backend(backend))
                 as Box<dyn ModuloScheduler + Send + Sync>
@@ -394,7 +369,6 @@ impl PipelineBuilder {
             sim_options: self.sim_options,
             gap_oracle: self.gap_oracle,
             exact_node_budget: self.exact_node_budget,
-            exact_ladder_width: self.exact_ladder_width,
             executor,
             schedule_cache: self.schedule_cache,
             trace: self.trace,
@@ -419,7 +393,6 @@ pub struct Pipeline {
     sim_options: SimOptions,
     gap_oracle: Option<ExactOptions>,
     exact_node_budget: Option<u64>,
-    exact_ladder_width: Option<u32>,
     executor: Arc<Executor>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
     trace: bool,
@@ -503,13 +476,6 @@ impl Pipeline {
         if let Some(budget) = self.exact_node_budget {
             k.u64(budget);
         }
-        // The ladder's verdict contract pins the committed II and bound but
-        // not the concrete SAT model behind a feasible schedule, so reports
-        // solved at different widths must not alias in the cache.
-        k.bool(self.exact_ladder_width.is_some());
-        if let Some(width) = self.exact_ladder_width {
-            k.u32(width);
-        }
         k.finish()
     }
 
@@ -585,14 +551,10 @@ impl Pipeline {
         // then the oracle would repeat the identical search. The solve uses
         // the options the scheduler itself was built with (not the oracle's),
         // so toggling the gap flag never changes the schedule produced.
-        let exact_backend = self.choice.exact_backend(&self.executor);
-        if let (Some(backend), Some(_)) = (&exact_backend, &self.gap_oracle) {
+        if let (Some(backend), Some(_)) = (self.choice.exact_backend(), &self.gap_oracle) {
             let mut options = ExactOptions::from_scheduler_options(&self.scheduler_options);
             if let Some(budget) = self.exact_node_budget {
                 options = options.with_node_budget(budget);
-            }
-            if let Some(width) = self.exact_ladder_width {
-                options = options.with_ladder_width(width);
             }
             // The fused exact solve is both the scheduler and the oracle:
             // its whole cost is charged to the schedule phase, and the
@@ -604,7 +566,7 @@ impl Pipeline {
                 "pipeline.schedule",
                 mvp_trace::counter_handle!("pipeline.schedule.ns", Runtime),
             );
-            let outcome = mvp_exact::solve_with(l, &self.machine, &options, backend);
+            let outcome = mvp_exact::solve_with(l, &self.machine, &options, &backend);
             drop(span);
             let outcome = outcome?;
             let max_ii = outcome.min_ii.saturating_add(options.max_ii_slack);
@@ -630,7 +592,7 @@ impl Pipeline {
         let optimality_gap = self
             .gap_oracle
             .as_ref()
-            .and_then(|options| {
+            .map(|options| {
                 if self.trace {
                     mvp_trace::counter_handle!("pipeline.gap_oracle.runs", Stable).incr();
                 }
@@ -638,8 +600,9 @@ impl Pipeline {
                     "pipeline.gap_oracle",
                     mvp_trace::counter_handle!("pipeline.gap_oracle.ns", Runtime),
                 );
-                mvp_exact::solve(l, &self.machine, options).ok()
+                mvp_exact::solve(l, &self.machine, options)
             })
+            .transpose()?
             .map(|outcome| outcome.optimality_gap_of(schedule.ii()));
         self.finish_run(l, schedule, optimality_gap)
     }
@@ -1106,11 +1069,12 @@ mod tests {
         // Branch-and-bound alone needs 490,291 nodes to prove II=3 on the
         // figure-3 loop; the portfolio must beat that on the *inclusive*
         // total (its SAT steps plus every dovetailed branch-and-bound
-        // instalment). A 1-thread executor means ladder width 1.
+        // instalment).
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = presets::motivating_example_machine();
-        let backend = ExactBackend::portfolio(Arc::new(Executor::new(1)));
-        let outcome = mvp_exact::solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
+        let outcome =
+            mvp_exact::solve_with(&l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio)
+                .unwrap();
         assert_eq!(outcome.schedule_ii(), Some(3));
         assert!(outcome.proved_optimal);
         assert!(
@@ -1209,24 +1173,28 @@ mod tests {
     }
 
     #[test]
-    fn exact_ladder_width_is_keyed_and_keeps_the_verdict_contract() {
+    fn portfolio_pipelines_do_not_depend_on_the_executor_width() {
+        // The portfolio searches one II at a time whatever executor the
+        // pipeline runs on, so the width changes neither the cache key nor
+        // the report, down to the schedule itself.
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = Arc::new(presets::motivating_example_machine());
-        let build = |width| {
+        let build = |threads| {
             Pipeline::builder()
                 .scheduler(SchedulerChoice::Portfolio)
                 .machine(Arc::clone(&machine))
-                .executor(Arc::new(Executor::new(2)))
-                .exact_ladder_width(width)
+                .executor(Arc::new(Executor::new(threads)))
+                .optimality_gap(true)
                 .build()
                 .unwrap()
         };
-        let sequential = build(1);
-        let laddered = build(4);
-        // Different widths must not alias in the schedule cache...
-        assert_ne!(sequential.cache_key(&l), laddered.cache_key(&l));
-        // ...while the committed II is pinned by the verdict contract.
-        assert_eq!(sequential.run(&l).unwrap().ii, laddered.run(&l).unwrap().ii);
+        let narrow = build(1);
+        let wide = build(4);
+        assert_eq!(narrow.cache_key(&l), wide.cache_key(&l));
+        let report = narrow.run(&l).unwrap();
+        assert_eq!(report, wide.run(&l).unwrap());
+        assert_eq!(report.ii, 3);
+        assert_eq!(report.optimality_gap, Some(0.0));
     }
 
     #[test]
