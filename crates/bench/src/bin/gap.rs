@@ -14,11 +14,9 @@
 //! any thread count.
 //!
 //! With `MVP_GAP_CSV=<path>` the rows are additionally written as CSV (the
-//! CI bench job uploads this as the `optimality-gap` artifact); with
-//! `MVP_REPORT_JSON=<path>` the same rows are written as a JSON report.
+//! CI bench job uploads this as the `optimality-gap` artifact).
 
-use mvp_bench::gap::{render, run, to_csv, to_json, GapParams};
-use mvp_bench::json::REPORT_JSON_ENV_VAR;
+use mvp_bench::gap::{render, run, to_csv, GapParams};
 use mvp_bench::report::write_env_artifact;
 use mvp_exact::SolverKind;
 
@@ -76,8 +74,5 @@ fn main() {
 
     write_env_artifact("MVP_GAP_CSV", &format!("{} rows", rows.len()), || {
         to_csv(&rows)
-    });
-    write_env_artifact(REPORT_JSON_ENV_VAR, "JSON report", || {
-        format!("{}\n", to_json(&rows))
     });
 }

@@ -12,7 +12,7 @@
 //! The same run also drives the incremental-vs-scratch SAT differential:
 //! each point is solved twice by the SAT backend (persistent session vs
 //! per-probe re-encoding), pinned to identical verdicts, and the per-loop
-//! step/wallclock/retention comparison is written as the
+//! step/retention comparison is written as the
 //! `sat-incremental.csv` artifact (`MVP_SAT_INCR_CSV=<path>`). The process
 //! exits non-zero when the incremental mode spends more total SAT steps on
 //! the corpus than the from-scratch mode — clause retention must pay for

@@ -104,7 +104,7 @@ pub fn run_on(
     )
 }
 
-/// Runs a reduced sweep (used by the Criterion benches and quick runs) on
+/// Runs a reduced sweep (the binary's quick mode and the tests) on
 /// the process-wide executor.
 ///
 /// # Errors

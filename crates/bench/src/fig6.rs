@@ -39,7 +39,7 @@ pub fn run_on(
     run_with(clusters, params, &[1, 2], &[1, 4], &THRESHOLDS, executor)
 }
 
-/// Runs a reduced sweep (used by the Criterion benches and quick runs) on
+/// Runs a reduced sweep (the binary's quick mode and the tests) on
 /// the process-wide executor.
 ///
 /// # Errors

@@ -19,8 +19,6 @@ use mvp_machine::{presets, MachineConfig};
 use mvp_workloads::generator::{GeneratorConfig, LoopGenerator};
 use mvp_workloads::motivating::{motivating_loop, MotivatingParams};
 use mvp_workloads::rng::SplitMix64;
-use std::io::Write as _;
-use std::path::Path;
 
 /// Parameters of the gap experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,55 +322,6 @@ pub fn to_csv(rows: &[GapRow]) -> String {
     out
 }
 
-/// Writes the CSV to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_csv(rows: &[GapRow], path: &Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(to_csv(rows).as_bytes())
-}
-
-/// The rows as a JSON report (for `MVP_REPORT_JSON`), carrying the same
-/// columns as the CSV plus the derived gaps.
-#[must_use]
-pub fn to_json(rows: &[GapRow]) -> crate::json::Json {
-    use crate::json::Json;
-    Json::object([
-        ("report", Json::from("optimality-gap")),
-        (
-            "proved_optimal",
-            Json::from(rows.iter().filter(|r| r.proved_optimal).count()),
-        ),
-        (
-            "rows",
-            Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("machine", Json::from(r.machine.as_str())),
-                    ("loop", Json::from(r.loop_name.as_str())),
-                    ("ops", Json::from(r.num_ops)),
-                    ("min_ii", Json::from(r.min_ii)),
-                    ("lower_bound", Json::from(r.lower_bound)),
-                    ("exact_ii", Json::option(r.exact_ii)),
-                    ("proved_optimal", Json::from(r.proved_optimal)),
-                    ("nodes", Json::from(r.nodes)),
-                    ("conflicts", Json::from(r.conflicts)),
-                    ("sat_reused_clauses", Json::from(r.sat_reused_clauses)),
-                    ("sat_kept_learned", Json::from(r.sat_kept_learned)),
-                    ("solver", Json::from(r.solver.label())),
-                    ("baseline_ii", Json::option(r.baseline_ii)),
-                    ("rmca_ii", Json::option(r.rmca_ii)),
-                    ("baseline_gap", Json::option(r.baseline_gap())),
-                    ("rmca_gap", Json::option(r.rmca_gap())),
-                    ("schedule_ms", Json::from(r.schedule_ms)),
-                    ("oracle_ms", Json::from(r.oracle_ms)),
-                ])
-            })),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,12 +401,5 @@ mod tests {
         let csv = to_csv(&rows);
         assert_eq!(csv.lines().count(), rows.len() + 1);
         assert!(csv.starts_with("machine,loop,"));
-        let dir = std::env::temp_dir().join("mvp-gap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("optimality-gap.csv");
-        write_csv(&rows, &path).unwrap();
-        let written = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(written, csv);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,17 +1,11 @@
-//! Dependency-free JSON emission for the experiment drivers.
+//! Dependency-free JSON emission for the chrome-trace export.
 //!
 //! The workspace intentionally builds offline with zero external crates, so
-//! the serde derives the report types would otherwise carry are not
-//! available (see the ROADMAP note from PR 1). This module is the
-//! offline-buildable substitute: a tiny JSON document model with a
-//! deterministic, compact serializer. Object keys keep their insertion
-//! order and floats render through Rust's shortest-roundtrip formatting,
-//! so the emitted bytes are identical across runs and — together with the
-//! executor's ordered-collect guarantee — across thread counts.
-//!
-//! The experiment binaries use it for the `MVP_REPORT_JSON=<path>`
-//! opt-in: alongside the existing CSV artifacts they then also write a
-//! JSON report (one document per binary run).
+//! serde is not available. This module is the offline-buildable substitute
+//! [`crate::trace::chrome_trace_json`] needs: a tiny JSON document model
+//! with a deterministic, compact serializer. Object keys keep their
+//! insertion order and floats render through Rust's shortest-roundtrip
+//! formatting, so the emitted bytes are identical across runs.
 //!
 //! # Example
 //!
@@ -19,31 +13,24 @@
 //! use mvp_bench::json::Json;
 //!
 //! let doc = Json::object([
-//!     ("report", Json::from("demo")),
-//!     ("rows", Json::array([Json::from(1u64), Json::from(2u64)])),
-//!     ("gap", Json::from(0.25)),
+//!     ("name", Json::from("demo")),
+//!     ("args", Json::array([Json::from(1u64), Json::from(-2i64)])),
+//!     ("ts", Json::from(0.25)),
 //! ]);
-//! assert_eq!(doc.to_string(), r#"{"report":"demo","rows":[1,2],"gap":0.25}"#);
+//! assert_eq!(doc.to_string(), r#"{"name":"demo","args":[1,-2],"ts":0.25}"#);
 //! ```
 
 use std::fmt;
 
-/// Environment variable naming the file experiment binaries write their
-/// JSON report to (in addition to stdout tables and CSV artifacts).
-pub const REPORT_JSON_ENV_VAR: &str = "MVP_REPORT_JSON";
-
-/// A JSON document: the usual scalar/array/object tree.
+/// A JSON document: the scalar/array/object tree a chrome trace uses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null` (also what non-finite floats serialise as).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer (cycle counts, node counts).
+    /// An unsigned integer (process and thread ids).
     U64(u64),
-    /// A signed integer.
+    /// A signed integer (span arguments).
     I64(i64),
-    /// A float, rendered with Rust's shortest-roundtrip formatting.
+    /// A float, rendered with Rust's shortest-roundtrip formatting;
+    /// non-finite values serialise as `null`.
     F64(f64),
     /// A string (escaped on serialisation).
     Str(String),
@@ -65,15 +52,8 @@ impl Json {
         Json::Array(values.into_iter().collect())
     }
 
-    /// `Json::Null` for `None`, the converted value otherwise.
-    pub fn option<T: Into<Json>>(value: Option<T>) -> Self {
-        value.map_or(Json::Null, Into::into)
-    }
-
     fn write(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(n) => {
                 let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
             }
@@ -143,24 +123,9 @@ impl fmt::Display for Json {
     }
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
-}
-impl From<u32> for Json {
-    fn from(v: u32) -> Self {
-        Json::U64(u64::from(v))
-    }
-}
 impl From<u64> for Json {
     fn from(v: u64) -> Self {
         Json::U64(v)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::U64(v as u64)
     }
 }
 impl From<i64> for Json {
@@ -178,20 +143,6 @@ impl From<&str> for Json {
         Json::Str(v.to_string())
     }
 }
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
-    }
-}
-
-/// Writes a JSON document to `path` (with a trailing newline).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_json(doc: &Json, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, format!("{doc}\n"))
-}
 
 #[cfg(test)]
 mod tests {
@@ -199,13 +150,9 @@ mod tests {
 
     #[test]
     fn scalars_render_like_json() {
-        assert_eq!(Json::Null.to_string(), "null");
-        assert_eq!(Json::from(true).to_string(), "true");
         assert_eq!(Json::from(42u64).to_string(), "42");
         assert_eq!(Json::from(-3i64).to_string(), "-3");
         assert_eq!(Json::from("hi").to_string(), "\"hi\"");
-        assert_eq!(Json::option::<u64>(None).to_string(), "null");
-        assert_eq!(Json::option(Some(7u64)).to_string(), "7");
     }
 
     #[test]
@@ -236,18 +183,8 @@ mod tests {
         let doc = Json::object([
             ("z", Json::from(1u64)),
             ("a", Json::from(2u64)),
-            ("nested", Json::object([("k", Json::Null)])),
+            ("nested", Json::object([("k", Json::from(-1i64))])),
         ]);
-        assert_eq!(doc.to_string(), r#"{"z":1,"a":2,"nested":{"k":null}}"#);
-    }
-
-    #[test]
-    fn write_json_appends_a_newline() {
-        let dir = std::env::temp_dir().join(format!("mvp-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("doc.json");
-        write_json(&Json::array([Json::from(1u64)]), &path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[1]\n");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(doc.to_string(), r#"{"z":1,"a":2,"nested":{"k":-1}}"#);
     }
 }

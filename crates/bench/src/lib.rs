@@ -12,26 +12,23 @@
 //! * `portfolio` — nightly SAT-vs-branch-and-bound differential over the
 //!   gap corpus with a dovetailed portfolio per probe (`MVP_PORTFOLIO_CSV` for
 //!   the `portfolio-solvers.csv` artifact),
-//! * `wallclock` — suite wall-clock per executor thread count
-//!   (`MVP_WALLCLOCK_CSV` for the CI artifact),
-//! * `serve` — batch service replay: cold pass vs warm cache-hit replays
-//!   of the suite stream, sustained loops/sec (`MVP_SERVE_CSV` for the CI
-//!   artifact),
 //! * `trace` — observability showcase: a chrome://tracing JSON export
 //!   covering every instrumented layer plus the deterministic
 //!   stable-counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the
-//!   CI artifacts),
+//!   CI artifacts).
 //!
-//! and the Criterion benches in `benches/` measure scheduler / simulator
-//! throughput plus the ablations called out in `DESIGN.md`.
+//! Timing lives in one place, the `perfbench` package at the repository
+//! root: its `sweep`, `exact` and `serve` workloads time the figure grids,
+//! the exact engines and the cached pipeline, end to end and per layer.
+//! This crate reports results, not timings.
 //!
 //! The library part of the crate contains the reusable machinery: running
 //! one (loop, machine, scheduler, threshold) point, aggregating a whole
-//! workload suite, formatting result tables, and dependency-free JSON
-//! report emission (`MVP_REPORT_JSON`). Every heavy driver — the fig5/fig6
-//! grid sweeps, the gap tables and the wall-clock runner — fans its work
-//! out as jobs on the shared work-stealing executor of `mvp-exec`, with
-//! byte-identical output for any thread count.
+//! workload suite, formatting result tables, and the dependency-free JSON
+//! model behind the chrome-trace export. Every heavy driver — the
+//! fig5/fig6 grid sweeps and the gap tables — fans its work out as jobs on
+//! the shared work-stealing executor of `mvp-exec`, with byte-identical
+//! output for any thread count.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,9 +41,7 @@ pub mod json;
 pub mod portfolio;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod table1;
 pub mod trace;
-pub mod wallclock;
 
 pub use runner::{run_loop, run_suite, RunConfig, RunResult, SchedulerKind, SuiteResult};

@@ -25,8 +25,6 @@ use mvp_exact::{solve_with, ExactOptions, ExactOutcome, IiVerdict, SolverKind};
 use mvp_exec::Executor;
 use mvp_ir::Loop;
 use mvp_machine::MachineConfig;
-use std::io::Write as _;
-use std::path::Path;
 
 /// One (loop, machine) row of the differential.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,16 +204,6 @@ pub fn to_csv(rows: &[PortfolioRow]) -> String {
     out
 }
 
-/// Writes the CSV to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_csv(rows: &[PortfolioRow], path: &Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(to_csv(rows).as_bytes())
-}
-
 /// One (loop, machine) row of the incremental-vs-scratch SAT differential
 /// (the `sat-incremental.csv` nightly artifact).
 #[derive(Debug, Clone, PartialEq)]
@@ -237,10 +225,6 @@ pub struct IncrementalRow {
     /// Learnt clauses the incremental session retained across probes
     /// (summed).
     pub kept_learned: u64,
-    /// Wall-clock of the incremental solve, in milliseconds.
-    pub incremental_ms: f64,
-    /// Wall-clock of the from-scratch solve, in milliseconds.
-    pub scratch_ms: f64,
 }
 
 /// Runs the incremental-vs-scratch SAT differential over the gap corpus on
@@ -276,12 +260,11 @@ pub fn run_incremental_on(params: &GapParams, executor: &Executor) -> Vec<Increm
     let rows = executor.map(&grid, |&(machine, l)| {
         let point = format!("{} / {}", l.name(), machine.name);
         let backend = backend_of(SolverKind::Sat);
-        let (incremental, incr_ns) = mvp_trace::timed("sat_incr.incremental", || {
-            solve_with(l, machine, &options.with_sat_incremental(true), &backend).ok()
-        });
-        let (scratch, scr_ns) = mvp_trace::timed("sat_incr.scratch", || {
-            solve_with(l, machine, &options.with_sat_incremental(false), &backend).ok()
-        });
+        let solve = |incremental| {
+            let options = options.with_sat_incremental(incremental);
+            solve_with(l, machine, &options, &backend).ok()
+        };
+        let (incremental, scratch) = (solve(true), solve(false));
         let (incremental, scratch) = match (incremental, scratch) {
             (Some(i), Some(s)) => (i, s),
             (None, None) => return None, // loop uses a unit kind the machine lacks
@@ -346,8 +329,6 @@ pub fn run_incremental_on(params: &GapParams, executor: &Executor) -> Vec<Increm
             scratch_steps: scratch.conflicts,
             reused_clauses: incremental.probes.iter().map(|p| p.reused_clauses).sum(),
             kept_learned: incremental.probes.iter().map(|p| p.kept_learned).sum(),
-            incremental_ms: incr_ns as f64 / 1e6,
-            scratch_ms: scr_ns as f64 / 1e6,
         })
     });
     rows.into_iter().flatten().collect()
@@ -403,11 +384,11 @@ pub fn render_incremental(rows: &[IncrementalRow]) -> String {
 #[must_use]
 pub fn incremental_to_csv(rows: &[IncrementalRow]) -> String {
     let mut out = String::from(
-        "machine,loop,exact_ii,proved_optimal,incremental_steps,scratch_steps,reused_clauses,kept_learned,incremental_ms,scratch_ms\n",
+        "machine,loop,exact_ii,proved_optimal,incremental_steps,scratch_steps,reused_clauses,kept_learned\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{:.3},{:.3}\n",
+            "{},{},{},{},{},{},{},{}\n",
             r.machine,
             r.loop_name,
             r.exact_ii.map_or_else(String::new, |x| x.to_string()),
@@ -416,8 +397,6 @@ pub fn incremental_to_csv(rows: &[IncrementalRow]) -> String {
             r.scratch_steps,
             r.reused_clauses,
             r.kept_learned,
-            r.incremental_ms,
-            r.scratch_ms,
         ));
     }
     out

@@ -10,9 +10,11 @@
 //! Misses are counted exactly over a bounded window of the iteration space by
 //! evaluating the affine references and replaying them through a functional
 //! cache model ([`crate::CacheSim`]). This replaces the polyhedra counting of
-//! the original CME solver; see `DESIGN.md` for the substitution rationale.
-//! The window bound plays the role of the sampling scheme of Vera et al.: it
-//! keeps the analysis cost at a small fraction of total compilation time.
+//! the original CME solver: the scheduler only compares candidate clusters
+//! by miss count, and exact counting over the window preserves that
+//! ranking. The window bound plays the role of the sampling scheme of Vera
+//! et al.: it keeps the analysis cost at a small fraction of total
+//! compilation time.
 
 use crate::sim_cache::CacheSim;
 use mvp_ir::{Loop, OpId};

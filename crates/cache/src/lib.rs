@@ -13,8 +13,9 @@
 //! points in the CME polyhedra it counts misses exactly over a bounded
 //! (optionally sampled) window of the iteration space — the same quantity the
 //! CME solver estimates, produced by direct evaluation of the affine
-//! references. The substitution is documented in `DESIGN.md`; it preserves
-//! the ranking of candidate clusters, which is all the scheduler consumes.
+//! references. The substitution (see *Notes* in the repository README)
+//! preserves the ranking of candidate clusters, which is all the scheduler
+//! consumes.
 //!
 //! The crate also provides a closed-form [`reuse`] classification
 //! (self-temporal, self-spatial, group reuse) used for reporting and for

@@ -614,11 +614,12 @@ mod tests {
 
     #[test]
     fn uneven_jobs_are_stolen_not_serialised() {
-        // One straggler at index 0 plus many fast jobs: with stealing, the
-        // fast jobs complete on other workers while the straggler runs. We
-        // can't assert wall-clock here, but we can assert every job ran
-        // exactly once and from more than one thread.
+        // One straggler at index 0 that cannot finish until the other 63
+        // jobs have. The caller owns deque 0 and pops job 0 first, so the
+        // rest of deque 0 completes only if other workers steal it. A
+        // serialising executor trips the bound instead of hanging.
         let ran = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
         let threads_seen: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
             Mutex::new(std::collections::HashSet::new());
         let items: Vec<u64> = (0..64).collect();
@@ -629,7 +630,17 @@ mod tests {
                 .unwrap()
                 .insert(std::thread::current().id());
             if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while finished.load(Ordering::Acquire) < items.len() - 1 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "only {} of the other jobs finished while job 0 waited",
+                        finished.load(Ordering::Acquire)
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            } else {
+                finished.fetch_add(1, Ordering::Release);
             }
             x
         });

@@ -1,18 +1,17 @@
-//! Dependency-free test and micro-benchmark utilities.
+//! Dependency-free test utilities.
 //!
 //! The workspace builds without any external crates, so the pieces that
-//! would normally come from `rand`, `proptest` and `criterion` live here:
+//! would normally come from `rand` and `proptest` live here:
 //!
 //! * [`rng`] — a seeded SplitMix64 generator used by the random-loop
-//!   generator and the property-style tests,
-//! * [`microbench`] — a small criterion-compatible micro-benchmark harness
-//!   used by the `benches/` targets of `mvp-bench`.
+//!   generator and the property-style tests.
+//!
+//! Timing is not a test utility: the `perfbench` package at the repository
+//! root is the workspace's one benchmark harness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod microbench;
 pub mod rng;
 
-pub use microbench::{BenchmarkId, Criterion};
 pub use rng::SplitMix64;

@@ -11,7 +11,7 @@
 //! streams, 2D/3D stencils, large power-of-two strides) and array layouts
 //! that exercise the same cache behaviours (group reuse across unrolled
 //! references, cross-array conflict misses in small direct-mapped caches).
-//! `DESIGN.md` documents this substitution.
+//! *Notes* in the repository README records this substitution.
 //!
 //! Also provided:
 //!

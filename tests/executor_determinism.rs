@@ -4,47 +4,62 @@
 //! The contract pinned here is the acceptance bar of the `mvp-exec`
 //! migration: for *any* thread count (`MVP_THREADS=1` vs `MVP_THREADS=8`
 //! — modelled with explicit `Executor::new(n)` handles, which is exactly
-//! what the environment variable configures), the pipeline's reports, the
-//! fuzz-style per-seed outcomes and the bench artifacts' CSV bytes are
-//! identical; and a panicking job propagates its panic to the caller
-//! instead of deadlocking, poisoning, or silently dropping results.
+//! what the environment variable configures), the pipeline's per-loop
+//! outcomes for every scheduler choice, the fuzz-style per-seed outcomes
+//! and the bench artifacts' CSV bytes are identical; and a panicking job
+//! propagates its panic to the caller instead of deadlocking, poisoning,
+//! or silently dropping results.
 
 use multivliw::core::validate_schedule;
 use multivliw::exact::ExactOptions;
 use multivliw::exec::Executor;
-use multivliw::pipeline::{Pipeline, PipelineReport, SchedulerChoice};
+use multivliw::pipeline::{Pipeline, SchedulerChoice};
 use multivliw::workloads::generator::LoopGenerator;
 use multivliw::workloads::rng::SplitMix64;
 use multivliw::workloads::suite::{suite, SuiteParams};
+use multivliw::LoopReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-fn suite_report(choice: SchedulerChoice, threads: usize) -> PipelineReport {
+/// Every suite loop run through `choice`'s pipeline as one job on a
+/// `threads`-wide executor, `Ok` or `Err`.
+fn suite_outcomes(choice: SchedulerChoice, threads: usize) -> Vec<multivliw::Result<LoopReport>> {
     let workloads = suite(&SuiteParams::small());
-    Pipeline::builder()
+    let loops: Vec<&multivliw::ir::Loop> = workloads.iter().flat_map(|w| w.loops.iter()).collect();
+    let executor = Arc::new(Executor::new(threads));
+    let pipeline = Pipeline::builder()
         .scheduler(choice)
-        .executor(Arc::new(Executor::new(threads)))
+        .executor(Arc::clone(&executor))
         // Gap oracle on (its per-loop solves are part of the parallel
         // stage under test), with a small budget so the certified bounds
         // stay cheap on the suite's bigger bodies.
         .optimality_gap_options(ExactOptions::new().with_node_budget(4096))
+        // The exact scheduler may exhaust this budget on the big bodies;
+        // those loops fail, and their errors must match too.
+        .exact_node_budget(1 << 12)
         .build()
-        .expect("default-machine pipelines are valid")
-        .run_workloads(&workloads)
-        .expect("the bundled suite is schedulable")
+        .expect("default-machine pipelines are valid");
+    executor.map(&loops, |l| pipeline.run(l))
 }
 
 #[test]
 fn pipeline_reports_are_identical_for_1_and_8_threads() {
-    // `PipelineReport` derives `PartialEq` over every field — per-loop
-    // schedules, placements, communications, sim stats, optimality gaps and
-    // the aggregates — so this is a deep equality, not a summary check.
-    for choice in [SchedulerChoice::Baseline, SchedulerChoice::Rmca] {
-        let sequential = suite_report(choice, 1);
-        let parallel = suite_report(choice, 8);
+    // `LoopReport` and `Error` derive `PartialEq` over every field —
+    // schedules, placements, communications, sim stats, optimality gaps —
+    // so this is a deep equality, not a summary check.
+    for choice in SchedulerChoice::EVERY {
+        let sequential = suite_outcomes(choice, 1);
+        let parallel = suite_outcomes(choice, 8);
         assert_eq!(sequential, parallel, "{choice}");
         // And re-running parallel is stable too (no hidden global state).
-        assert_eq!(parallel, suite_report(choice, 8), "{choice} rerun");
+        assert_eq!(parallel, suite_outcomes(choice, 8), "{choice} rerun");
+        // Only the exact scheduler may give up on a loop (budget
+        // exhaustion); every other choice schedules the whole suite.
+        if choice != SchedulerChoice::Exact {
+            for outcome in &sequential {
+                assert!(outcome.is_ok(), "{choice}: {outcome:?}");
+            }
+        }
     }
 }
 
@@ -77,8 +92,8 @@ fn fuzz_style_outcomes_are_identical_for_1_and_8_threads() {
     assert_eq!(sweep(1), sweep(8));
 }
 
-// (The bench-artifact side of the contract — identical gap-table and
-// wall-clock CSV bytes across thread counts — is pinned in
+// (The bench-artifact side of the contract — identical gap-table CSV
+// bytes and figure sweeps across thread counts — is pinned in
 // `crates/bench/tests/determinism.rs`, next to the code that emits them.)
 
 #[test]

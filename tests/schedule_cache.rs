@@ -13,6 +13,7 @@
 //!   schedulers or options never collide anywhere in the suite.
 
 use multivliw::core::validate_schedule;
+use multivliw::exact::ExactOptions;
 use multivliw::machine::presets;
 use multivliw::pipeline::{Pipeline, PipelineBuilder, PipelineScheduleCache, SchedulerChoice};
 use multivliw::schedcache::CacheKey;
@@ -55,18 +56,45 @@ fn cache_hits_equal_cold_solves_across_the_fuzz_corpus() {
 
 #[test]
 fn suite_replays_hit_and_match_with_the_gap_oracle_on() {
-    // The gap oracle's result rides in the cached report too.
+    // The served schedulers share one cache, as in a long-lived service:
+    // a cold pass populates it, then every warm replay must hit on every
+    // lookup and reproduce the cold reports exactly. The gap oracle's
+    // result rides in the cached report too; a small budget keeps its
+    // bounds cheap on the suite's bigger bodies.
     let workloads = suite(&SuiteParams::small());
     let cache = Arc::new(PipelineScheduleCache::default());
-    let p = cached_builder(SchedulerChoice::Rmca, &cache)
-        .optimality_gap(true)
-        .build()
-        .unwrap();
-    let cold = p.run_workloads(&workloads).unwrap();
-    let warm = p.run_workloads(&workloads).unwrap();
-    assert_eq!(cold, warm);
-    assert!(warm.optimality_gap.is_some(), "gaps replay from the cache");
-    assert_eq!(cache.stats().hits as usize, warm.runs.len());
+    for choice in [
+        SchedulerChoice::Baseline,
+        SchedulerChoice::Rmca,
+        SchedulerChoice::ListFallback,
+    ] {
+        let p = cached_builder(choice, &cache)
+            .optimality_gap_options(ExactOptions::new().with_node_budget(4096))
+            .build()
+            .unwrap();
+        let before = cache.stats();
+        let cold = p.run_workloads(&workloads).unwrap();
+        let after_cold = cache.stats();
+        assert_eq!(after_cold.hits, before.hits, "{choice}: a cold pass hit");
+        assert_eq!(
+            (after_cold.misses - before.misses) as usize,
+            cold.runs.len(),
+            "{choice}: one miss per loop"
+        );
+        assert!(cold.optimality_gap.is_some(), "{choice}: gaps measured");
+        for replay in 1..=2 {
+            let start = cache.stats();
+            let warm = p.run_workloads(&workloads).unwrap();
+            let end = cache.stats();
+            assert_eq!(warm, cold, "{choice} replay {replay} diverged");
+            assert_eq!(end.misses, start.misses, "{choice} replay {replay} missed");
+            assert_eq!(
+                (end.hits - start.hits) as usize,
+                warm.runs.len(),
+                "{choice} replay {replay}: every lookup hits"
+            );
+        }
+    }
 }
 
 /// The motivating loop rebuilt with its operations inserted in reverse and
