@@ -9,7 +9,7 @@
 //! or the dovetailed portfolio instead.
 //!
 //! Every (loop, machine) point of the table is one job on the shared
-//! work-stealing executor (`MVP_THREADS` to override the width); rows are
+//! batch executor (`MVP_THREADS` to override the width); rows are
 //! collected in grid order, so the table and artifacts are identical for
 //! any thread count.
 //!

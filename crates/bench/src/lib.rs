@@ -27,9 +27,10 @@
 //! workload suite, formatting result tables, and the dependency-free JSON
 //! model behind the chrome-trace export. Every heavy driver — the
 //! fig5/fig6 grid sweeps and the gap tables — fans its work out as jobs on
-//! the shared work-stealing executor of `mvp-exec`, with byte-identical
+//! the shared batch executor of `mvp-exec`, with byte-identical
 //! output for any thread count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -101,8 +101,8 @@ pub fn run_loop(
 }
 
 /// Schedules and simulates every loop of every workload: each loop of the
-/// whole suite is one job on the pipeline's work-stealing executor, so a
-/// long workload no longer pins a worker while small kernels finish early.
+/// whole suite is one job on the pipeline's executor, so a long workload
+/// no longer pins a thread while small kernels finish early.
 ///
 /// # Errors
 ///

@@ -22,7 +22,8 @@
 //! event format (`chrome://tracing`, Perfetto's legacy JSON importer):
 //! phase `B`/`E` for span begin/end, `i` for instants, timestamps in
 //! microseconds since the process trace epoch, the logical
-//! [`mvp_trace::thread_id`] as `tid`.
+//! [`mvp_trace::thread_id`] as `tid`. Executor helpers are fresh threads
+//! for every batch, so each batch's helpers appear under fresh `tid`s.
 //!
 //! The ordering of the *passes* matters: the snapshot is taken before the
 //! showcase pass, which the width-independence guarantee does not cover —

@@ -47,6 +47,7 @@
 //! assert!(together > 2 * alone);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,41 +1,29 @@
-//! The persistent work-stealing execution core shared by every heavy path
-//! of the workspace.
+//! The batch executor shared by every heavy path of the workspace.
 //!
 //! All the batch-shaped work in this repository — per-loop pipeline runs,
 //! optimality-gap oracle calls, figure grid sweeps, seeded fuzz cases — is
 //! embarrassingly parallel but badly balanced: a tomcatv kernel or a
 //! million-node exact probe can take orders of magnitude longer than its
-//! batch neighbours. [`Executor::map`] runs such a batch on a pool of worker
-//! threads with **per-worker deques and work stealing**: each participant
-//! starts with a contiguous block of job indices, pops jobs from the front
-//! of its own deque, and when it runs dry steals from the *back* of the
-//! fullest victim, so stragglers are split instead of serialising the run.
+//! batch neighbours. [`Executor::map`] runs such a batch on a team of
+//! threads that **claim jobs one index at a time** from a shared atomic
+//! cursor, so a straggler occupies one participant while the others drain
+//! the rest of the batch instead of waiting behind it.
 //!
-//! # The persistent pool
+//! # One scope per batch
 //!
-//! Workers are spawned **once per executor** (lazily, on the first parallel
-//! batch) and live for the executor's lifetime: between batches they park
-//! (`std::thread::park`) instead of exiting, so a service-style caller that
-//! issues thousands of `map`s — repeated [`Pipeline::run_batch`] calls, gap
-//! tables, fuzz sweeps, the `serve` bin's warm passes — pays the thread
-//! spawn cost exactly once. Job injection is **per-worker and lock-free**:
-//! every worker owns a single-slot CAS inbox (an [`AtomicPtr`] to the
-//! caller-stack batch descriptor); the calling thread publishes the batch
-//! with one compare-exchange per idle worker, wakes it with `unpark`, and
-//! then *participates in the batch itself* (it owns deque 0), so a batch
-//! never waits on a wake-up to make progress. On completion the caller
-//! retracts the inboxes no worker claimed and waits for the claimed ones to
-//! detach, which is what makes lending the caller's stack to `'static`
-//! worker threads sound. Dropping the last handle to the pool shuts the
-//! workers down and joins them.
-//!
-//! [`Pipeline::run_batch`]: https://docs.rs/multivliw
+//! A parallel batch runs inside one [`std::thread::scope`]: the scope spawns
+//! `min(threads - 1, jobs - 1)` helper threads named `mvp-exec-{i}`, the
+//! calling thread joins in as participant 0, and the scope joins every
+//! helper before `map` returns, which is what lets the jobs borrow the
+//! caller's items and result slots directly. If the operating
+//! system refuses to spawn a helper, the batch is left to the participants
+//! that did start; the caller alone can drain it.
 //!
 //! # Determinism
 //!
 //! The collect side is **ordered**: every job writes its result under its
 //! original index, and `map` returns `Vec<R>` in input order no matter how
-//! the jobs interleaved across workers. A batch of *pure* jobs therefore
+//! the jobs interleaved across threads. A batch of *pure* jobs therefore
 //! produces bit-identical output for any thread count — `MVP_THREADS=1` and
 //! `MVP_THREADS=8` runs of the pipeline, the bench drivers and the fuzz
 //! harness emit byte-identical reports and CSVs (this is pinned by
@@ -46,10 +34,10 @@
 //! A panicking job never deadlocks or poisons the batch: the batch runs to
 //! completion regardless, and the panic payload of the smallest-indexed
 //! panicking job — a property of the batch, not of the scheduling — is
-//! re-raised on the caller's thread once every claimed worker has detached.
+//! re-raised on the caller's thread once every helper has been joined.
 //! Compared to a sequential `for` loop the only difference is that the jobs
-//! after the failing one have also run. The pool itself is unaffected: the
-//! workers return to their park loop and the next batch runs normally.
+//! after the failing one have also run. The executor keeps nothing between
+//! batches, so the next batch runs normally.
 //!
 //! # Nesting
 //!
@@ -65,18 +53,20 @@
 //! (clamped to at least 1) and falls back to
 //! [`std::thread::available_parallelism`]. [`Executor::global`] builds one
 //! such executor per process, lazily, and is what the pipeline uses unless
-//! an explicit executor is configured. An executor of `n` threads spawns
-//! `n - 1` persistent workers; the calling thread is the `n`-th
-//! participant.
+//! an explicit executor is configured. An executor of `n` threads runs each
+//! batch on at most `n` participants: the calling thread plus up to `n - 1`
+//! helpers, never more than the batch has jobs.
 //!
 //! # Observability
 //!
 //! Batches report through [`mvp_trace`]: an `exec.batch` span on the
-//! caller, an `exec.worker.batch` span per participating worker, an
-//! `exec.job` span per job, and the runtime counters `exec.batches`,
-//! `exec.steals`, `exec.parks` and `exec.wakes`. Workers flush their
-//! thread-local event buffers at every batch boundary, so a parked pool
-//! never holds events back from [`mvp_trace::drain`].
+//! caller, an `exec.worker.batch` span per helper, an `exec.job` span per
+//! job (its `deque` argument is the participant index, `-1` for inline
+//! jobs), and the runtime counter `exec.batches`. Every helper flushes its
+//! thread-local event buffer before it exits, so [`mvp_trace::drain`] sees
+//! the whole batch once `map` returns. Helpers are fresh threads per
+//! batch, so each batch's helpers appear under fresh `tid`s in a chrome
+//! trace.
 //!
 //! # Example
 //!
@@ -86,55 +76,47 @@
 //! let exec = Executor::new(4);
 //! let squares = exec.map(&[1u64, 2, 3, 4, 5], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, always
-//! assert_eq!(exec.spawned_workers(), 3); // spawned once, parked between maps
+//! assert!(!Executor::is_worker_thread()); // the batch is over
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 
 /// Environment variable overriding the worker count of
 /// [`Executor::from_env`] (and therefore of [`Executor::global`]).
 pub const THREADS_ENV_VAR: &str = "MVP_THREADS";
 
 thread_local! {
-    /// Whether the current thread is participating in a batch (a pool
-    /// worker, or the caller while it drains its own batch; see the module
-    /// docs on nesting).
+    /// Whether the current thread is participating in a batch (a helper,
+    /// or the caller while it drains its own batch; see the module docs on
+    /// nesting).
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A persistent work-stealing thread pool with an ordered-collect API.
+/// A fixed-width batch executor with an ordered-collect API.
 ///
 /// See the [module documentation](self) for the design; the behavioural
 /// contract in one line: [`map`](Executor::map) over pure jobs is
 /// observationally identical to `items.iter().map(f).collect()` — same
-/// order, same panics — only faster, and the worker threads it runs on are
-/// spawned once and reused across every batch. Cloning an `Executor`
-/// shares its pool.
+/// order, same panics — only faster.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    pool: Arc<Pool>,
 }
 
 impl Executor {
     /// Creates an executor that runs batches on `threads` participants
     /// (clamped to at least 1; 1 means strictly sequential, in-place
-    /// execution). The `threads - 1` persistent workers are spawned lazily
-    /// on the first parallel batch.
+    /// execution).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
         Self {
-            threads,
-            pool: Arc::new(Pool::new(threads)),
+            threads: threads.max(1),
         }
     }
 
@@ -175,36 +157,18 @@ impl Executor {
     /// The process-wide shared executor (sized by [`Executor::from_env`]
     /// once, on first use). This is what [`multivliw`'s
     /// `Pipeline`](https://docs.rs/multivliw) and the bench drivers run on
-    /// unless given an explicit executor — and because the pool is
-    /// persistent, every batch in the process after the first reuses the
-    /// same parked workers.
+    /// unless given an explicit executor.
     #[must_use]
     pub fn global() -> Arc<Executor> {
         static GLOBAL: OnceLock<Arc<Executor>> = OnceLock::new();
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(Executor::from_env())))
     }
 
-    /// Number of participants batches run on (the calling thread plus
-    /// [`spawned_workers`](Executor::spawned_workers) pool workers).
+    /// Number of participants batches run on (the calling thread plus up
+    /// to `threads() - 1` helpers).
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Number of persistent worker threads the pool has spawned so far:
-    /// `0` before the first parallel batch, `threads() - 1` afterwards
-    /// (the calling thread is always the remaining participant).
-    #[must_use]
-    pub fn spawned_workers(&self) -> usize {
-        self.pool.workers.get().map_or(0, Vec::len)
-    }
-
-    /// Number of parallel batches injected into the pool over its lifetime
-    /// (sequential fast-path calls — 1-thread executors, trivial batches,
-    /// nested maps — are not counted).
-    #[must_use]
-    pub fn batches_run(&self) -> u64 {
-        self.pool.batches.load(Ordering::Relaxed)
     }
 
     /// Whether the calling thread is itself a batch participant (in which
@@ -215,13 +179,13 @@ impl Executor {
     }
 
     /// Runs `f` over every item and returns the results **in input order**,
-    /// regardless of how the jobs were interleaved across workers.
+    /// regardless of how the jobs were interleaved across threads.
     ///
     /// # Panics
     ///
     /// Re-raises the panic of the smallest-indexed panicking job after the
     /// whole batch has run (deterministic for a deterministic batch; see
-    /// the module docs). The pool stays usable afterwards.
+    /// the module docs). The executor stays usable afterwards.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -241,8 +205,8 @@ impl Executor {
     {
         // Sequential paths: a 1-thread executor, a trivial batch, or a
         // nested call from inside a batch participant (see the module docs).
-        // These still trace `exec.job` spans (deque -1: no deque was
-        // involved) so a 1-thread trace shows the same per-job structure a
+        // These still trace `exec.job` spans (deque -1: no participant
+        // index) so a 1-thread trace shows the same per-job structure a
         // parallel one does; they are not counted as batches.
         if self.threads == 1 || items.len() <= 1 || Self::is_worker_thread() {
             return items
@@ -255,7 +219,7 @@ impl Executor {
                 .collect();
         }
 
-        let queue = DequePool::new(items.len(), self.threads);
+        let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
         let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
 
@@ -264,27 +228,55 @@ impl Executor {
         // smallest-indexed panicking job of the whole batch, not of a
         // scheduling-dependent prefix). Jobs here are loop-sized, so
         // finishing a batch that is about to panic costs little.
-        let runner = |deque: usize| {
-            while let Some(idx) = queue.next_job(deque) {
-                let _job = mvp_trace::span!("exec.job", job = idx, deque = deque);
-                match catch_unwind(AssertUnwindSafe(|| f(idx, &items[idx]))) {
-                    Ok(r) => *results[idx].lock().expect("result slot lock") = Some(r),
-                    Err(payload) => {
-                        let mut first = panicked.lock().expect("panic slot lock");
-                        match &*first {
-                            Some((prev, _)) if *prev <= idx => {}
-                            _ => *first = Some((idx, payload)),
-                        }
+        let runner = |participant: usize| loop {
+            // Relaxed: the cursor only hands out indices; results travel
+            // through their slot mutexes and the scope's join.
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= items.len() {
+                break;
+            }
+            let _job = mvp_trace::span!("exec.job", job = idx, deque = participant);
+            match catch_unwind(AssertUnwindSafe(|| f(idx, &items[idx]))) {
+                Ok(r) => *results[idx].lock().expect("result slot lock") = Some(r),
+                Err(payload) => {
+                    let mut first = panicked.lock().expect("panic slot lock");
+                    match &*first {
+                        Some((prev, _)) if *prev <= idx => {}
+                        _ => *first = Some((idx, payload)),
                     }
                 }
             }
         };
         {
             let _batch = mvp_trace::span!("exec.batch", jobs = items.len(), threads = self.threads);
-            self.pool.run_batch(&runner);
+            mvp_trace::counter_handle!("exec.batches", Runtime).incr();
+            let helpers = (self.threads - 1).min(items.len() - 1);
+            std::thread::scope(|scope| {
+                let runner = &runner;
+                for worker in 0..helpers {
+                    // A failed spawn leaves its share to the participants
+                    // that did start; the caller alone drains the batch.
+                    let _ = std::thread::Builder::new()
+                        .name(format!("mvp-exec-{worker}"))
+                        .spawn_scoped(scope, move || {
+                            IN_WORKER.with(|w| w.set(true));
+                            {
+                                let _span = mvp_trace::span!("exec.worker.batch", worker = worker);
+                                runner(worker + 1);
+                            }
+                            mvp_trace::flush_thread();
+                        });
+                }
+                // The caller is participant 0; nested maps issued by its
+                // jobs run inline, like on any helper. `runner` catches
+                // every job panic, so the reset below always runs.
+                IN_WORKER.with(|w| w.set(true));
+                runner(0);
+                IN_WORKER.with(|w| w.set(false));
+            });
         }
         // The caller participated in the batch; hand its buffered events to
-        // the central sink at the batch boundary (workers flush themselves).
+        // the central sink at the batch boundary (helpers flushed on exit).
         mvp_trace::flush_thread();
 
         if let Some((_, payload)) = panicked.into_inner().expect("panic slot lock") {
@@ -307,281 +299,9 @@ impl Default for Executor {
     }
 }
 
-/// A batch descriptor, allocated on the **calling thread's stack** for the
-/// duration of one `run_batch` and published to workers through their CAS
-/// inboxes.
-///
-/// The runner closure it points at borrows the caller's stack (items,
-/// result slots, the job deques), so its lifetime is erased through a thin
-/// context pointer plus a monomorphised trampoline rather than a trait
-/// object. Soundness comes from the batch protocol: before `run_batch`
-/// returns, the caller retracts every inbox no worker claimed and waits for
-/// `detached` to reach the number of claimed inboxes, so no worker can
-/// touch the descriptor (or anything it borrows) afterwards.
-struct Batch {
-    /// Type-erased pointer to the caller-stack runner closure.
-    ctx: *const (),
-    /// Monomorphised trampoline invoking the runner with a deque index.
-    run: unsafe fn(*const (), usize),
-    /// Number of workers that claimed this batch from their inbox and have
-    /// since returned from it.
-    detached: AtomicUsize,
-    /// The calling thread, unparked by each detaching worker.
-    caller: std::thread::Thread,
-}
-
-/// Invokes the runner closure behind `ctx`.
-///
-/// # Safety
-///
-/// `ctx` must point at a live `F` (guaranteed by the batch protocol: the
-/// caller keeps the closure alive until every claimed worker detached).
-unsafe fn run_trampoline<F: Fn(usize) + Sync>(ctx: *const (), deque: usize) {
-    unsafe { (*ctx.cast::<F>())(deque) }
-}
-
-/// State shared between the pool handle and its `'static` worker threads.
-#[derive(Debug)]
-struct PoolShared {
-    /// Set by `Pool::drop`; parked workers re-check it on every wake.
-    shutdown: AtomicBool,
-}
-
-/// One persistent worker: its single-slot batch inbox and its join handle.
-#[derive(Debug)]
-struct Worker {
-    /// Single-slot lock-free inbox: null when idle, otherwise a borrowed
-    /// pointer to the injecting caller's stack [`Batch`].
-    inbox: Arc<AtomicPtr<Batch>>,
-    join: JoinHandle<()>,
-}
-
-/// The persistent parked-worker pool behind an [`Executor`] (shared by its
-/// clones via `Arc`).
-#[derive(Debug)]
-struct Pool {
-    threads: usize,
-    shared: Arc<PoolShared>,
-    /// Spawned lazily by the first parallel batch; `threads - 1` entries.
-    workers: OnceLock<Vec<Worker>>,
-    /// Lifetime count of parallel batches (introspection only).
-    batches: AtomicU64,
-}
-
-impl Pool {
-    fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            shared: Arc::new(PoolShared {
-                shutdown: AtomicBool::new(false),
-            }),
-            workers: OnceLock::new(),
-            batches: AtomicU64::new(0),
-        }
-    }
-
-    /// The persistent workers, spawned on first use.
-    fn spawned(&self) -> &[Worker] {
-        self.workers.get_or_init(|| {
-            (0..self.threads - 1)
-                .map(|index| {
-                    let inbox: Arc<AtomicPtr<Batch>> = Arc::new(AtomicPtr::new(ptr::null_mut()));
-                    let worker_inbox = Arc::clone(&inbox);
-                    let shared = Arc::clone(&self.shared);
-                    let join = std::thread::Builder::new()
-                        .name(format!("mvp-exec-{index}"))
-                        .spawn(move || worker_main(index, &worker_inbox, &shared))
-                        .expect("spawn executor worker thread");
-                    Worker { inbox, join }
-                })
-                .collect()
-        })
-    }
-
-    /// Runs one batch: publishes it to every idle worker's inbox (one CAS +
-    /// `unpark` each), participates in the drain on deque 0, then retracts
-    /// the inboxes no worker claimed and waits for the claimed workers to
-    /// detach. On return no thread other than the caller references the
-    /// batch, which is what lets `map_indexed` lend its stack frame to the
-    /// `'static` workers.
-    fn run_batch<F: Fn(usize) + Sync>(&self, runner: &F) {
-        let workers = self.spawned();
-        let batch = Batch {
-            ctx: (runner as *const F).cast(),
-            run: run_trampoline::<F>,
-            detached: AtomicUsize::new(0),
-            caller: std::thread::current(),
-        };
-        let batch_ptr: *mut Batch = (&batch as *const Batch).cast_mut();
-
-        // Inject into every idle worker. A worker still draining an earlier
-        // batch (a concurrent `map` on a clone of this executor) keeps its
-        // old pointer and is skipped; the caller's own participation below
-        // guarantees the batch drains regardless of how many workers join.
-        let mut injected: Vec<&Worker> = Vec::with_capacity(workers.len());
-        for worker in workers {
-            let won = worker
-                .inbox
-                .compare_exchange(
-                    ptr::null_mut(),
-                    batch_ptr,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok();
-            if won {
-                injected.push(worker);
-                worker.join.thread().unpark();
-                mvp_trace::counter_handle!("exec.wakes", Runtime).incr();
-            }
-        }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        mvp_trace::counter_handle!("exec.batches", Runtime).incr();
-
-        // The caller is the batch's first participant (deque 0); nested
-        // maps issued by its jobs run inline, like on any worker.
-        IN_WORKER.with(|w| w.set(true));
-        runner(0);
-        IN_WORKER.with(|w| w.set(false));
-
-        // Retract every inbox that still holds this batch; a failed CAS
-        // means the worker swapped the pointer out and *will* bump
-        // `detached` once it returns from the (already drained) batch.
-        let mut claimed = 0usize;
-        for worker in injected {
-            let retracted = worker
-                .inbox
-                .compare_exchange(
-                    batch_ptr,
-                    ptr::null_mut(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok();
-            if !retracted {
-                claimed += 1;
-            }
-        }
-        while batch.detached.load(Ordering::Acquire) < claimed {
-            // Claimed workers are at worst finishing their last job; each
-            // one unparks us right after detaching.
-            std::thread::park();
-        }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(workers) = self.workers.take() {
-            for worker in &workers {
-                worker.join.thread().unpark();
-            }
-            for worker in workers {
-                let _ = worker.join.join();
-            }
-        }
-    }
-}
-
-/// The persistent worker loop: claim whatever batch is in the inbox, drain
-/// it, detach; park when idle; exit on shutdown.
-fn worker_main(index: usize, inbox: &AtomicPtr<Batch>, shared: &PoolShared) {
-    IN_WORKER.with(|w| w.set(true));
-    loop {
-        let batch_ptr = inbox.swap(ptr::null_mut(), Ordering::Acquire);
-        if !batch_ptr.is_null() {
-            // SAFETY: the injecting caller keeps the batch (and everything
-            // the runner borrows) alive until this worker's `detached`
-            // increment below — it cannot retract a pointer we already
-            // swapped out, so it waits for us instead.
-            let batch = unsafe { &*batch_ptr };
-            {
-                let _span = mvp_trace::span!("exec.worker.batch", worker = index);
-                // SAFETY: `ctx` points at the caller's live runner closure
-                // (see above); worker `index` owns deque `index + 1` (the
-                // caller owns deque 0).
-                unsafe { (batch.run)(batch.ctx, index + 1) };
-            }
-            // Flush this worker's buffered events before it parks again —
-            // a parked worker's thread-local buffer is unreachable from
-            // `mvp_trace::drain`.
-            mvp_trace::flush_thread();
-            let caller = batch.caller.clone();
-            batch.detached.fetch_add(1, Ordering::Release);
-            // After the increment the batch may be gone; wake the caller
-            // through the cloned handle only.
-            caller.unpark();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        mvp_trace::counter_handle!("exec.parks", Runtime).incr();
-        std::thread::park();
-    }
-}
-
-/// One deque of pending job indices per batch participant.
-///
-/// Participants pop their own deque from the *front* (preserving the
-/// roughly input-ordered walk that keeps related jobs together) and steal
-/// from the *back* of the fullest victim; halving the victim's remaining
-/// work would be fancier but single-index steals are plenty at this job
-/// granularity — every job here schedules or simulates a whole loop.
-#[derive(Debug)]
-struct DequePool {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl DequePool {
-    /// Distributes `jobs` indices over `workers` deques in contiguous
-    /// blocks (block `w` starts at `w * jobs / workers`).
-    fn new(jobs: usize, workers: usize) -> Self {
-        let deques = (0..workers)
-            .map(|w| {
-                let start = w * jobs / workers;
-                let end = (w + 1) * jobs / workers;
-                Mutex::new((start..end).collect())
-            })
-            .collect();
-        Self { deques }
-    }
-
-    /// Next job for `worker`: its own front, else stolen from the back of
-    /// the victim with the most pending jobs. `None` when every deque is
-    /// empty (the batch is drained; workers then detach and re-park).
-    fn next_job(&self, worker: usize) -> Option<usize> {
-        if let Some(idx) = self.deques[worker].lock().expect("deque lock").pop_front() {
-            return Some(idx);
-        }
-        loop {
-            let victim = self
-                .deques
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| *v != worker)
-                .map(|(v, d)| (d.lock().expect("deque lock").len(), v))
-                .max()?;
-            match victim {
-                (0, _) => return None,
-                (_, v) => {
-                    // The victim may have drained between the census and the
-                    // steal; retry the census rather than giving up.
-                    if let Some(idx) = self.deques[v].lock().expect("deque lock").pop_back() {
-                        mvp_trace::counter_handle!("exec.steals", Runtime).incr();
-                        return Some(idx);
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_input_order_for_any_thread_count() {
@@ -606,17 +326,17 @@ mod tests {
         let exec = Executor::new(8);
         let empty: Vec<u32> = Vec::new();
         assert!(exec.map(&empty, |&x| x).is_empty());
-        assert_eq!(exec.map(&[7u32], |&x| x + 1), vec![8]);
-        // Inline batches never touch the pool: no workers, no batch count.
-        assert_eq!(exec.spawned_workers(), 0);
-        assert_eq!(exec.batches_run(), 0);
+        // A one-job batch spawns nothing: the job runs on the caller.
+        let caller = std::thread::current().id();
+        let ran_on = exec.map(&[7u32], |_| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller]);
     }
 
     #[test]
-    fn uneven_jobs_are_stolen_not_serialised() {
+    fn a_straggler_does_not_serialise_the_batch() {
         // One straggler at index 0 that cannot finish until the other 63
-        // jobs have. The caller owns deque 0 and pops job 0 first, so the
-        // rest of deque 0 completes only if other workers steal it. A
+        // jobs have. Whoever claims job 0 is blocked in it, so the batch
+        // completes only if the other participants claim the rest. A
         // serialising executor trips the bound instead of hanging.
         let ran = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
@@ -650,48 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn workers_spawn_once_and_persist_across_batches() {
-        let exec = Executor::new(4);
-        assert_eq!(exec.spawned_workers(), 0, "spawn is lazy");
-
-        let batch_threads = |batch: u64| -> std::collections::HashSet<std::thread::ThreadId> {
-            let seen = Mutex::new(std::collections::HashSet::new());
-            let items: Vec<u64> = (0..128).collect();
-            exec.map(&items, |&x| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-                x + batch
-            });
-            seen.into_inner().unwrap()
-        };
-
-        let first = batch_threads(0);
-        assert_eq!(exec.spawned_workers(), 3, "threads - 1 persistent workers");
-        assert_eq!(exec.batches_run(), 1);
-
-        // Every later batch draws from the same parked pool: the union of
-        // participant thread ids never grows past threads().
-        let mut all = first;
-        for batch in 1..6 {
-            all.extend(batch_threads(batch));
-        }
-        assert_eq!(exec.spawned_workers(), 3, "no re-spawn on later batches");
-        assert_eq!(exec.batches_run(), 6);
+    fn small_batches_spawn_no_more_threads_than_jobs() {
+        let exec = Executor::new(64);
+        let ids = exec.map(&[1u8, 2, 3], |_| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
         assert!(
-            all.len() <= exec.threads(),
-            "batches reuse the same workers: saw {} distinct threads",
-            all.len()
+            distinct.len() <= 3,
+            "a 3-job batch ran on {} threads",
+            distinct.len()
         );
-    }
-
-    #[test]
-    fn clones_share_the_pool() {
-        let exec = Executor::new(3);
-        let clone = exec.clone();
-        let items: Vec<u32> = (0..32).collect();
-        assert_eq!(clone.map(&items, |&x| x + 1).len(), 32);
-        // The clone's batch ran on the original's pool.
-        assert_eq!(exec.batches_run(), 1);
-        assert_eq!(exec.spawned_workers(), clone.spawned_workers());
     }
 
     #[test]
@@ -768,18 +455,5 @@ mod tests {
             Executor::default().threads(),
             Executor::from_env().threads()
         );
-    }
-
-    #[test]
-    fn deque_pool_hands_out_every_index_once() {
-        let pool = DequePool::new(10, 3);
-        let mut seen: Vec<usize> = Vec::new();
-        // Worker 2 drains everything: its own block first, then steals.
-        while let Some(idx) = pool.next_job(2) {
-            seen.push(idx);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(pool.next_job(0), None);
     }
 }

@@ -38,6 +38,7 @@
 //! assert!(mvp_ir::mii::minimum_ii(&l, &machine) >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -32,6 +32,7 @@
 //! assert_eq!(machine.cluster(0).cache.capacity_bytes, 4096);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

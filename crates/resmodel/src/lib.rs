@@ -56,6 +56,7 @@
 //! assert_eq!(first.num_transfers(), 0); // co-located: no bus transfer
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -37,6 +37,8 @@
 //! sequential-counter encoding, which is arc-consistent under unit
 //! propagation — the propagation strength the modulo resource rows need.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::Not;
 

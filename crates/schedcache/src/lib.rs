@@ -60,6 +60,7 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -67,6 +68,6 @@ pub mod cache;
 pub mod canon;
 pub mod fx;
 
-pub use cache::{CacheStats, ScheduleCache, ShardStats};
+pub use cache::{CacheStats, ScheduleCache};
 pub use canon::{canonicalize, hash_machine, CanonicalLoop};
 pub use fx::{CacheKey, FxBuildHasher, FxHasher, KeyHasher};

@@ -9,6 +9,7 @@
 //! Timing is not a test utility: the `perfbench` package at the repository
 //! root is the workspace's one benchmark harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

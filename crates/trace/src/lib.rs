@@ -1,6 +1,6 @@
 //! Unified tracing and metrics for the scheduling service.
 //!
-//! Every layer of the workspace — the pipeline, the work-stealing executor,
+//! Every layer of the workspace — the pipeline, the batch executor,
 //! the schedule cache, the branch-and-bound search and the SAT solver —
 //! reports through this one crate instead of ad-hoc stat structs. Two facilities share it:
 //!
@@ -14,10 +14,10 @@
 //!   one global metrics-registry table. A counter is either
 //!   [`CounterClass::Stable`] — its value is a pure function of the work
 //!   performed, byte-identical at any `MVP_THREADS` — or
-//!   [`CounterClass::Runtime`] — scheduling-dependent (steals, parks, cache
-//!   hits, elapsed-time accumulators). [`snapshot_csv`] serialises only the
-//!   stable counters, sorted by name and timestamp-free, so the snapshot is
-//!   a deterministic artifact.
+//!   [`CounterClass::Runtime`] — scheduling-dependent (executor batches,
+//!   cache hits, elapsed-time accumulators). [`snapshot_csv`] serialises
+//!   only the stable counters, sorted by name and timestamp-free, so the
+//!   snapshot is a deterministic artifact.
 //!
 //! # Cost model
 //!
@@ -44,16 +44,16 @@
 //!   `sat.kept_learned`, `sat.reencoded_clauses`, `exact.sat.cegar_rounds`,
 //!   `exact.bnb.nodes`, `exact.bnb.backjumps`, `exact.bnb.dominance_cuts`,
 //!   `pipeline.runs`, `pipeline.gap_oracle.runs`.
-//! * runtime counters: `exec.steals`, `exec.parks`, `exec.wakes`,
-//!   `exec.batches`, `schedcache.hits`, `schedcache.misses`,
-//!   `schedcache.evictions`, and every `*.ns` elapsed-time accumulator
-//!   (`pipeline.schedule.ns`, `pipeline.sim.ns`, `pipeline.gap_oracle.ns`,
-//!   `pipeline.cache.probe.ns`).
+//! * runtime counters: `exec.batches`, `schedcache.hits`,
+//!   `schedcache.misses`, `schedcache.evictions`, and every `*.ns`
+//!   elapsed-time accumulator (`pipeline.schedule.ns`, `pipeline.sim.ns`,
+//!   `pipeline.gap_oracle.ns`, `pipeline.cache.probe.ns`).
 //!
 //! Integer arguments carry the payload (`ii`, `shard`, `jobs`); there are
 //! deliberately no string or float payloads, which keeps events `Copy` and
 //! the disabled path allocation-free.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -142,7 +142,9 @@ thread_local! {
 }
 
 /// The calling thread's stable logical trace id (small integers assigned in
-/// first-use order; the chrome-trace `tid` field).
+/// first-use order; the chrome-trace `tid` field). The executor spawns
+/// fresh helper threads for every batch, so each batch's helpers get fresh
+/// ids.
 #[must_use]
 pub fn thread_id() -> u32 {
     TID.with(|t| *t)
@@ -233,9 +235,9 @@ fn record_now(name: &'static str, kind: EventKind, args: &[(&'static str, i64)])
 }
 
 /// Flushes the calling thread's event buffer into the central sink. The
-/// executor calls this at batch boundaries so parked workers never hold
-/// events hostage; call it before [`drain`] on any other thread that
-/// recorded events.
+/// executor calls this at batch boundaries, and each helper thread before
+/// it exits, so a finished batch never holds events back; call it before
+/// [`drain`] on any other thread that recorded events.
 pub fn flush_thread() {
     BUFFER.with(|cell| {
         let mut buf = cell.borrow_mut();
@@ -417,7 +419,7 @@ macro_rules! instant {
 
 /// Expands to a `&'static Counter` cached in a per-call-site `OnceLock`, so
 /// hot paths pay one atomic load instead of a registry lock:
-/// `counter_handle!("exec.steals", Runtime).incr()`.
+/// `counter_handle!("exec.batches", Runtime).incr()`.
 #[macro_export]
 macro_rules! counter_handle {
     ($name:expr, $class:ident) => {{
@@ -438,7 +440,7 @@ pub enum CounterClass {
     /// executor width. Only stable counters enter the deterministic
     /// [`snapshot_csv`] artifact.
     Stable,
-    /// Scheduling-dependent (steals, parks, cache traffic, elapsed-time
+    /// Scheduling-dependent (executor batches, cache traffic, elapsed-time
     /// accumulators): excluded from the deterministic snapshot.
     Runtime,
 }

@@ -15,7 +15,7 @@
 //!   contribution),
 //! * [`exact`] — the branch-and-bound exact scheduler: an optimality oracle
 //!   that proves how far the heuristics land from the best possible II,
-//! * [`exec`] — the persistent parked-worker executor every heavy path
+//! * [`exec`] — the scoped-thread batch executor every heavy path
 //!   (per-loop pipeline runs, gap-oracle calls, bench sweeps, fuzz cases)
 //!   runs on,
 //! * [`schedcache`] — the sharded, content-addressed schedule cache the
@@ -51,6 +51,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -381,7 +381,7 @@ impl PipelineBuilder {
 /// Build one with [`Pipeline::builder`], then [`run`](Pipeline::run) a
 /// single loop, or [`run_batch`](Pipeline::run_batch) /
 /// [`run_workloads`](Pipeline::run_workloads) many loops at once — both
-/// fan the loops out as individual jobs on the work-stealing
+/// fan the loops out as individual jobs on the pipeline's
 /// [`Executor`] (schedule, simulate *and* the optimality-gap oracle when
 /// enabled all run inside the per-loop job, so independent gap-oracle
 /// solves proceed concurrently, each under its own node budget).

@@ -28,7 +28,7 @@
 //!   compute-cycle floor of `II × iterations`
 //!   (`simulation_invariants_agree_across_schedulers`).
 //!
-//! The seeded case loops run as jobs on the shared work-stealing executor
+//! The seeded case loops run as jobs on the shared batch executor
 //! of [`multivliw::exec`]: per-case generator seeds are drawn up front from
 //! the sequential meta-RNG, each case is an independent job, and the
 //! counters are folded in case order — so outcomes (including any panic:
