@@ -5,8 +5,8 @@
 //! [--solver bnb|sat|portfolio]`
 //!
 //! The exact engine pricing the rows defaults to branch-and-bound; pass
-//! `--solver` (or set `MVP_GAP_SOLVER`) to price with the CDCL SAT backend
-//! or the dovetailed portfolio instead.
+//! `--solver` to price with the CDCL SAT backend or the dovetailed
+//! portfolio instead.
 //!
 //! Every (loop, machine) point of the table is one job on the shared
 //! batch executor (`MVP_THREADS` to override the width); rows are
@@ -17,7 +17,7 @@
 //! CI bench job uploads this as the `optimality-gap` artifact).
 
 use mvp_bench::gap::{render, run, to_csv, GapParams};
-use mvp_bench::report::write_env_artifact;
+use mvp_bench::report::{arg, write_env_artifact};
 use mvp_exact::SolverKind;
 
 fn parse_solver(value: &str) -> SolverKind {
@@ -27,21 +27,6 @@ fn parse_solver(value: &str) -> SolverKind {
         "portfolio" => SolverKind::Portfolio,
         other => {
             eprintln!("invalid solver {other:?}: expected bnb, sat or portfolio");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    let pos = args.iter().position(|a| a == name)?;
-    let Some(value) = args.get(pos + 1) else {
-        eprintln!("missing value for {name}");
-        std::process::exit(2);
-    };
-    match value.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("invalid value for {name}: {value}");
             std::process::exit(2);
         }
     }
@@ -61,9 +46,6 @@ fn main() {
     }
     if let Some(b) = arg(&args, "--budget") {
         params.node_budget = b;
-    }
-    if let Ok(solver) = std::env::var("MVP_GAP_SOLVER") {
-        params.solver = parse_solver(&solver);
     }
     if let Some(solver) = arg::<String>(&args, "--solver") {
         params.solver = parse_solver(&solver);

@@ -23,22 +23,7 @@ use mvp_bench::portfolio::{
     incremental_to_csv, incremental_totals, render, render_incremental, run, run_incremental,
     to_csv,
 };
-use mvp_bench::report::write_env_artifact;
-
-fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    let pos = args.iter().position(|a| a == name)?;
-    let Some(value) = args.get(pos + 1) else {
-        eprintln!("missing value for {name}");
-        std::process::exit(2);
-    };
-    match value.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("invalid value for {name}: {value}");
-            std::process::exit(2);
-        }
-    }
-}
+use mvp_bench::report::{arg, write_env_artifact};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -4,59 +4,36 @@
 //! Usage: `trace [--loops N] [--max-ops N] [--budget N] [--threads T]`
 //!
 //! The run makes two passes (see [`mvp_bench::trace`]): a deterministic
-//! pass whose stable-counter snapshot is byte-identical at any
-//! `MVP_THREADS`, then a full-mode showcase pass over the portfolio
-//! pipeline with a shared schedule cache. With `MVP_TRACE_JSON=<path>`
-//! the drained events are written in the chrome trace event format (open
-//! in `chrome://tracing` or Perfetto); with `MVP_METRICS_CSV=<path>` the
-//! deterministic snapshot is written as `counter,value` CSV.
+//! pass whose counter snapshot is byte-identical at any `MVP_THREADS`,
+//! then a traced showcase pass over the portfolio pipeline with a shared
+//! schedule cache, whose hits, misses and evictions the summary prints.
+//! With `MVP_TRACE_JSON=<path>` the drained events are written in the
+//! chrome trace event format (open in `chrome://tracing` or Perfetto);
+//! with `MVP_METRICS_CSV=<path>` the deterministic snapshot is written as
+//! `counter,value` CSV.
 //!
 //! The binary exits non-zero when the event stream fails to cover every
 //! instrumented layer — the CI trace-smoke job runs it exactly for that
 //! guarantee.
 
-use mvp_bench::report::write_env_artifact;
+use mvp_bench::report::{arg, write_env_artifact};
 use mvp_bench::trace::{
     chrome_trace_json, render, run, TraceParams, METRICS_CSV_ENV_VAR, TRACE_JSON_ENV_VAR,
 };
 
-/// The value following `name`, when the flag is present. A flag with no
-/// value aborts instead of being silently ignored.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    let pos = args.iter().position(|a| a == name)?;
-    match args.get(pos + 1) {
-        Some(value) => Some(value),
-        None => {
-            eprintln!("missing value for {name}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    let value = flag_value(args, name)?;
-    match value.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("invalid value for {name}: {value}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut params = TraceParams::default();
-    if let Some(loops) = parsed_flag(&args, "--loops") {
+    if let Some(loops) = arg(&args, "--loops") {
         params.generated_loops = loops;
     }
-    if let Some(max_ops) = parsed_flag(&args, "--max-ops") {
+    if let Some(max_ops) = arg(&args, "--max-ops") {
         params.max_ops = max_ops;
     }
-    if let Some(budget) = parsed_flag(&args, "--budget") {
+    if let Some(budget) = arg(&args, "--budget") {
         params.node_budget = budget;
     }
-    if let Some(threads) = parsed_flag::<usize>(&args, "--threads") {
+    if let Some(threads) = arg::<usize>(&args, "--threads") {
         if threads == 0 {
             eprintln!("invalid value for --threads: 0 (must be positive)");
             std::process::exit(2);

@@ -9,7 +9,8 @@
 //! of Figure 3a, RMCA the role of Figure 3b.
 
 use crate::report::{pct_faster, Table};
-use crate::runner::{run_loop, RunConfig, RunResult, SchedulerKind};
+use crate::runner::{run_loop, RunConfig};
+use multivliw::pipeline::{LoopReport, SchedulerChoice};
 use mvp_exec::Executor;
 use mvp_machine::presets;
 use mvp_workloads::motivating::{motivating_loop, MotivatingParams};
@@ -20,9 +21,9 @@ pub struct Fig3Output {
     /// Trip count used (the paper's `N`).
     pub iterations: u64,
     /// Result of the register-communication-only partition (Figure 3a).
-    pub baseline: RunResult,
+    pub baseline: LoopReport,
     /// Result of the locality-aware partition (Figure 3b).
-    pub rmca: RunResult,
+    pub rmca: LoopReport,
 }
 
 impl Fig3Output {
@@ -45,10 +46,13 @@ pub fn run(params: &MotivatingParams) -> Fig3Output {
     let (l, _) = motivating_loop(params);
     let machine = std::sync::Arc::new(presets::motivating_example_machine());
     let mut results = Executor::global()
-        .map(&[SchedulerKind::Baseline, SchedulerKind::Rmca], |&kind| {
-            run_loop(&l, &machine, &RunConfig::new(kind))
-                .expect("the motivating loop is schedulable by construction")
-        })
+        .map(
+            &[SchedulerChoice::Baseline, SchedulerChoice::Rmca],
+            |&kind| {
+                run_loop(&l, &machine, &RunConfig::new(kind))
+                    .expect("the motivating loop is schedulable by construction")
+            },
+        )
         .into_iter();
     Fig3Output {
         iterations: params.iterations,

@@ -8,7 +8,8 @@
 //! configuration, and split into compute and stall cycles.
 
 use crate::report::{norm, Table};
-use crate::runner::{RunConfig, SchedulerKind, SuiteResult};
+use crate::runner::RunConfig;
+use multivliw::pipeline::{PipelineReport, SchedulerChoice};
 use multivliw::Error;
 use mvp_exec::Executor;
 use mvp_machine::{presets, BusConfig, MachineConfig};
@@ -28,7 +29,7 @@ pub struct SweepPoint {
     /// Latency of the memory buses.
     pub lmb: u32,
     /// Scheduler used.
-    pub scheduler: SchedulerKind,
+    pub scheduler: SchedulerChoice,
     /// Cache-miss threshold.
     pub threshold: f64,
     /// Compute cycles normalised to the Unified reference total.
@@ -55,10 +56,10 @@ fn point(
     clusters: usize,
     lrb: u32,
     lmb: u32,
-    scheduler: SchedulerKind,
+    scheduler: SchedulerChoice,
     threshold: f64,
-    result: &SuiteResult,
-    reference: &SuiteResult,
+    result: &PipelineReport,
+    reference: &PipelineReport,
 ) -> SweepPoint {
     SweepPoint {
         clusters,
@@ -169,7 +170,7 @@ struct GridJob {
     clusters: usize,
     axis_a: u32,
     axis_b: u32,
-    scheduler: SchedulerKind,
+    scheduler: SchedulerChoice,
     threshold: f64,
     machine: Arc<MachineConfig>,
 }
@@ -193,7 +194,7 @@ pub(crate) fn run_grid(
 ) -> Result<SweepOutput, Error> {
     let workloads = suite(params);
     let unified_machine = Arc::new(presets::unified());
-    let reference = RunConfig::new(SchedulerKind::Baseline)
+    let reference = RunConfig::new(SchedulerChoice::Baseline)
         .pipeline_on(&unified_machine, executor)?
         .run_workloads(&workloads)?;
 
@@ -203,14 +204,14 @@ pub(crate) fn run_grid(
             clusters: 1,
             axis_a: 0,
             axis_b: 0,
-            scheduler: SchedulerKind::Baseline,
+            scheduler: SchedulerChoice::Baseline,
             threshold,
             machine: Arc::clone(&unified_machine),
         })
         .collect();
     let num_unified = jobs.len();
     for point in grid {
-        for scheduler in SchedulerKind::ALL {
+        for scheduler in SchedulerChoice::ALL {
             for &threshold in thresholds {
                 jobs.push(GridJob {
                     clusters,

@@ -8,13 +8,13 @@
 //! * `fig6`  — the realistic-bus sweep (Figure 6a/6b),
 //! * `gap`   — heuristic II vs the exact scheduler's certified bound
 //!   (optimality-gap tables, `MVP_GAP_CSV` for the CI artifact;
-//!   `--solver`/`MVP_GAP_SOLVER` picks the exact engine),
+//!   `--solver` picks the exact engine),
 //! * `portfolio` — nightly SAT-vs-branch-and-bound differential over the
 //!   gap corpus with a dovetailed portfolio per probe (`MVP_PORTFOLIO_CSV` for
 //!   the `portfolio-solvers.csv` artifact),
 //! * `trace` — observability showcase: a chrome://tracing JSON export
 //!   covering every instrumented layer plus the deterministic
-//!   stable-counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the
+//!   counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the
 //!   CI artifacts).
 //!
 //! Timing lives in one place, the `perfbench` package at the repository
@@ -45,4 +45,5 @@ pub mod runner;
 pub mod table1;
 pub mod trace;
 
-pub use runner::{run_loop, run_suite, RunConfig, RunResult, SchedulerKind, SuiteResult};
+pub use multivliw::pipeline::{LoopReport, PipelineReport, SchedulerChoice};
+pub use runner::{run_loop, run_suite, RunConfig};

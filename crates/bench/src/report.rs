@@ -93,6 +93,27 @@ pub fn write_env_artifact(env_var: &str, label: &str, contents: impl FnOnce() ->
     }
 }
 
+/// Shared flag parser of the experiment binaries: the value following the
+/// flag `name` in `args`, parsed as `T`, or `None` when the flag is absent.
+///
+/// Like [`write_env_artifact`] this is binary-exit-path code: a flag with a
+/// missing or unparsable value prints a usage error and exits the process
+/// with code 2 instead of being silently ignored.
+pub fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let pos = args.iter().position(|a| a == name)?;
+    let Some(value) = args.get(pos + 1) else {
+        eprintln!("missing value for {name}");
+        std::process::exit(2);
+    };
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("invalid value for {name}: {value}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Formats a percentage difference between two cycle counts.
 #[must_use]
 pub fn pct_faster(slow: u64, fast: u64) -> String {

@@ -7,7 +7,7 @@
 //! machine. The schedule → simulate → report sequence itself lives only in
 //! the pipeline.
 
-use multivliw::pipeline::Pipeline;
+use multivliw::pipeline::{LoopReport, Pipeline, PipelineReport, SchedulerChoice};
 use multivliw::Error;
 use mvp_core::SchedulerOptions;
 use mvp_exec::Executor;
@@ -17,15 +17,11 @@ use mvp_sim::SimOptions;
 use mvp_workloads::Workload;
 use std::sync::Arc;
 
-pub use multivliw::pipeline::{
-    LoopReport as RunResult, PipelineReport as SuiteResult, SchedulerChoice as SchedulerKind,
-};
-
 /// One experiment point configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// Which scheduler to use.
-    pub scheduler: SchedulerKind,
+    pub scheduler: SchedulerChoice,
     /// Cache-miss threshold for miss-latency scheduling.
     pub threshold: f64,
     /// Simulation options.
@@ -35,7 +31,7 @@ pub struct RunConfig {
 impl RunConfig {
     /// Point configuration with the given scheduler and threshold 1.0.
     #[must_use]
-    pub fn new(scheduler: SchedulerKind) -> Self {
+    pub fn new(scheduler: SchedulerChoice) -> Self {
         Self {
             scheduler,
             threshold: 1.0,
@@ -96,7 +92,7 @@ pub fn run_loop(
     l: &Loop,
     machine: &Arc<MachineConfig>,
     config: &RunConfig,
-) -> Result<RunResult, Error> {
+) -> Result<LoopReport, Error> {
     config.pipeline(machine)?.run(l)
 }
 
@@ -112,7 +108,7 @@ pub fn run_suite(
     workloads: &[Workload],
     machine: &Arc<MachineConfig>,
     config: &RunConfig,
-) -> Result<SuiteResult, Error> {
+) -> Result<PipelineReport, Error> {
     config.pipeline(machine)?.run_workloads(workloads)
 }
 
@@ -126,7 +122,7 @@ mod tests {
     fn run_loop_produces_consistent_results() {
         let workloads = suite(&SuiteParams::small());
         let machine = Arc::new(presets::two_cluster());
-        let cfg = RunConfig::new(SchedulerKind::Rmca).with_threshold(0.0);
+        let cfg = RunConfig::new(SchedulerChoice::Rmca).with_threshold(0.0);
         let r = run_loop(&workloads[0].loops[0], &machine, &cfg).unwrap();
         assert_eq!(r.loop_name, workloads[0].loops[0].name());
         assert!(r.ii >= 1);
@@ -140,7 +136,7 @@ mod tests {
     fn run_suite_aggregates_all_loops() {
         let workloads = suite(&SuiteParams::small());
         let machine = Arc::new(presets::unified());
-        let cfg = RunConfig::new(SchedulerKind::Baseline);
+        let cfg = RunConfig::new(SchedulerChoice::Baseline);
         let result = run_suite(&workloads, &machine, &cfg).unwrap();
         let loops: usize = workloads.iter().map(|w| w.loops.len()).sum();
         assert_eq!(result.runs.len(), loops);
@@ -155,9 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_kind_helpers() {
-        assert_eq!(SchedulerKind::Baseline.to_string(), "baseline");
-        assert_eq!(SchedulerKind::Rmca.name(), "rmca");
-        assert_eq!(SchedulerKind::ALL.len(), 2);
+    fn scheduler_choice_helpers() {
+        assert_eq!(SchedulerChoice::Baseline.to_string(), "baseline");
+        assert_eq!(SchedulerChoice::Rmca.name(), "rmca");
+        assert_eq!(SchedulerChoice::ALL.len(), 2);
     }
 }

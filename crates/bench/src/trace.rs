@@ -7,16 +7,16 @@
 //!
 //! 1. **Deterministic pass** — the RMCA pipeline with the branch-and-bound
 //!    gap oracle, then the SAT-backed exact pipeline, with tracing *off*.
-//!    Only the [`CounterClass::Stable`](mvp_trace::CounterClass) counters
-//!    tick meaningfully here (solver decisions, conflicts, search nodes,
-//!    CEGAR rounds, pipeline runs), and none of them depends on the
-//!    executor width, so the [`mvp_trace::snapshot_csv`] taken afterwards
-//!    is a byte-identical artifact at any `MVP_THREADS`.
-//! 2. **Showcase pass** — [`TraceMode::Full`](mvp_trace::TraceMode): the
+//!    The counters it ticks (solver decisions, conflicts, search nodes,
+//!    CEGAR rounds, pipeline runs) do not depend on the executor width, so
+//!    the [`mvp_trace::snapshot_csv`] taken afterwards is a byte-identical
+//!    artifact at any `MVP_THREADS`.
+//! 2. **Showcase pass** — tracing [enabled](mvp_trace::set_enabled): the
 //!    portfolio pipeline runs the corpus twice against a shared schedule
 //!    cache, so the drained event stream carries spans and instants from
 //!    all five layers at once — `pipeline.*` phases, `exec.*` batches and
-//!    jobs, `schedcache.*` hits/misses, `exact.probe` and `sat.solve`.
+//!    jobs, `schedcache.*` hits/misses, `exact.probe` and `sat.solve`. The
+//!    cache's own [`CacheStats`] come back with the events.
 //!
 //! [`chrome_trace_json`] converts the drained events into the chrome trace
 //! event format (`chrome://tracing`, Perfetto's legacy JSON importer):
@@ -32,10 +32,11 @@
 
 use crate::json::Json;
 use multivliw::pipeline::{Pipeline, PipelineScheduleCache, SchedulerChoice};
+use multivliw::schedcache::CacheStats;
 use mvp_exact::ExactOptions;
 use mvp_exec::Executor;
 use mvp_ir::Loop;
-use mvp_trace::{Event, EventKind, TraceMode};
+use mvp_trace::{Event, EventKind};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -88,13 +89,15 @@ impl TraceParams {
 /// Everything one trace showcase run produces.
 #[derive(Debug, Clone)]
 pub struct TraceOutcome {
-    /// The deterministic stable-counter artifact (`counter,value` rows),
-    /// taken after the deterministic pass and before the showcase pass.
+    /// The deterministic counter artifact (`counter,value` rows), taken
+    /// after the deterministic pass and before the showcase pass.
     pub snapshot_csv: String,
-    /// Every registered counter after both passes (stable *and* runtime).
+    /// Every registered counter after both passes.
     pub counters: Vec<mvp_trace::CounterSnapshot>,
     /// The showcase pass's drained event stream.
     pub events: Vec<Event>,
+    /// The showcase pass's schedule-cache traffic.
+    pub cache: CacheStats,
     /// Executor width the run used.
     pub threads: usize,
 }
@@ -123,10 +126,10 @@ impl TraceOutcome {
 
 /// Runs the deterministic pass: the corpus through the RMCA pipeline with
 /// the branch-and-bound gap oracle, then through the SAT-backed exact
-/// pipeline. Every stable counter this ticks is independent of the
-/// executor width — the basis of the snapshot-determinism guarantee (and
-/// of the `metrics_snapshot` integration test, which runs this pass at two
-/// widths and compares the artifacts byte for byte).
+/// pipeline. Every counter this ticks is independent of the executor
+/// width — the basis of the snapshot-determinism guarantee (and of the
+/// `metrics_snapshot` integration test, which runs this pass at two widths
+/// and compares the artifacts byte for byte).
 pub fn deterministic_pass(params: &TraceParams, executor: &Arc<Executor>) {
     let loops = params.corpus();
     let refs: Vec<&Loop> = loops.iter().collect();
@@ -151,10 +154,11 @@ pub fn deterministic_pass(params: &TraceParams, executor: &Arc<Executor>) {
     }
 }
 
-/// Runs the showcase pass in [`TraceMode::Full`]: the portfolio pipeline
+/// Runs the showcase pass with tracing enabled: the portfolio pipeline
 /// over the corpus twice against a shared schedule cache, so the second
-/// sweep replays hits. Returns the drained event stream.
-fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> Vec<Event> {
+/// sweep replays hits. Returns the drained event stream and the cache's
+/// traffic.
+fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> (Vec<Event>, CacheStats) {
     let loops = params.corpus();
     let refs: Vec<&Loop> = loops.iter().collect();
     let cache = Arc::new(PipelineScheduleCache::with_capacity_and_shards(
@@ -164,40 +168,41 @@ fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> Vec<Event> {
     let pipeline = Pipeline::builder()
         .scheduler(SchedulerChoice::Portfolio)
         .executor(Arc::clone(executor))
-        .schedule_cache(cache)
+        .schedule_cache(Arc::clone(&cache))
         .exact_node_budget(params.node_budget)
         .build()
         .expect("default-machine pipelines are valid");
-    mvp_trace::set_mode(TraceMode::Full);
+    mvp_trace::set_enabled(true);
     for _ in 0..2 {
         executor.map(&refs, |l| pipeline.run(l).ok());
     }
-    mvp_trace::set_mode(TraceMode::Off);
-    mvp_trace::drain()
+    mvp_trace::set_enabled(false);
+    (mvp_trace::drain(), cache.stats())
 }
 
-/// Runs the whole showcase: reset, deterministic pass, snapshot, full-mode
+/// Runs the whole showcase: reset, deterministic pass, snapshot, traced
 /// showcase pass, drain.
 ///
 /// Resets the process-wide trace state ([`mvp_trace::reset`]) on entry and
-/// flips the global [`TraceMode`] during the showcase pass — the caller
-/// owns the process's tracing for the duration (the `trace` binary does;
-/// tests that share a process serialise).
+/// switches tracing on during the showcase pass — the caller owns the
+/// process's tracing for the duration (the `trace` binary does; tests that
+/// share a process serialise).
 #[must_use]
 pub fn run(params: &TraceParams) -> TraceOutcome {
     let executor = Arc::new(match params.threads {
         Some(t) => Executor::new(t),
         None => Executor::from_env(),
     });
-    mvp_trace::set_mode(TraceMode::Off);
+    mvp_trace::set_enabled(false);
     mvp_trace::reset();
     deterministic_pass(params, &executor);
     let snapshot_csv = mvp_trace::snapshot_csv();
-    let events = showcase_pass(params, &executor);
+    let (events, cache) = showcase_pass(params, &executor);
     TraceOutcome {
         snapshot_csv,
         counters: mvp_trace::snapshot(),
         events,
+        cache,
         threads: executor.threads(),
     }
 }
@@ -244,7 +249,7 @@ fn chrome_event_json(e: &Event) -> Json {
 }
 
 /// Renders a human-readable summary of the outcome: layer coverage, event
-/// counts and the stable-counter table.
+/// counts, the counter table and the showcase's cache traffic.
 #[must_use]
 pub fn render(outcome: &TraceOutcome) -> String {
     let mut per_layer: Vec<(&str, usize)> = outcome
@@ -264,20 +269,21 @@ pub fn render(outcome: &TraceOutcome) -> String {
     for (layer, n) in per_layer {
         t.row(vec![layer.to_string(), n.to_string()]);
     }
-    let mut counters = crate::report::Table::new(vec!["counter", "class", "value"]);
+    let mut counters = crate::report::Table::new(vec!["counter", "value"]);
     for c in &outcome.counters {
-        counters.row(vec![
-            c.name.to_string(),
-            c.class.label().to_string(),
-            c.value.to_string(),
-        ]);
+        counters.row(vec![c.name.to_string(), c.value.to_string()]);
     }
+    let cache = &outcome.cache;
     format!(
-        "Trace showcase — {} events over {} threads\n{}\n{}\n",
+        "Trace showcase — {} events over {} threads\n{}\n{}\n\
+         Schedule cache — {} hits, {} misses, {} evictions\n",
         outcome.events.len(),
         outcome.threads,
         t.render(),
-        counters.render()
+        counters.render(),
+        cache.hits,
+        cache.misses,
+        cache.evictions,
     )
 }
 
@@ -305,6 +311,7 @@ mod tests {
             snapshot_csv: String::new(),
             counters: Vec::new(),
             events: Vec::new(),
+            cache: CacheStats::default(),
             threads: 1,
         };
         assert_eq!(outcome.missing_layers(), INSTRUMENTED_LAYERS.to_vec());

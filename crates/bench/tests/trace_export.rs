@@ -12,8 +12,11 @@
 //!    records carry `name`/`ph`/`ts`/`pid`/`tid`, and the stream covers
 //!    all five instrumented layers.
 //!
-//! The trace sink and mode are process-global; this integration test owns
-//! its process and runs the showcase once.
+//! It also checks that the `schedcache.*` instants agree with the cache
+//! traffic the outcome carries.
+//!
+//! The trace sink and switch are process-global; this integration test
+//! owns its process and runs the showcase once.
 
 use mvp_bench::json::Json;
 use mvp_bench::trace::{chrome_trace_json, run, TraceParams};
@@ -63,6 +66,20 @@ fn showcase_trace_is_balanced_monotone_and_layer_complete() {
     for (tid, stack) in &stacks {
         assert!(stack.is_empty(), "unclosed spans on tid {tid}: {stack:?}");
     }
+
+    // Every cache lookup and eviction of the showcase emitted one instant.
+    let instants = |name: &str| {
+        outcome
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Instant && e.name == name)
+            .count() as u64
+    };
+    let cache = outcome.cache;
+    assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+    assert_eq!(instants("schedcache.hit"), cache.hits);
+    assert_eq!(instants("schedcache.miss"), cache.misses);
+    assert_eq!(instants("schedcache.evict"), cache.evictions);
 
     // The JSON document mirrors the stream: one record per event, each
     // with the chrome-trace required fields, phases drawn from B/E/i.

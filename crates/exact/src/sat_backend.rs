@@ -859,21 +859,20 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
                 }
                 None => self.enc.insert(Encoder::incremental(p, ii, win)),
             };
-            mvp_trace::counter_handle!("sat.assumption_probes", Stable).incr();
-            mvp_trace::counter_handle!("sat.kept_learned", Stable).add(stats.kept_learned);
-            mvp_trace::counter_handle!("sat.reencoded_clauses", Stable)
+            mvp_trace::counter_handle!("sat.assumption_probes").incr();
+            mvp_trace::counter_handle!("sat.kept_learned").add(stats.kept_learned);
+            mvp_trace::counter_handle!("sat.reencoded_clauses")
                 .add(enc.solver.num_clauses() as u64 - stats.reused_clauses);
         } else {
             let enc = Encoder::scratch(p, ii, win);
-            mvp_trace::counter_handle!("sat.reencoded_clauses", Stable)
+            mvp_trace::counter_handle!("sat.reencoded_clauses")
                 .add(enc.solver.num_clauses() as u64);
             self.enc = Some(enc);
         }
         {
             let enc = self.enc.as_ref().expect("encoder initialised above");
-            mvp_trace::counter_handle!("exact.sat.encoded_vars", Stable)
-                .add(enc.solver.num_vars() as u64);
-            mvp_trace::counter_handle!("exact.sat.encoded_clauses", Stable)
+            mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
+            mvp_trace::counter_handle!("exact.sat.encoded_clauses")
                 .add(enc.solver.num_clauses() as u64);
         }
         let outcome = self.solve_layer(ii, options, steps_used);

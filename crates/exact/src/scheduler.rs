@@ -295,7 +295,7 @@ fn ii_search(
             kept_learned: r.stats.kept_learned,
             cegar_rounds: r.cegar_rounds,
         });
-        mvp_trace::counter_handle!("exact.sat.cegar_rounds", Stable).add(r.cegar_rounds);
+        mvp_trace::counter_handle!("exact.sat.cegar_rounds").add(r.cegar_rounds);
         match verdict {
             IiVerdict::Infeasible => lower_bound = ii + 1,
             // A schedule ends the search; so does an exhausted budget,

@@ -400,9 +400,9 @@ pub(crate) fn solve_fixed_ii(
     *nodes_used += searcher.nodes;
     // One registry flush per probe; the search loop itself touches no
     // atomics.
-    mvp_trace::counter_handle!("exact.bnb.nodes", Stable).add(searcher.nodes);
-    mvp_trace::counter_handle!("exact.bnb.backjumps", Stable).add(searcher.backjumps);
-    mvp_trace::counter_handle!("exact.bnb.dominance_cuts", Stable).add(searcher.dominance_cuts);
+    mvp_trace::counter_handle!("exact.bnb.nodes").add(searcher.nodes);
+    mvp_trace::counter_handle!("exact.bnb.backjumps").add(searcher.backjumps);
+    mvp_trace::counter_handle!("exact.bnb.dominance_cuts").add(searcher.dominance_cuts);
     match step {
         Step::Solved => {
             let (ops, comms) = searcher

@@ -62,11 +62,10 @@
 //! Batches report through [`mvp_trace`]: an `exec.batch` span on the
 //! caller, an `exec.worker.batch` span per helper, an `exec.job` span per
 //! job (its `deque` argument is the participant index, `-1` for inline
-//! jobs), and the runtime counter `exec.batches`. Every helper flushes its
-//! thread-local event buffer before it exits, so [`mvp_trace::drain`] sees
-//! the whole batch once `map` returns. Helpers are fresh threads per
-//! batch, so each batch's helpers appear under fresh `tid`s in a chrome
-//! trace.
+//! jobs). Every helper flushes its thread-local event buffer before it
+//! exits, so [`mvp_trace::drain`] sees the whole batch once `map` returns.
+//! Helpers are fresh threads per batch, so each batch's helpers appear
+//! under fresh `tid`s in a chrome trace.
 //!
 //! # Example
 //!
@@ -249,7 +248,6 @@ impl Executor {
         };
         {
             let _batch = mvp_trace::span!("exec.batch", jobs = items.len(), threads = self.threads);
-            mvp_trace::counter_handle!("exec.batches", Runtime).incr();
             let helpers = (self.threads - 1).min(items.len() - 1);
             std::thread::scope(|scope| {
                 let runner = &runner;

@@ -732,10 +732,10 @@ impl Solver {
         // stable: a solver run on a fixed formula with a fixed budget does
         // the same work at any executor width.
         let conflicts = self.conflicts - conflicts0;
-        mvp_trace::counter_handle!("sat.decisions", Stable).add(self.steps - steps0 - conflicts);
-        mvp_trace::counter_handle!("sat.conflicts", Stable).add(conflicts);
-        mvp_trace::counter_handle!("sat.restarts", Stable).add(self.restarts - restarts0);
-        mvp_trace::counter_handle!("sat.learned_clauses", Stable).add(self.learned - learned0);
+        mvp_trace::counter_handle!("sat.decisions").add(self.steps - steps0 - conflicts);
+        mvp_trace::counter_handle!("sat.conflicts").add(conflicts);
+        mvp_trace::counter_handle!("sat.restarts").add(self.restarts - restarts0);
+        mvp_trace::counter_handle!("sat.learned_clauses").add(self.learned - learned0);
         result
     }
 
@@ -882,7 +882,7 @@ impl Solver {
             return;
         }
         // s[i][j] ("the count over lits[..=i] is > j") for i in 0..n-1.
-        mvp_trace::counter_handle!("sat.atmostk.aux_vars", Stable).add(((n - 1) * k) as u64);
+        mvp_trace::counter_handle!("sat.atmostk.aux_vars").add(((n - 1) * k) as u64);
         let s: Vec<Vec<Lit>> = (0..n - 1)
             .map(|_| (0..k).map(|_| Lit::positive(self.new_var())).collect())
             .collect();

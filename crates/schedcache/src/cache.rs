@@ -21,9 +21,8 @@
 //!   workload reads its per-pass cache traffic from exactly these numbers.
 //! * **Tracing.** Every lookup and eviction also reports through
 //!   [`mvp_trace`]: `schedcache.hit` / `schedcache.miss` /
-//!   `schedcache.evict` instant events carrying the shard index, plus the
-//!   runtime counters `schedcache.hits`, `schedcache.misses` and
-//!   `schedcache.evictions`.
+//!   `schedcache.evict` instant events carrying the shard index; the
+//!   counts themselves live only in [`ScheduleCache::stats`].
 
 use crate::fx::{CacheKey, FxBuildHasher};
 use std::collections::HashMap;
@@ -35,7 +34,7 @@ use std::sync::Mutex;
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// Lifetime counters and occupancy of a [`ScheduleCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.
     pub hits: u64,
@@ -167,13 +166,11 @@ impl<V> ScheduleCache<V> {
             Some(entry) => {
                 entry.stamp = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                mvp_trace::counter_handle!("schedcache.hits", Runtime).incr();
                 mvp_trace::instant!("schedcache.hit", shard = index);
                 Some(entry.value.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                mvp_trace::counter_handle!("schedcache.misses", Runtime).incr();
                 mvp_trace::instant!("schedcache.miss", shard = index);
                 None
             }
@@ -200,7 +197,6 @@ impl<V> ScheduleCache<V> {
             {
                 shard.map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                mvp_trace::counter_handle!("schedcache.evictions", Runtime).incr();
                 mvp_trace::instant!("schedcache.evict", shard = index);
             }
         }

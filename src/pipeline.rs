@@ -171,7 +171,6 @@ pub struct PipelineBuilder {
     exact_node_budget: Option<u64>,
     executor: Option<Arc<Executor>>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
-    trace: bool,
 }
 
 impl Default for PipelineBuilder {
@@ -185,7 +184,6 @@ impl Default for PipelineBuilder {
             exact_node_budget: None,
             executor: None,
             schedule_cache: None,
-            trace: true,
         }
     }
 }
@@ -313,25 +311,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Switches per-phase [`mvp_trace`] instrumentation on or off for this
-    /// pipeline (on by default).
-    ///
-    /// With the flag on, every run opens `pipeline.cache.probe`,
-    /// `pipeline.schedule`, `pipeline.sim` and `pipeline.gap_oracle` spans
-    /// and accumulates their elapsed time into the matching `pipeline.*.ns`
-    /// runtime counters — subject to the *global* [`mvp_trace::TraceMode`],
-    /// so a pipeline with tracing on still pays only one relaxed atomic
-    /// load per phase while the process-wide mode is
-    /// [`Off`](mvp_trace::TraceMode::Off). Turning the flag off mutes this
-    /// pipeline even when the global mode is on, which lets a bench harness
-    /// trace one pipeline of interest without noise from warm-up or
-    /// reference pipelines.
-    #[must_use]
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
     /// Validates the configuration and builds the [`Pipeline`].
     ///
     /// # Errors
@@ -371,7 +350,6 @@ impl PipelineBuilder {
             exact_node_budget: self.exact_node_budget,
             executor,
             schedule_cache: self.schedule_cache,
-            trace: self.trace,
         })
     }
 }
@@ -395,7 +373,6 @@ pub struct Pipeline {
     exact_node_budget: Option<u64>,
     executor: Arc<Executor>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
-    trace: bool,
 }
 
 impl fmt::Debug for Pipeline {
@@ -492,16 +469,11 @@ impl Pipeline {
     /// Failures are not cached: a loop that failed once is re-attempted on
     /// every run.
     pub fn run(&self, l: &Loop) -> Result<LoopReport> {
-        if self.trace {
-            mvp_trace::counter_handle!("pipeline.runs", Stable).incr();
-        }
+        mvp_trace::counter_handle!("pipeline.runs").incr();
         let Some(cache) = &self.schedule_cache else {
             return self.solve(l);
         };
-        let probe = self.phase_span(
-            "pipeline.cache.probe",
-            mvp_trace::counter_handle!("pipeline.cache.probe.ns", Runtime),
-        );
+        let probe = mvp_trace::span!("pipeline.cache.probe");
         let canon = canonicalize(l);
         let key = self.cache_key_of(&canon);
         let hit = cache.get(&key);
@@ -529,20 +501,6 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// Opens a [`mvp_trace::timed_span`] for one pipeline phase, or an
-    /// unarmed guard when this pipeline's tracing is off.
-    fn phase_span(
-        &self,
-        name: &'static str,
-        acc: &'static mvp_trace::Counter,
-    ) -> mvp_trace::SpanGuard {
-        if self.trace {
-            mvp_trace::timed_span(name, acc)
-        } else {
-            mvp_trace::unarmed(name)
-        }
-    }
-
     /// The uncached schedule → (gap oracle) → simulate path.
     fn solve(&self, l: &Loop) -> Result<LoopReport> {
         // When the pipeline's own scheduler *is* the exact search (any
@@ -559,13 +517,8 @@ impl Pipeline {
             // The fused exact solve is both the scheduler and the oracle:
             // its whole cost is charged to the schedule phase, and the
             // oracle-run counter still ticks because a gap was produced.
-            if self.trace {
-                mvp_trace::counter_handle!("pipeline.gap_oracle.runs", Stable).incr();
-            }
-            let span = self.phase_span(
-                "pipeline.schedule",
-                mvp_trace::counter_handle!("pipeline.schedule.ns", Runtime),
-            );
+            mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
+            let span = mvp_trace::span!("pipeline.schedule");
             let outcome = mvp_exact::solve_with(l, &self.machine, &options, &backend);
             drop(span);
             let outcome = outcome?;
@@ -582,10 +535,7 @@ impl Pipeline {
                     }))?;
             return self.finish_run(l, schedule, gap);
         }
-        let span = self.phase_span(
-            "pipeline.schedule",
-            mvp_trace::counter_handle!("pipeline.schedule.ns", Runtime),
-        );
+        let span = mvp_trace::span!("pipeline.schedule");
         let schedule = self.scheduler.schedule(l, &self.machine);
         drop(span);
         let schedule = schedule?;
@@ -593,13 +543,8 @@ impl Pipeline {
             .gap_oracle
             .as_ref()
             .map(|options| {
-                if self.trace {
-                    mvp_trace::counter_handle!("pipeline.gap_oracle.runs", Stable).incr();
-                }
-                let _span = self.phase_span(
-                    "pipeline.gap_oracle",
-                    mvp_trace::counter_handle!("pipeline.gap_oracle.ns", Runtime),
-                );
+                mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
+                let _span = mvp_trace::span!("pipeline.gap_oracle");
                 mvp_exact::solve(l, &self.machine, options)
             })
             .transpose()?
@@ -628,10 +573,7 @@ impl Pipeline {
                 self.machine.name,
             );
         }
-        let span = self.phase_span(
-            "pipeline.sim",
-            mvp_trace::counter_handle!("pipeline.sim.ns", Runtime),
-        );
+        let span = mvp_trace::span!("pipeline.sim");
         let stats = simulate(l, &schedule, &self.machine, &self.sim_options);
         drop(span);
         Ok(LoopReport {
