@@ -11,20 +11,22 @@
 //! Every (loop, machine) point of the table is one job on the shared
 //! batch executor (`MVP_THREADS` to override the width); rows are
 //! collected in grid order, so the table and artifacts are identical for
-//! any thread count.
+//! any thread count except for the two wall-clock columns, `schedule_ms`
+//! and `oracle_ms`, which the stdout table shares with the CSV.
 //!
 //! With `MVP_GAP_CSV=<path>` the rows are additionally written as CSV (the
 //! CI bench job uploads this as the `optimality-gap` artifact).
 
-use mvp_bench::gap::{render, run, to_csv, GapParams};
+use mvp_bench::gap::{render, run, table, GapParams};
 use mvp_bench::report::{arg, write_env_artifact};
-use mvp_exact::SolverKind;
+use mvp_exact::ExactBackend;
+use mvp_exec::Executor;
 
-fn parse_solver(value: &str) -> SolverKind {
+fn parse_solver(value: &str) -> ExactBackend {
     match value {
-        "bnb" => SolverKind::BranchAndBound,
-        "sat" => SolverKind::Sat,
-        "portfolio" => SolverKind::Portfolio,
+        "bnb" => ExactBackend::BranchAndBound,
+        "sat" => ExactBackend::Sat,
+        "portfolio" => ExactBackend::Portfolio,
         other => {
             eprintln!("invalid solver {other:?}: expected bnb, sat or portfolio");
             std::process::exit(2);
@@ -51,10 +53,10 @@ fn main() {
         params.solver = parse_solver(&solver);
     }
 
-    let rows = run(&params);
+    let rows = run(&params, &Executor::global());
     print!("{}", render(&rows));
 
     write_env_artifact("MVP_GAP_CSV", &format!("{} rows", rows.len()), || {
-        to_csv(&rows)
+        table(&rows).to_csv()
     });
 }

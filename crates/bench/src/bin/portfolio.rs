@@ -1,4 +1,4 @@
-//! Nightly SAT-vs-branch-and-bound differential over the gap corpus.
+//! SAT-vs-branch-and-bound differential over the gap corpus.
 //!
 //! Usage: `portfolio [--loops N] [--max-ops N] [--seed S] [--budget STEPS]`
 //!
@@ -20,10 +20,10 @@
 
 use mvp_bench::gap::GapParams;
 use mvp_bench::portfolio::{
-    incremental_to_csv, incremental_totals, render, render_incremental, run, run_incremental,
-    to_csv,
+    incremental_table, incremental_totals, render, render_incremental, run, run_incremental, table,
 };
 use mvp_bench::report::{arg, write_env_artifact};
+use mvp_exec::Executor;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -41,20 +41,21 @@ fn main() {
         params.node_budget = b;
     }
 
-    let rows = run(&params);
+    let executor = Executor::global();
+    let rows = run(&params, &executor);
     print!("{}", render(&rows));
 
     write_env_artifact("MVP_PORTFOLIO_CSV", &format!("{} rows", rows.len()), || {
-        to_csv(&rows)
+        table(&rows).to_csv()
     });
 
-    let incr_rows = run_incremental(&params);
+    let incr_rows = run_incremental(&params, &executor);
     print!("{}", render_incremental(&incr_rows));
 
     write_env_artifact(
         "MVP_SAT_INCR_CSV",
         &format!("{} rows", incr_rows.len()),
-        || incremental_to_csv(&incr_rows),
+        || incremental_table(&incr_rows).to_csv(),
     );
 
     let (incremental, scratch) = incremental_totals(&incr_rows);

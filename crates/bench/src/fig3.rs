@@ -9,11 +9,11 @@
 //! of Figure 3a, RMCA the role of Figure 3b.
 
 use crate::report::{pct_faster, Table};
-use crate::runner::{run_loop, RunConfig};
-use multivliw::pipeline::{LoopReport, SchedulerChoice};
+use multivliw::pipeline::{LoopReport, Pipeline, SchedulerChoice};
 use mvp_exec::Executor;
 use mvp_machine::presets;
 use mvp_workloads::motivating::{motivating_loop, MotivatingParams};
+use std::sync::Arc;
 
 /// Result of the Figure-3 experiment.
 #[derive(Debug, Clone)]
@@ -44,12 +44,16 @@ impl Fig3Output {
 #[must_use]
 pub fn run(params: &MotivatingParams) -> Fig3Output {
     let (l, _) = motivating_loop(params);
-    let machine = std::sync::Arc::new(presets::motivating_example_machine());
+    let machine = Arc::new(presets::motivating_example_machine());
     let mut results = Executor::global()
         .map(
             &[SchedulerChoice::Baseline, SchedulerChoice::Rmca],
             |&kind| {
-                run_loop(&l, &machine, &RunConfig::new(kind))
+                Pipeline::builder()
+                    .scheduler(kind)
+                    .machine(Arc::clone(&machine))
+                    .build()
+                    .and_then(|p| p.run(&l))
                     .expect("the motivating loop is schedulable by construction")
             },
         )
@@ -103,10 +107,11 @@ mod tests {
 
     #[test]
     fn rmca_beats_the_baseline_on_the_motivating_example() {
-        let out = run(&MotivatingParams {
+        let params = MotivatingParams {
             iterations: 128,
             local_cache_bytes: 1024,
-        });
+        };
+        let out = run(&params);
         // The locality-aware partition pays a larger II but removes the
         // ping-pong stalls; overall it must win clearly.
         assert!(out.rmca.ii >= out.baseline.ii);

@@ -1,15 +1,23 @@
-//! Figure 5: normalised cycles with an *unbounded* number of buses.
+//! Figures 5 and 6: normalised cycles over a bus grid.
 //!
-//! The paper sweeps the latency of the register buses (LRB ∈ {1, 2, 4}) and
-//! of the memory buses (LMB ∈ {1, 2, 4}) with an unlimited number of both,
-//! for the 2- and 4-cluster configurations, the Baseline and RMCA schedulers
-//! and cache-miss thresholds {1.00, 0.75, 0.25, 0.00}. Every bar is the
-//! total cycle count over the benchmark suite, normalised to the Unified
-//! configuration, and split into compute and stall cycles.
+//! Both figures are one experiment under two bus models. Every bar is the
+//! total cycle count over the benchmark suite for the 2- or 4-cluster
+//! configuration, the Baseline or RMCA scheduler and a cache-miss threshold
+//! in {1.00, 0.75, 0.25, 0.00}, normalised to the Unified configuration and
+//! split into compute and stall cycles.
+//!
+//! * [`Figure::Unbounded`] (Figure 5) sweeps the latency of the register
+//!   buses (LRB ∈ {1, 2, 4}) and of the memory buses (LMB ∈ {1, 2, 4}) with
+//!   an unlimited number of both.
+//! * [`Figure::Realistic`] (Figure 6) fixes the register buses (2 buses,
+//!   1-cycle latency) and sweeps the number of memory buses (NMB ∈ {1, 2})
+//!   and their latency (LMB ∈ {1, 4}). With few memory buses, fewer misses
+//!   also mean less time waiting for a free bus, which is where RMCA pulls
+//!   clearly ahead of the baseline (the paper reports ≈5% at 2 clusters and
+//!   ≈20% at 4 clusters for threshold 0.00).
 
-use crate::report::{norm, Table};
-use crate::runner::RunConfig;
-use multivliw::pipeline::{PipelineReport, SchedulerChoice};
+use crate::report::{arg, norm, Table};
+use multivliw::pipeline::{Pipeline, SchedulerChoice};
 use multivliw::Error;
 use mvp_exec::Executor;
 use mvp_machine::{presets, BusConfig, MachineConfig};
@@ -19,15 +27,71 @@ use std::sync::Arc;
 /// The threshold values of the paper's figures, in presentation order.
 pub const THRESHOLDS: [f64; 4] = [1.0, 0.75, 0.25, 0.0];
 
+/// The two bus grids of the sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Figure 5: unbounded register and memory buses, LRB × LMB swept.
+    Unbounded,
+    /// Figure 6: two 1-cycle register buses, NMB × LMB swept.
+    Realistic,
+}
+
+impl Figure {
+    /// The clustered machines of the grid, each with the config label that
+    /// names its bars; `quick` picks the reduced grid.
+    fn machines(self, clusters: usize, quick: bool) -> Vec<(String, Arc<MachineConfig>)> {
+        let (first, lmbs): (&[u32], &[u32]) = match (self, quick) {
+            (Figure::Unbounded, false) => (&[1, 2, 4], &[1, 2, 4]),
+            (Figure::Unbounded, true) => (&[1], &[1, 4]),
+            (Figure::Realistic, false) => (&[1, 2], &[1, 4]),
+            (Figure::Realistic, true) => (&[1], &[4]),
+        };
+        let mut grid = Vec::new();
+        for &a in first {
+            for &lmb in lmbs {
+                let base = presets::by_cluster_count(clusters);
+                let (axis, machine) = match self {
+                    Figure::Unbounded => (
+                        format!("LRB={a}"),
+                        base.with_register_buses(BusConfig::unbounded(a))
+                            .with_memory_buses(BusConfig::unbounded(lmb)),
+                    ),
+                    Figure::Realistic => (
+                        format!("NMB={a}"),
+                        base.with_register_buses(BusConfig::finite(2, 1))
+                            .with_memory_buses(BusConfig::finite(a as usize, lmb)),
+                    ),
+                };
+                let name = format!("{clusters}-cluster {axis} LMB={lmb}");
+                // One shared handle per grid point; the (scheduler,
+                // threshold) jobs under it all reuse it.
+                grid.push((
+                    format!("{clusters}c {axis} LMB={lmb}"),
+                    Arc::new(machine.with_name(name)),
+                ));
+            }
+        }
+        grid
+    }
+
+    fn title(self, clusters: usize) -> String {
+        let panel = if clusters == 2 { "a" } else { "b" };
+        let (number, buses) = match self {
+            Figure::Unbounded => (5, "unbounded buses"),
+            Figure::Realistic => (6, "realistic buses (2 register buses @1)"),
+        };
+        format!(
+            "Figure {number}({panel}) — {buses}, {clusters}-cluster (cycles normalised to Unified)"
+        )
+    }
+}
+
 /// One bar of the figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
-    /// Number of clusters (2 or 4).
-    pub clusters: usize,
-    /// Latency of the register buses.
-    pub lrb: u32,
-    /// Latency of the memory buses.
-    pub lmb: u32,
+    /// The configuration label the bar is printed under (`unified`, or
+    /// e.g. `2c LRB=1 LMB=4`).
+    pub config: String,
     /// Scheduler used.
     pub scheduler: SchedulerChoice,
     /// Cache-miss threshold.
@@ -43,6 +107,8 @@ pub struct SweepPoint {
 /// The whole figure: reference bars plus the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutput {
+    /// The bus grid swept.
+    pub figure: Figure,
     /// Number of clusters of the clustered configuration.
     pub clusters: usize,
     /// Unified-configuration bars (one per threshold), normalised to the
@@ -52,200 +118,91 @@ pub struct SweepOutput {
     pub points: Vec<SweepPoint>,
 }
 
-fn point(
-    clusters: usize,
-    lrb: u32,
-    lmb: u32,
-    scheduler: SchedulerChoice,
-    threshold: f64,
-    result: &PipelineReport,
-    reference: &PipelineReport,
-) -> SweepPoint {
-    SweepPoint {
-        clusters,
-        lrb,
-        lmb,
-        scheduler,
-        threshold,
-        normalized_compute: result.normalized_compute(reference),
-        normalized_stall: result.normalized_stall(reference),
-        normalized_total: result.normalized_to(reference),
-    }
-}
-
-/// Runs the Figure-5 sweep for the given cluster count (2 or 4) on the
-/// process-wide executor.
-///
-/// # Errors
-///
-/// Propagates the first scheduling error (none is expected for the bundled
-/// workloads and machines).
-pub fn run(clusters: usize, params: &SuiteParams) -> Result<SweepOutput, Error> {
-    run_on(clusters, params, &Executor::global())
-}
-
-/// Like [`run`], on an explicit executor (the output is identical for any
-/// thread count; see `crates/bench/tests/determinism.rs`).
-///
-/// # Errors
-///
-/// Propagates the first scheduling error.
-pub fn run_on(
-    clusters: usize,
-    params: &SuiteParams,
-    executor: &Executor,
-) -> Result<SweepOutput, Error> {
-    run_with(
-        clusters,
-        params,
-        &[1, 2, 4],
-        &[1, 2, 4],
-        &THRESHOLDS,
-        executor,
-    )
-}
-
-/// Runs a reduced sweep (the binary's quick mode and the tests) on
-/// the process-wide executor.
-///
-/// # Errors
-///
-/// Propagates the first scheduling error.
-pub fn run_quick(clusters: usize, params: &SuiteParams) -> Result<SweepOutput, Error> {
-    run_quick_on(clusters, params, &Executor::global())
-}
-
-/// Like [`run_quick`], on an explicit executor.
-///
-/// # Errors
-///
-/// Propagates the first scheduling error.
-pub fn run_quick_on(
-    clusters: usize,
-    params: &SuiteParams,
-    executor: &Executor,
-) -> Result<SweepOutput, Error> {
-    run_with(clusters, params, &[1], &[1, 4], &[1.0, 0.0], executor)
-}
-
-fn run_with(
-    clusters: usize,
-    params: &SuiteParams,
-    lrbs: &[u32],
-    lmbs: &[u32],
-    thresholds: &[f64],
-    executor: &Executor,
-) -> Result<SweepOutput, Error> {
-    let mut grid = Vec::new();
-    for &lrb in lrbs {
-        for &lmb in lmbs {
-            // One shared handle per grid point; the (scheduler, threshold)
-            // jobs under it all reuse it instead of cloning the config.
-            grid.push(GridPoint {
-                axis_a: lrb,
-                axis_b: lmb,
-                machine: Arc::new(
-                    presets::by_cluster_count(clusters)
-                        .with_register_buses(BusConfig::unbounded(lrb))
-                        .with_memory_buses(BusConfig::unbounded(lmb))
-                        .with_name(format!("{clusters}-cluster LRB={lrb} LMB={lmb}")),
-                ),
-            });
-        }
-    }
-    run_grid(clusters, params, thresholds, &grid, executor)
-}
-
-/// One clustered machine of a sweep grid, with the two axis values that
-/// name it in the output (`SweepPoint::lrb`/`lmb` — figure 6 carries its
-/// memory-bus count in the first axis).
-pub(crate) struct GridPoint {
-    pub(crate) axis_a: u32,
-    pub(crate) axis_b: u32,
-    pub(crate) machine: Arc<MachineConfig>,
-}
-
 /// One bar of a sweep, ready to run as an executor job.
-struct GridJob {
-    clusters: usize,
-    axis_a: u32,
-    axis_b: u32,
+struct Job {
+    config: String,
     scheduler: SchedulerChoice,
     threshold: f64,
     machine: Arc<MachineConfig>,
 }
 
-/// Shared scaffolding of the figure-5/figure-6 sweeps: the unified
-/// reference pass, then one executor job per bar — the unified threshold
-/// sweep followed by every (grid point, scheduler, threshold) combination.
+/// Runs one figure for the given cluster count (2 or 4): the full grid, or
+/// a reduced one with thresholds {1.00, 0.00} when `quick` is set.
 ///
-/// Jobs are listed (and their results collected) in presentation order, so
-/// the output is identical for any thread count; the suite runs *inside*
-/// each job inherit `executor`, so an explicit 1-thread executor really is
-/// sequential end to end. On a multi-thread executor the nested per-loop
-/// maps run inline on their worker — balance comes from the grid being
-/// much wider than the pool.
-pub(crate) fn run_grid(
+/// After the Unified reference pass, every bar is one executor job: the
+/// Unified threshold sweep, then every (machine, scheduler, threshold)
+/// combination. Jobs are listed and collected in presentation order, so
+/// the output is identical for any thread count (see
+/// `crates/bench/tests/determinism.rs`). The suite runs inside each job
+/// inherit `executor`, so a 1-thread executor is sequential end to end.
+///
+/// # Errors
+///
+/// Propagates the first scheduling error (none is expected for the bundled
+/// workloads and machines).
+pub fn run(
+    figure: Figure,
     clusters: usize,
     params: &SuiteParams,
-    thresholds: &[f64],
-    grid: &[GridPoint],
+    quick: bool,
     executor: &Executor,
 ) -> Result<SweepOutput, Error> {
+    let thresholds: &[f64] = if quick { &[1.0, 0.0] } else { &THRESHOLDS };
     let workloads = suite(params);
+    let shared_executor = Arc::new(executor.clone());
+    let pipeline = |scheduler, threshold, machine: &Arc<MachineConfig>| {
+        Pipeline::builder()
+            .scheduler(scheduler)
+            .machine(Arc::clone(machine))
+            .threshold(threshold)
+            .executor(Arc::clone(&shared_executor))
+            .build()
+    };
     let unified_machine = Arc::new(presets::unified());
-    let reference = RunConfig::new(SchedulerChoice::Baseline)
-        .pipeline_on(&unified_machine, executor)?
-        .run_workloads(&workloads)?;
+    let reference =
+        pipeline(SchedulerChoice::Baseline, 1.0, &unified_machine)?.run_workloads(&workloads)?;
 
-    let mut jobs: Vec<GridJob> = thresholds
+    let mut jobs: Vec<Job> = thresholds
         .iter()
-        .map(|&threshold| GridJob {
-            clusters: 1,
-            axis_a: 0,
-            axis_b: 0,
+        .map(|&threshold| Job {
+            config: "unified".to_string(),
             scheduler: SchedulerChoice::Baseline,
             threshold,
             machine: Arc::clone(&unified_machine),
         })
         .collect();
     let num_unified = jobs.len();
-    for point in grid {
+    for (config, machine) in figure.machines(clusters, quick) {
         for scheduler in SchedulerChoice::ALL {
             for &threshold in thresholds {
-                jobs.push(GridJob {
-                    clusters,
-                    axis_a: point.axis_a,
-                    axis_b: point.axis_b,
+                jobs.push(Job {
+                    config: config.clone(),
                     scheduler,
                     threshold,
-                    machine: Arc::clone(&point.machine),
+                    machine: Arc::clone(&machine),
                 });
             }
         }
     }
 
     let results = executor.map(&jobs, |job| {
-        RunConfig::new(job.scheduler)
-            .with_threshold(job.threshold)
-            .pipeline_on(&job.machine, executor)?
-            .run_workloads(&workloads)
+        pipeline(job.scheduler, job.threshold, &job.machine)?.run_workloads(&workloads)
     });
     let mut bars = Vec::with_capacity(jobs.len());
-    for (job, result) in jobs.iter().zip(results) {
+    for (job, result) in jobs.into_iter().zip(results) {
         let r = result?;
-        bars.push(point(
-            job.clusters,
-            job.axis_a,
-            job.axis_b,
-            job.scheduler,
-            job.threshold,
-            &r,
-            &reference,
-        ));
+        bars.push(SweepPoint {
+            config: job.config,
+            scheduler: job.scheduler,
+            threshold: job.threshold,
+            normalized_compute: r.normalized_compute(&reference),
+            normalized_stall: r.normalized_stall(&reference),
+            normalized_total: r.normalized_to(&reference),
+        });
     }
     let points = bars.split_off(num_unified);
     Ok(SweepOutput {
+        figure,
         clusters,
         unified: bars,
         points,
@@ -264,9 +221,9 @@ pub fn render(output: &SweepOutput) -> String {
         "stall",
         "total",
     ]);
-    for p in &output.unified {
+    for p in output.unified.iter().chain(&output.points) {
         t.row(vec![
-            "unified".to_string(),
+            p.config.clone(),
             p.scheduler.name().to_string(),
             format!("{:.2}", p.threshold),
             norm(p.normalized_compute),
@@ -274,31 +231,55 @@ pub fn render(output: &SweepOutput) -> String {
             norm(p.normalized_total),
         ]);
     }
-    for p in &output.points {
-        t.row(vec![
-            format!("{}c LRB={} LMB={}", p.clusters, p.lrb, p.lmb),
-            p.scheduler.name().to_string(),
-            format!("{:.2}", p.threshold),
-            norm(p.normalized_compute),
-            norm(p.normalized_stall),
-            norm(p.normalized_total),
-        ]);
+    format!("{}\n{}", output.figure.title(output.clusters), t.render())
+}
+
+/// The `fig5`/`fig6` binaries: `[--clusters 2|4] [--quick]`.
+///
+/// Without `--clusters` both the 2- and 4-cluster panels are printed; any
+/// value other than 2 or 4 is a usage error (exit code 2). `--quick` runs
+/// the reduced grid over the small suite.
+pub fn cli(figure: Figure) {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let clusters = match arg(&args, "--clusters") {
+        None => vec![2, 4],
+        Some(c @ (2 | 4)) => vec![c],
+        Some(c) => {
+            eprintln!("invalid value for --clusters: {c} (expected 2 or 4)");
+            std::process::exit(2);
+        }
+    };
+    let params = if quick {
+        SuiteParams::small()
+    } else {
+        SuiteParams::default()
+    };
+    for c in clusters {
+        let output = run(figure, c, &params, quick, &Executor::global())
+            .expect("the bundled workloads are schedulable on every configuration");
+        println!("{}", render(&output));
     }
-    format!(
-        "Figure 5({}) — unbounded buses, {}-cluster (cycles normalised to Unified)\n{}",
-        if output.clusters == 2 { "a" } else { "b" },
-        output.clusters,
-        t.render()
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn quick(figure: Figure, clusters: usize) -> SweepOutput {
+        run(
+            figure,
+            clusters,
+            &SuiteParams::small(),
+            true,
+            &Executor::global(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn quick_sweep_reproduces_the_figure_shape() {
-        let out = run_quick(2, &SuiteParams::small()).unwrap();
+        let out = quick(Figure::Unbounded, 2);
         assert_eq!(out.unified.len(), 2);
         assert!(!out.points.is_empty());
         // Unified reference normalises to 1.0 at threshold 1.0.
@@ -310,7 +291,7 @@ mod tests {
         // RMCA never loses to Baseline at the same configuration.
         for pair in out.points.chunks(4) {
             // chunks are [baseline th1, baseline th0, rmca th1, rmca th0]
-            // per (lrb, lmb) in run_quick's nesting order.
+            // per (lrb, lmb) in the quick grid's nesting order.
             let base_best = pair[0].normalized_total.min(pair[1].normalized_total);
             let rmca_best = pair[2].normalized_total.min(pair[3].normalized_total);
             assert!(
@@ -327,5 +308,28 @@ mod tests {
         }
         let text = render(&out);
         assert!(text.contains("Figure 5"));
+    }
+
+    #[test]
+    fn quick_sweep_shows_rmca_ahead_with_limited_buses() {
+        let out = quick(Figure::Realistic, 4);
+        assert!(!out.points.is_empty());
+        // Points come in pairs (threshold 1.0, threshold 0.0) for baseline
+        // then RMCA at the single (NMB=1, LMB=4) configuration.
+        let baseline_best = out.points[..2]
+            .iter()
+            .map(|p| p.normalized_total)
+            .fold(f64::INFINITY, f64::min);
+        let rmca_best = out.points[2..4]
+            .iter()
+            .map(|p| p.normalized_total)
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            rmca_best <= baseline_best * 1.02,
+            "RMCA ({rmca_best:.3}) should not lose to the baseline ({baseline_best:.3}) with scarce buses"
+        );
+        let text = render(&out);
+        assert!(text.contains("Figure 6"));
+        assert!(text.contains("NMB=1"));
     }
 }

@@ -10,7 +10,7 @@
 //! a batch of small seeded generator loops (small enough that the exact
 //! search usually proves optimality within its node budget).
 
-use crate::report::Table;
+use crate::report::{opt_cell, Table};
 use mvp_core::{BaselineScheduler, ModuloScheduler, RmcaScheduler};
 use mvp_exact::{solve_with, ExactBackend, ExactOptions, SolverKind};
 use mvp_exec::Executor;
@@ -34,8 +34,8 @@ pub struct GapParams {
     pub node_budget: u64,
     /// The exact engine pricing the rows (default: branch-and-bound, which
     /// keeps the historical tables and the Figure-3 node-count pins
-    /// byte-identical). [`SolverKind::Portfolio`] dovetails both engines.
-    pub solver: SolverKind,
+    /// byte-identical). [`ExactBackend::Portfolio`] dovetails both engines.
+    pub solver: ExactBackend,
 }
 
 impl Default for GapParams {
@@ -48,18 +48,8 @@ impl Default for GapParams {
             // the per-probe node cost of the larger bodies affordable.
             max_ops: 12,
             node_budget: ExactOptions::new().node_budget,
-            solver: SolverKind::BranchAndBound,
+            solver: ExactBackend::BranchAndBound,
         }
-    }
-}
-
-/// The [`ExactBackend`] a [`SolverKind`] selection names.
-#[must_use]
-pub fn backend_of(solver: SolverKind) -> ExactBackend {
-    match solver {
-        SolverKind::BranchAndBound => ExactBackend::BranchAndBound,
-        SolverKind::Sat => ExactBackend::Sat,
-        SolverKind::Portfolio => ExactBackend::Portfolio,
     }
 }
 
@@ -173,34 +163,42 @@ pub fn machines() -> Vec<MachineConfig> {
     ]
 }
 
-/// Runs the gap experiment over `corpus(params)` × `machines()` on the
-/// process-wide [`Executor`].
-#[must_use]
-pub fn run(params: &GapParams) -> Vec<GapRow> {
-    run_on(params, &Executor::global())
-}
-
-/// Runs the gap experiment on an explicit executor.
-///
-/// Every (loop, machine) point is one executor job carrying its own
-/// exact-search invocation under its own node budget — suite-scale gap
-/// tables are batches of independent solver calls, exactly as the
-/// SMT/SAT-based exact-scheduling literature treats them. The row order
-/// (and therefore the rendered table and the CSV, byte for byte) is
-/// independent of the executor's thread count.
-#[must_use]
-pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
-    let options = ExactOptions::new().with_node_budget(params.node_budget);
-    let backend = backend_of(params.solver);
+/// Maps `point` over `corpus(params)` × `machines()` on `executor`, one
+/// job per (machine, loop) point in machine-major order, and keeps the
+/// `Some` results (`None` marks a point to skip, such as a loop that uses
+/// a unit kind the machine lacks). The order, and so every table built
+/// from the results, is independent of the executor's thread count.
+pub(crate) fn map_points<T, F>(params: &GapParams, executor: &Executor, point: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&MachineConfig, &Loop) -> Option<T> + Sync,
+{
     let loops = corpus(params);
     let machines = machines();
     let grid: Vec<(&MachineConfig, &Loop)> = machines
         .iter()
         .flat_map(|machine| loops.iter().map(move |l| (machine, l)))
         .collect();
-    let rows = executor.map(&grid, |&(machine, l)| {
-        let (outcome, oracle_ns) =
-            mvp_trace::timed("gap.oracle", || solve_with(l, machine, &options, &backend));
+    executor
+        .map(&grid, |&(machine, l)| point(machine, l))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Runs the gap experiment over `corpus(params)` × `machines()`.
+///
+/// Every (loop, machine) point is one executor job carrying its own
+/// exact-search invocation under its own node budget — suite-scale gap
+/// tables are batches of independent solver calls, exactly as the
+/// SMT/SAT-based exact-scheduling literature treats them.
+#[must_use]
+pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
+    let options = ExactOptions::new().with_node_budget(params.node_budget);
+    map_points(params, executor, |machine, l| {
+        let (outcome, oracle_ns) = mvp_trace::timed("gap.oracle", || {
+            solve_with(l, machine, &options, &params.solver)
+        });
         let Ok(outcome) = outcome else {
             return None; // loop uses a unit kind the machine lacks
         };
@@ -221,7 +219,7 @@ pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             proved_optimal: outcome.proved_optimal,
             nodes: outcome.nodes,
             conflicts: outcome.conflicts,
-            solver: params.solver,
+            solver: params.solver.kind(),
             baseline_ii: heuristics.0,
             rmca_ii: heuristics.1,
             schedule_ms: schedule_ns as f64 / 1e6,
@@ -241,25 +239,35 @@ pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             row.machine
         );
         Some(row)
-    });
-    rows.into_iter().flatten().collect()
+    })
 }
 
-fn fmt_ii(ii: Option<u32>) -> String {
-    ii.map_or_else(|| "-".into(), |x| x.to_string())
-}
-
-fn fmt_gap(gap: Option<f64>) -> String {
-    gap.map_or_else(|| "-".into(), |g| format!("{:.0}%", 100.0 * g))
-}
-
-/// Renders the gap rows as a text table, one block for all machines.
+/// The rows as the `optimality-gap.csv` table, one row per (loop, machine)
+/// point. New columns only ever append at the end, so positional consumers
+/// keep working (CI cuts fields 1-3 and 8: machine, loop, ops, nodes).
 #[must_use]
-pub fn render(rows: &[GapRow]) -> String {
+pub fn table(rows: &[GapRow]) -> Table {
     let mut t = Table::new(vec![
-        "machine", "loop", "ops", "mII", "bound", "exact", "proved", "baseline", "rmca",
-        "base-gap", "rmca-gap", "solver",
+        "machine",
+        "loop",
+        "ops",
+        "min_ii",
+        "lower_bound",
+        "exact_ii",
+        "proved_optimal",
+        "nodes",
+        "baseline_ii",
+        "rmca_ii",
+        "baseline_gap",
+        "rmca_gap",
+        "solver",
+        "conflicts",
+        "schedule_ms",
+        "oracle_ms",
+        "sat_reused_clauses",
+        "sat_kept_learned",
     ]);
+    let gap_cell = |g: Option<f64>| g.map_or_else(String::new, |g| format!("{g:.4}"));
     for r in rows {
         t.row(vec![
             r.machine.clone(),
@@ -267,59 +275,35 @@ pub fn render(rows: &[GapRow]) -> String {
             r.num_ops.to_string(),
             r.min_ii.to_string(),
             r.lower_bound.to_string(),
-            fmt_ii(r.exact_ii),
-            if r.proved_optimal { "yes" } else { "no" }.to_string(),
-            fmt_ii(r.baseline_ii),
-            fmt_ii(r.rmca_ii),
-            fmt_gap(r.baseline_gap()),
-            fmt_gap(r.rmca_gap()),
+            opt_cell(r.exact_ii),
+            r.proved_optimal.to_string(),
+            r.nodes.to_string(),
+            opt_cell(r.baseline_ii),
+            opt_cell(r.rmca_ii),
+            gap_cell(r.baseline_gap()),
+            gap_cell(r.rmca_gap()),
             r.solver.to_string(),
+            r.conflicts.to_string(),
+            format!("{:.3}", r.schedule_ms),
+            format!("{:.3}", r.oracle_ms),
+            r.sat_reused_clauses.to_string(),
+            r.sat_kept_learned.to_string(),
         ]);
     }
+    t
+}
+
+/// Renders the gap rows as a text table, one block for all machines.
+#[must_use]
+pub fn render(rows: &[GapRow]) -> String {
     let proved = rows.iter().filter(|r| r.proved_optimal).count();
     format!(
         "Optimality gap — heuristic II vs exact/certified lower bound\n{}\n\
          {} / {} (loop, machine) points proved optimal\n",
-        t.render(),
+        table(rows).render(),
         proved,
         rows.len()
     )
-}
-
-/// Serialises the rows as CSV (header + one line per row).
-#[must_use]
-pub fn to_csv(rows: &[GapRow]) -> String {
-    // New columns only ever append at the end so positional consumers (the
-    // CI summary cuts fields 1-3 and 8) keep working: first the
-    // solver/conflicts pair, then the incremental-SAT provenance pair.
-    let mut out = String::from(
-        "machine,loop,ops,min_ii,lower_bound,exact_ii,proved_optimal,nodes,baseline_ii,rmca_ii,baseline_gap,rmca_gap,solver,conflicts,schedule_ms,oracle_ms,sat_reused_clauses,sat_kept_learned\n",
-    );
-    for r in rows {
-        let gap_csv = |g: Option<f64>| g.map_or_else(String::new, |g| format!("{g:.4}"));
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{},{}\n",
-            r.machine,
-            r.loop_name,
-            r.num_ops,
-            r.min_ii,
-            r.lower_bound,
-            r.exact_ii.map_or_else(String::new, |x| x.to_string()),
-            r.proved_optimal,
-            r.nodes,
-            r.baseline_ii.map_or_else(String::new, |x| x.to_string()),
-            r.rmca_ii.map_or_else(String::new, |x| x.to_string()),
-            gap_csv(r.baseline_gap()),
-            gap_csv(r.rmca_gap()),
-            r.solver,
-            r.conflicts,
-            r.schedule_ms,
-            r.oracle_ms,
-            r.sat_reused_clauses,
-            r.sat_kept_learned,
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -336,7 +320,7 @@ mod tests {
 
     #[test]
     fn rows_respect_the_certified_bound() {
-        let rows = run(&small());
+        let rows = run(&small(), &Executor::global());
         assert!(!rows.is_empty());
         for r in &rows {
             assert!(r.lower_bound >= r.min_ii, "{}/{}", r.loop_name, r.machine);
@@ -364,10 +348,10 @@ mod tests {
     #[test]
     fn the_sat_engine_prices_the_same_figure3_row() {
         let params = GapParams {
-            solver: SolverKind::Sat,
+            solver: ExactBackend::Sat,
             ..small()
         };
-        let rows = run(&params);
+        let rows = run(&params, &Executor::global());
         let fig3 = rows
             .iter()
             .find(|r| r.loop_name == "motivating" && r.machine == "motivating-2-cluster")
@@ -377,11 +361,7 @@ mod tests {
         assert_eq!(fig3.solver, SolverKind::Sat);
         assert_eq!(fig3.nodes, 0, "the SAT engine charges conflicts, not nodes");
         assert!(fig3.conflicts > 0);
-        let csv = to_csv(&rows);
-        assert!(csv.lines().next().unwrap().ends_with(
-            "solver,conflicts,schedule_ms,oracle_ms,sat_reused_clauses,sat_kept_learned"
-        ));
-        assert!(csv.contains(",sat,"));
+        assert!(table(&rows).to_csv().contains(",sat,"));
         // Fig3's MII already equals the optimum, so its search is a single
         // probe with nothing to carry over; rows whose first probe is
         // refuted by search must show the session reusing clauses.
@@ -394,12 +374,24 @@ mod tests {
 
     #[test]
     fn render_and_csv_cover_every_row() {
-        let rows = run(&small());
+        let rows = run(&small(), &Executor::global());
         let text = render(&rows);
         assert!(text.contains("Optimality gap"));
         assert!(text.contains("proved optimal"));
-        let csv = to_csv(&rows);
+        let csv = table(&rows).to_csv();
         assert_eq!(csv.lines().count(), rows.len() + 1);
-        assert!(csv.starts_with("machine,loop,"));
+        let header = csv.lines().next().unwrap();
+        assert_eq!(
+            header,
+            "machine,loop,ops,min_ii,lower_bound,exact_ii,proved_optimal,nodes,\
+             baseline_ii,rmca_ii,baseline_gap,rmca_gap,solver,conflicts,\
+             schedule_ms,oracle_ms,sat_reused_clauses,sat_kept_learned"
+        );
+        // CI's node-count artifact is `cut -d, -f1-3,8` of this CSV.
+        let cut: Vec<&str> = header.split(',').collect();
+        assert_eq!(
+            [cut[0], cut[1], cut[2], cut[7]],
+            ["machine", "loop", "ops", "nodes"]
+        );
     }
 }

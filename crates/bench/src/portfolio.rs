@@ -13,18 +13,16 @@
 //! * every schedule must pass the independent validator with zero
 //!   violations.
 //!
-//! A violated check panics — the nightly CI job running the `portfolio` bin
+//! A violated check panics — the per-push CI step running the `portfolio` bin
 //! turns that into a red build rather than shipping a silently-inverted
 //! table. The per-row artifact (`portfolio-solvers.csv`) records which
 //! engine decided each portfolio's last probe and what each engine paid
 //! (branch-and-bound nodes, SAT conflicts, inclusive portfolio steps).
 
-use crate::gap::{backend_of, corpus, machines, GapParams};
-use crate::report::Table;
-use mvp_exact::{solve_with, ExactOptions, ExactOutcome, IiVerdict, SolverKind};
+use crate::gap::{map_points, GapParams};
+use crate::report::{opt_cell, pct_faster, Table};
+use mvp_exact::{solve_with, ExactBackend, ExactOptions, ExactOutcome, IiVerdict, SolverKind};
 use mvp_exec::Executor;
-use mvp_ir::Loop;
-use mvp_machine::MachineConfig;
 
 /// One (loop, machine) row of the differential.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,29 +83,17 @@ fn cross_check(point: &str, bnb: &ExactOutcome, other: &ExactOutcome, label: &st
     }
 }
 
-/// Runs the three-way differential over `corpus(params)` × `machines()` on
-/// the process-wide executor. Panics on any cross-check failure.
+/// Runs the three-way differential over `corpus(params)` × `machines()`,
+/// one executor job per grid point. Panics on any cross-check failure.
 #[must_use]
-pub fn run(params: &GapParams) -> Vec<PortfolioRow> {
-    run_on(params, &Executor::global())
-}
-
-/// Runs the differential on an explicit executor, one job per grid point.
-#[must_use]
-pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
+pub fn run(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
     let options = ExactOptions::new().with_node_budget(params.node_budget);
-    let loops = corpus(params);
-    let machines = machines();
-    let grid: Vec<(&MachineConfig, &Loop)> = machines
-        .iter()
-        .flat_map(|machine| loops.iter().map(move |l| (machine, l)))
-        .collect();
-    let rows = executor.map(&grid, |&(machine, l)| {
+    map_points(params, executor, |machine, l| {
         let point = format!("{} / {}", l.name(), machine.name);
-        let solve = |kind| solve_with(l, machine, &options, &backend_of(kind)).ok();
-        let bnb = solve(SolverKind::BranchAndBound)?;
-        let sat = solve(SolverKind::Sat).expect("engines agree on solvability");
-        let portfolio = solve(SolverKind::Portfolio).expect("engines agree on solvability");
+        let solve = |backend| solve_with(l, machine, &options, &backend).ok();
+        let bnb = solve(ExactBackend::BranchAndBound)?;
+        let sat = solve(ExactBackend::Sat).expect("engines agree on solvability");
+        let portfolio = solve(ExactBackend::Portfolio).expect("engines agree on solvability");
         cross_check(&point, &bnb, &sat, "sat");
         cross_check(&point, &bnb, &portfolio, "portfolio");
         cross_check(&point, &sat, &portfolio, "portfolio");
@@ -136,41 +122,52 @@ pub fn run_on(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
             sat_reused_clauses: sat.probes.iter().map(|p| p.reused_clauses).sum(),
             sat_kept_learned: sat.probes.iter().map(|p| p.kept_learned).sum(),
         })
-    });
-    rows.into_iter().flatten().collect()
+    })
 }
 
-/// Renders the differential as a text table plus a winner tally.
+/// The rows as the `portfolio-solvers.csv` table. The incremental-SAT
+/// provenance columns trail the original eight so positional consumers of
+/// the artifact keep working.
 #[must_use]
-pub fn render(rows: &[PortfolioRow]) -> String {
+pub fn table(rows: &[PortfolioRow]) -> Table {
     let mut t = Table::new(vec![
         "machine",
         "loop",
-        "exact",
-        "both-proved",
+        "exact_ii",
+        "both_proved",
         "winner",
-        "bnb-nodes",
-        "sat-steps",
-        "portfolio-steps",
+        "bnb_nodes",
+        "sat_conflicts",
+        "portfolio_steps",
+        "sat_reused_clauses",
+        "sat_kept_learned",
     ]);
     for r in rows {
         t.row(vec![
             r.machine.clone(),
             r.loop_name.clone(),
-            r.exact_ii.map_or_else(|| "-".into(), |x| x.to_string()),
-            if r.both_proved { "yes" } else { "no" }.to_string(),
+            opt_cell(r.exact_ii),
+            r.both_proved.to_string(),
             r.winner.to_string(),
             r.bnb_nodes.to_string(),
             r.sat_conflicts.to_string(),
             r.portfolio_steps.to_string(),
+            r.sat_reused_clauses.to_string(),
+            r.sat_kept_learned.to_string(),
         ]);
     }
+    t
+}
+
+/// Renders the differential as a text table plus a winner tally.
+#[must_use]
+pub fn render(rows: &[PortfolioRow]) -> String {
     let sat_wins = rows.iter().filter(|r| r.winner == SolverKind::Sat).count();
     let proved = rows.iter().filter(|r| r.both_proved).count();
     format!(
         "SAT vs branch-and-bound differential (dovetailed portfolio per probe)\n{}\n\
          {} / {} points proved optimal by both engines; SAT won {} of {} points\n",
-        t.render(),
+        table(rows).render(),
         proved,
         rows.len(),
         sat_wins,
@@ -178,34 +175,8 @@ pub fn render(rows: &[PortfolioRow]) -> String {
     )
 }
 
-/// Serialises the rows as CSV (the `portfolio-solvers.csv` CI artifact).
-#[must_use]
-pub fn to_csv(rows: &[PortfolioRow]) -> String {
-    // The incremental-SAT provenance columns trail the original eight so
-    // positional consumers of the artifact keep working.
-    let mut out = String::from(
-        "machine,loop,exact_ii,both_proved,winner,bnb_nodes,sat_conflicts,portfolio_steps,sat_reused_clauses,sat_kept_learned\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            r.machine,
-            r.loop_name,
-            r.exact_ii.map_or_else(String::new, |x| x.to_string()),
-            r.both_proved,
-            r.winner,
-            r.bnb_nodes,
-            r.sat_conflicts,
-            r.portfolio_steps,
-            r.sat_reused_clauses,
-            r.sat_kept_learned,
-        ));
-    }
-    out
-}
-
 /// One (loop, machine) row of the incremental-vs-scratch SAT differential
-/// (the `sat-incremental.csv` nightly artifact).
+/// (the `sat-incremental.csv` CI artifact).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalRow {
     /// Machine preset name.
@@ -227,15 +198,8 @@ pub struct IncrementalRow {
     pub kept_learned: u64,
 }
 
-/// Runs the incremental-vs-scratch SAT differential over the gap corpus on
-/// the process-wide executor (see [`run_incremental_on`]).
-#[must_use]
-pub fn run_incremental(params: &GapParams) -> Vec<IncrementalRow> {
-    run_incremental_on(params, &Executor::global())
-}
-
-/// Runs the incremental-vs-scratch SAT differential on an explicit
-/// executor: every (loop, machine) point of `corpus(params)` × `machines()`
+/// Runs the incremental-vs-scratch SAT differential over the gap corpus:
+/// every (loop, machine) point of `corpus(params)` × `machines()`
 /// is solved twice by `ExactBackend::Sat` — once with the persistent
 /// incremental session (the default), once with the
 /// `sat_incremental = false` escape hatch that re-encodes per probe — and
@@ -246,23 +210,16 @@ pub fn run_incremental(params: &GapParams) -> Vec<IncrementalRow> {
 /// *sequences* may differ, but no contradiction is tolerated: the two
 /// modes must never certify opposite verdicts for the same II, and both
 /// schedules must pass the independent validator. Any violation panics (a
-/// red nightly build), because the incremental layering is only sound if
+/// red CI build), because the incremental layering is only sound if
 /// it proves exactly what a fresh encoding proves.
 #[must_use]
-pub fn run_incremental_on(params: &GapParams, executor: &Executor) -> Vec<IncrementalRow> {
+pub fn run_incremental(params: &GapParams, executor: &Executor) -> Vec<IncrementalRow> {
     let options = ExactOptions::new().with_node_budget(params.node_budget);
-    let loops = corpus(params);
-    let machines = machines();
-    let grid: Vec<(&MachineConfig, &Loop)> = machines
-        .iter()
-        .flat_map(|machine| loops.iter().map(move |l| (machine, l)))
-        .collect();
-    let rows = executor.map(&grid, |&(machine, l)| {
+    map_points(params, executor, |machine, l| {
         let point = format!("{} / {}", l.name(), machine.name);
-        let backend = backend_of(SolverKind::Sat);
         let solve = |incremental| {
             let options = options.with_sat_incremental(incremental);
-            solve_with(l, machine, &options, &backend).ok()
+            solve_with(l, machine, &options, &ExactBackend::Sat).ok()
         };
         let (incremental, scratch) = (solve(true), solve(false));
         let (incremental, scratch) = match (incremental, scratch) {
@@ -330,11 +287,10 @@ pub fn run_incremental_on(params: &GapParams, executor: &Executor) -> Vec<Increm
             reused_clauses: incremental.probes.iter().map(|p| p.reused_clauses).sum(),
             kept_learned: incremental.probes.iter().map(|p| p.kept_learned).sum(),
         })
-    });
-    rows.into_iter().flatten().collect()
+    })
 }
 
-/// Corpus-aggregate SAT step totals, `(incremental, scratch)`. The nightly
+/// Corpus-aggregate SAT step totals, `(incremental, scratch)`. The CI
 /// gate requires the first to stay at or below the second — clause and
 /// learnt-state retention must never make the whole corpus *more*
 /// expensive than re-encoding every probe from scratch.
@@ -346,60 +302,45 @@ pub fn incremental_totals(rows: &[IncrementalRow]) -> (u64, u64) {
     )
 }
 
-/// Renders the incremental differential as a text table plus the aggregate
-/// step comparison.
+/// The incremental rows as the `sat-incremental.csv` table.
 #[must_use]
-pub fn render_incremental(rows: &[IncrementalRow]) -> String {
+pub fn incremental_table(rows: &[IncrementalRow]) -> Table {
     let mut t = Table::new(vec![
         "machine",
         "loop",
-        "exact",
-        "incr-steps",
-        "scratch-steps",
-        "reused",
-        "kept-learned",
+        "exact_ii",
+        "proved_optimal",
+        "incremental_steps",
+        "scratch_steps",
+        "reused_clauses",
+        "kept_learned",
     ]);
     for r in rows {
         t.row(vec![
             r.machine.clone(),
             r.loop_name.clone(),
-            r.exact_ii.map_or_else(|| "-".into(), |x| x.to_string()),
+            opt_cell(r.exact_ii),
+            r.proved_optimal.to_string(),
             r.incremental_steps.to_string(),
             r.scratch_steps.to_string(),
             r.reused_clauses.to_string(),
             r.kept_learned.to_string(),
         ]);
     }
+    t
+}
+
+/// Renders the incremental differential as a text table plus the aggregate
+/// step comparison.
+#[must_use]
+pub fn render_incremental(rows: &[IncrementalRow]) -> String {
     let (incr, scratch) = incremental_totals(rows);
     format!(
         "Incremental vs from-scratch SAT over the gap corpus\n{}\n\
          corpus totals: incremental {incr} steps vs scratch {scratch} steps ({})\n",
-        t.render(),
-        crate::report::pct_faster(scratch, incr.max(1)),
+        incremental_table(rows).render(),
+        pct_faster(scratch, incr.max(1)),
     )
-}
-
-/// Serialises the incremental rows as CSV (the `sat-incremental.csv` CI
-/// artifact).
-#[must_use]
-pub fn incremental_to_csv(rows: &[IncrementalRow]) -> String {
-    let mut out = String::from(
-        "machine,loop,exact_ii,proved_optimal,incremental_steps,scratch_steps,reused_clauses,kept_learned\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.machine,
-            r.loop_name,
-            r.exact_ii.map_or_else(String::new, |x| x.to_string()),
-            r.proved_optimal,
-            r.incremental_steps,
-            r.scratch_steps,
-            r.reused_clauses,
-            r.kept_learned,
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -413,7 +354,7 @@ mod tests {
             max_ops: 6,
             ..GapParams::default()
         };
-        let rows = run(&params);
+        let rows = run(&params, &Executor::global());
         assert!(!rows.is_empty());
         // Small loops under the default budget: both engines prove every
         // point, so the cross-checks inside run() were all exercised for
@@ -433,8 +374,34 @@ mod tests {
             fig3.portfolio_steps,
             fig3.bnb_nodes
         );
-        let csv = to_csv(&rows);
+        let csv = table(&rows).to_csv();
         assert_eq!(csv.lines().count(), rows.len() + 1);
+        assert_eq!(
+            csv.lines().next().unwrap(),
+            "machine,loop,exact_ii,both_proved,winner,bnb_nodes,sat_conflicts,\
+             portfolio_steps,sat_reused_clauses,sat_kept_learned"
+        );
         assert!(render(&rows).contains("SAT won"));
+    }
+
+    #[test]
+    fn the_incremental_csv_pins_its_columns_and_cell_forms() {
+        let row = |exact_ii| IncrementalRow {
+            machine: "unified".into(),
+            loop_name: "motivating".into(),
+            exact_ii,
+            proved_optimal: exact_ii.is_some(),
+            incremental_steps: 7,
+            scratch_steps: 9,
+            reused_clauses: 3,
+            kept_learned: 1,
+        };
+        assert_eq!(
+            incremental_table(&[row(Some(2)), row(None)]).to_csv(),
+            "machine,loop,exact_ii,proved_optimal,incremental_steps,scratch_steps,\
+             reused_clauses,kept_learned\n\
+             unified,motivating,2,true,7,9,3,1\n\
+             unified,motivating,,false,7,9,3,1\n"
+        );
     }
 }

@@ -1,8 +1,11 @@
-//! Plain-text table formatting for the experiment binaries.
+//! The one report layer of the experiment binaries: a [`Table`] renders
+//! as aligned text for stdout and as CSV for the CI artifacts.
 
 use std::fmt::Write as _;
 
-/// A simple fixed-width text table.
+/// A table of pre-formatted cells with two views: [`render`](Self::render)
+/// (fixed-width text) and [`to_csv`](Self::to_csv). A report builds one
+/// table and prints both from it, so each column is written once.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -31,12 +34,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -62,6 +59,19 @@ impl Table {
         }
         out
     }
+
+    /// Renders the table as CSV: the header and then each row, cells
+    /// joined with `,` and every line ending in `\n`. Cells are written
+    /// as they are, so they must not contain commas.
+    #[must_use]
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&line.join(","));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// Formats a normalised value as the paper's figures present them (two
@@ -69,6 +79,12 @@ impl Table {
 #[must_use]
 pub fn norm(value: f64) -> String {
     format!("{value:.2}")
+}
+
+/// Formats an optional count as a report cell: empty for "none".
+#[must_use]
+pub fn opt_cell(value: Option<u32>) -> String {
+    value.map_or_else(String::new, |x| x.to_string())
 }
 
 /// Shared artifact tail of the experiment binaries: when the environment
@@ -135,10 +151,21 @@ mod tests {
         let text = t.render();
         assert!(text.contains("name"));
         assert!(text.contains("a-much-longer-name"));
-        assert_eq!(t.num_rows(), 2);
         // All lines have the same alignment prefix width for the value column.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn table_csv_joins_header_and_rows_with_commas() {
+        let mut t = Table::new(vec!["name", "value", "note"]);
+        t.row(vec!["short", "1", ""]);
+        t.row(vec!["a-much-longer-name", "123456", "x"]);
+        assert_eq!(
+            t.to_csv(),
+            "name,value,note\nshort,1,\na-much-longer-name,123456,x\n"
+        );
+        assert_eq!(Table::new(vec!["only"]).to_csv(), "only\n");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! and fuzz halves live in the workspace-root `executor_determinism`
 //! test).
 
+use mvp_bench::fig5::{self, Figure};
 use mvp_bench::gap::{self, GapParams};
 use mvp_exec::Executor;
 
@@ -24,11 +25,14 @@ fn gap_artifacts_are_byte_identical_for_1_and_8_threads() {
     let strip = |rows: &[gap::GapRow]| -> Vec<gap::GapRow> {
         rows.iter().map(gap::GapRow::without_timing).collect()
     };
-    let sequential = strip(&gap::run_on(&params(), &Executor::new(1)));
-    let parallel = strip(&gap::run_on(&params(), &Executor::new(8)));
+    let sequential = strip(&gap::run(&params(), &Executor::new(1)));
+    let parallel = strip(&gap::run(&params(), &Executor::new(8)));
     assert!(!sequential.is_empty());
     assert_eq!(sequential, parallel);
-    assert_eq!(gap::to_csv(&sequential), gap::to_csv(&parallel));
+    assert_eq!(
+        gap::table(&sequential).to_csv(),
+        gap::table(&parallel).to_csv()
+    );
     assert_eq!(gap::render(&sequential), gap::render(&parallel));
 }
 
@@ -38,10 +42,10 @@ fn figure_sweeps_are_identical_for_1_and_8_threads() {
     // `SweepOutput` derives `PartialEq` over every normalised bar — must be
     // identical whether the grid ran on 1 worker or 8.
     let suite = mvp_workloads::suite::SuiteParams::small();
-    let sequential = mvp_bench::fig5::run_quick_on(2, &suite, &Executor::new(1)).unwrap();
-    let parallel = mvp_bench::fig5::run_quick_on(2, &suite, &Executor::new(8)).unwrap();
-    assert_eq!(sequential, parallel);
-    let sequential = mvp_bench::fig6::run_quick_on(4, &suite, &Executor::new(1)).unwrap();
-    let parallel = mvp_bench::fig6::run_quick_on(4, &suite, &Executor::new(8)).unwrap();
-    assert_eq!(sequential, parallel);
+    for (figure, clusters) in [(Figure::Unbounded, 2), (Figure::Realistic, 4)] {
+        let sweep = |threads| fig5::run(figure, clusters, &suite, true, &Executor::new(threads));
+        let sequential = sweep(1).unwrap();
+        let parallel = sweep(8).unwrap();
+        assert_eq!(sequential, parallel);
+    }
 }

@@ -1,7 +1,7 @@
 //! Differential suite for the incremental SAT session (tier-1).
 //!
 //! The persistent assumption-based session must prove exactly what a
-//! from-scratch per-probe encoding proves. [`run_incremental_on`] pins
+//! from-scratch per-probe encoding proves. [`run_incremental`] pins
 //! that point by point over the full gap corpus — identical certified
 //! bounds, schedule IIs, optimality claims and per-II verdict sequences
 //! whenever both searches fully decide, no contradictory certificates
@@ -10,28 +10,29 @@
 //! randomized sweep on top.
 //!
 //! The fuzz case count scales with `MVP_SAT_INCR_FUZZ_CASES` (default 8)
-//! so a nightly run can widen the sweep without a code change.
+//! so a longer run can widen the sweep without a code change.
 
 use mvp_bench::gap::GapParams;
 use mvp_bench::portfolio::{incremental_totals, run_incremental};
 use mvp_exact::{solve_with, ExactBackend, ExactOptions, IiVerdict};
+use mvp_exec::Executor;
 use mvp_machine::presets;
 use mvp_workloads::generator::{GeneratorConfig, GeneratorMode, LoopGenerator};
 
 /// The full 52-point differential: every (loop, machine) pair of the gap
 /// corpus solved by both modes, with all agreement assertions inside
-/// [`run_incremental`]. The aggregate gate mirrors the nightly binary:
+/// [`run_incremental`]. The aggregate gate mirrors the `portfolio` binary:
 /// clause retention must not cost steps corpus-wide.
 #[test]
 fn incremental_and_scratch_agree_across_the_gap_corpus() {
-    // A tighter budget than the nightly run keeps the debug-build suite
-    // fast; the consistency pin is budget-aware, so this still exercises
+    // A tighter budget than the `portfolio` binary's keeps the debug-build
+    // suite fast; the consistency pin is budget-aware, so this still exercises
     // every corpus point.
     let params = GapParams {
         node_budget: 50_000,
         ..GapParams::default()
     };
-    let rows = run_incremental(&params);
+    let rows = run_incremental(&params, &Executor::global());
     assert!(rows.len() >= 50, "the corpus differential covers the grid");
     assert!(
         rows.iter().any(|r| r.reused_clauses > 0),

@@ -166,7 +166,6 @@ pub struct PipelineBuilder {
     scheduler: SchedulerChoice,
     machine: Option<Arc<MachineConfig>>,
     scheduler_options: SchedulerOptions,
-    sim_options: SimOptions,
     gap_oracle: Option<ExactOptions>,
     exact_node_budget: Option<u64>,
     executor: Option<Arc<Executor>>,
@@ -179,7 +178,6 @@ impl Default for PipelineBuilder {
             scheduler: SchedulerChoice::Rmca,
             machine: None,
             scheduler_options: SchedulerOptions::new(),
-            sim_options: SimOptions::new(),
             gap_oracle: None,
             exact_node_budget: None,
             executor: None,
@@ -221,13 +219,6 @@ impl PipelineBuilder {
     #[must_use]
     pub fn threshold(mut self, threshold: f64) -> Self {
         self.scheduler_options = self.scheduler_options.with_threshold(threshold);
-        self
-    }
-
-    /// Replaces the simulation options.
-    #[must_use]
-    pub fn sim_options(mut self, options: SimOptions) -> Self {
-        self.sim_options = options;
         self
     }
 
@@ -345,7 +336,6 @@ impl PipelineBuilder {
             scheduler,
             scheduler_options: self.scheduler_options,
             machine,
-            sim_options: self.sim_options,
             gap_oracle: self.gap_oracle,
             exact_node_budget: self.exact_node_budget,
             executor,
@@ -368,7 +358,6 @@ pub struct Pipeline {
     scheduler: Box<dyn ModuloScheduler + Send + Sync>,
     scheduler_options: SchedulerOptions,
     machine: Arc<MachineConfig>,
-    sim_options: SimOptions,
     gap_oracle: Option<ExactOptions>,
     exact_node_budget: Option<u64>,
     executor: Arc<Executor>,
@@ -440,8 +429,6 @@ impl Pipeline {
         k.u32(self.scheduler_options.max_ii_slack);
         k.usize(self.scheduler_options.locality_window);
         k.bool(self.scheduler_options.enforce_register_pressure);
-        k.u64(self.sim_options.max_inner_iterations);
-        k.bool(self.sim_options.flush_between_executions);
         k.bool(self.gap_oracle.is_some());
         if let Some(oracle) = &self.gap_oracle {
             k.u32(oracle.max_ii_slack);
@@ -574,7 +561,7 @@ impl Pipeline {
             );
         }
         let span = mvp_trace::span!("pipeline.sim");
-        let stats = simulate(l, &schedule, &self.machine, &self.sim_options);
+        let stats = simulate(l, &schedule, &self.machine, &SimOptions::new());
         drop(span);
         Ok(LoopReport {
             loop_name: l.name().to_string(),
@@ -1235,5 +1222,12 @@ mod tests {
         let parts = report.normalized_compute(&report) + report.normalized_stall(&report);
         assert!((parts - 1.0).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&report.miss_rate()));
+    }
+
+    #[test]
+    fn scheduler_choice_helpers() {
+        assert_eq!(SchedulerChoice::Baseline.to_string(), "baseline");
+        assert_eq!(SchedulerChoice::Rmca.name(), "rmca");
+        assert_eq!(SchedulerChoice::ALL.len(), 2);
     }
 }
