@@ -9,7 +9,7 @@ use mvp_bench::gap::{corpus, machines, GapParams};
 use mvp_exact::{solve_with, ExactBackend, ExactOptions};
 
 /// `random_7` on four clusters overflows a register file in many models
-/// at II=3; the lemmas prove II=3 optimal in 16 rounds.
+/// at II=3; the lemmas prove II=3 optimal in 13 rounds.
 #[test]
 fn random_7_on_four_clusters_is_proved_in_few_refinement_rounds() {
     let loops = corpus(&GapParams::default());

@@ -223,8 +223,16 @@ pub struct PartialSchedule<'r, 'l, 'm> {
     /// cluster holds one copy register while any placed consumer edge
     /// reaches it.
     copy_counts: Vec<Vec<(ClusterId, u32)>>,
-    /// Per-operation pressure undo frames.
-    frames: Vec<Option<PressureFrame>>,
+    /// Per-operation pressure undo frames, meaningful while the operation
+    /// is placed. Each frame keeps its buffers across placements, so a
+    /// search's place/unplace cycle allocates nothing once warm.
+    frames: Vec<PressureFrame>,
+}
+
+/// The modulo rows a transfer starting at `start` occupies on its bus: its
+/// `span` consecutive cycles, modulo `ii`.
+fn transfer_rows(start: i64, span: u32, ii: i64) -> impl Iterator<Item = usize> {
+    (0..i64::from(span)).map(move |o| (start + o).rem_euclid(ii) as usize)
 }
 
 /// Registers a value of the given maximum lifetime occupies: one per II the
@@ -270,7 +278,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             pressure: vec![0; model.machine.num_clusters()],
             max_life: vec![None; n],
             copy_counts: vec![Vec::new(); n],
-            frames: vec![None; n],
+            frames: vec![PressureFrame::default(); n],
         }
     }
 
@@ -688,16 +696,14 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
         if i64::from(self.model.bus_latency) > ii {
             return None;
         }
-        let span = self.model.bus_latency as usize;
+        let span = self.model.bus_latency;
         let tries = (start_max - start_min + 1).min(ii);
         for offset in 0..tries {
             let start = start_min + offset;
-            let rows: Vec<usize> = (0..span).map(|o| self.row_of(start + o as i64)).collect();
             for bus in 0..num_buses {
-                let table = self.bus_rows.as_ref().expect("finite bus set");
-                if rows.iter().all(|&r| table[bus][r].is_none()) {
-                    let table = self.bus_rows.as_mut().expect("finite bus set");
-                    for &r in &rows {
+                let table = self.bus_rows.as_mut().expect("finite bus set");
+                if transfer_rows(start, span, ii).all(|r| table[bus][r].is_none()) {
+                    for r in transfer_rows(start, span, ii) {
                         table[bus][r] = Some(token);
                     }
                     self.comms.push(CommRec {
@@ -743,14 +749,15 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             if i64::from(self.model.bus_latency) > ii {
                 return Err(None);
             }
-            let span = self.model.bus_latency as usize;
-            let rows: Vec<usize> = (0..span).map(|o| self.row_of(start + o as i64)).collect();
-            let table = self.bus_rows.as_ref().expect("finite bus set");
-            if let Some(max) = rows.iter().filter_map(|&r| table[bus][r]).max() {
+            let span = self.model.bus_latency;
+            let table = self.bus_rows.as_mut().expect("finite bus set");
+            if let Some(max) = transfer_rows(start, span, ii)
+                .filter_map(|r| table[bus][r])
+                .max()
+            {
                 return Err(Some(max));
             }
-            let table = self.bus_rows.as_mut().expect("finite bus set");
-            for &r in &rows {
+            for r in transfer_rows(start, span, ii) {
                 table[bus][r] = Some(token);
             }
         }
@@ -775,9 +782,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
         assert_eq!(id, self.comms.len() - 1, "transfer releases must be LIFO");
         let rec = self.comms.pop().expect("transfer stack is non-empty");
         if let Some(table) = self.bus_rows.as_mut() {
-            let ii = i64::from(self.ii);
-            for o in 0..self.model.bus_latency as usize {
-                let r = (rec.start + o as i64).rem_euclid(ii) as usize;
+            for r in transfer_rows(rec.start, self.model.bus_latency, i64::from(self.ii)) {
                 debug_assert_eq!(table[rec.bus][r], Some(rec.token));
                 table[rec.bus][r] = None;
             }
@@ -1013,7 +1018,9 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
     fn add_pressure(&mut self, op: OpId) {
         let ii = i64::from(self.ii);
         let p = self.placements[op.index()].expect("op placed");
-        let mut frame = PressureFrame::default();
+        let mut frame = std::mem::take(&mut self.frames[op.index()]);
+        frame.producer_old_life.clear();
+        frame.copy_increments.clear();
 
         // The placed operation as producer: its value's lifetime over
         // already-placed consumers (including a self-loop consumer).
@@ -1067,7 +1074,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                 self.bump_copy(&mut frame, e.src, p.cluster);
             }
         }
-        self.frames[op.index()] = Some(frame);
+        self.frames[op.index()] = frame;
     }
 
     fn bump_copy(&mut self, frame: &mut PressureFrame, producer: OpId, cluster: ClusterId) {
@@ -1084,9 +1091,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
     /// Inverse of [`add_pressure`](Self::add_pressure); the placement of
     /// `op` must still be committed while this runs.
     fn remove_pressure(&mut self, op: OpId) {
-        let frame = self.frames[op.index()]
-            .take()
-            .expect("placed operations carry a pressure frame");
+        let frame = std::mem::take(&mut self.frames[op.index()]);
         for &(producer, old) in frame.producer_old_life.iter().rev() {
             let cluster = self.placements[producer.index()]
                 .expect("producers outlive their consumers under LIFO release")
@@ -1110,6 +1115,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                 self.pressure[cluster] -= 1;
             }
         }
+        self.frames[op.index()] = frame;
         // The operation's own producer contribution (floor included): its
         // consumer edges were recorded in *their* frames, so what is left
         // in `max_life[op]` is exactly what `add_pressure` charged.
