@@ -697,9 +697,11 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             ps.try_reserve_op(op, cluster, t, self.p.latency[op.index()], false, 0)
                 .expect("the CNF model satisfies the functional-unit rules");
         }
+        let mut pairs = Vec::new();
         for op in self.p.l.op_ids() {
             // Each cross pair appears once from the consumer side.
-            for pair in ps.transfer_pairs(op) {
+            ps.transfer_pairs(op, &mut pairs);
+            for &pair in &pairs {
                 if pair.dst != op {
                     continue;
                 }
@@ -1430,14 +1432,12 @@ mod tests {
                 return false;
             }
         }
-        let pairs: Vec<_> =
-            p.l.op_ids()
-                .flat_map(|op| {
-                    ps.transfer_pairs(op)
-                        .into_iter()
-                        .filter(move |x| x.dst == op)
-                })
-                .collect();
+        let mut pairs = Vec::new();
+        let mut op_pairs = Vec::new();
+        for op in p.l.op_ids() {
+            ps.transfer_pairs(op, &mut op_pairs);
+            pairs.extend(op_pairs.iter().filter(|x| x.dst == op));
+        }
         book(p, &mut ps, &pairs)
     }
 

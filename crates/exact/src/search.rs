@@ -35,8 +35,20 @@
 //!   anchor cycle itself. Every schedule shape explored at an un-anchored
 //!   offset would be a shifted duplicate of one explored at offset 0.
 //!
-//! Every placement attempt and bus reservation costs one node from the
-//! shared budget; exceeding it aborts the probe with
+//! # What one node costs
+//!
+//! A node is charged for every placement attempt (one candidate start cycle
+//! of one operation in one cluster) and for every transfer start cycle
+//! tried (all buses of that start are one node). A visit to a decision
+//! level whose window is empty in every cluster is not charged. The budget
+//! counts search effort, not time, so the same nodes and the same verdicts
+//! follow from a kernel that makes each node cheaper. Per visit, one walk
+//! over the operation's edges gives its window in every open cluster; per
+//! placement, the kernel's reservation, its pressure delta and the implied
+//! transfers (into a buffer kept per decision level) each cost O(degree);
+//! the symmetry caps read use counts, O(clusters) and O(buses).
+//!
+//! Exceeding the shared node budget aborts the probe with
 //! [`FixedIiOutcome::Budget`] (an *unknown*, never an infeasibility claim).
 
 use crate::model::Problem;
@@ -45,7 +57,7 @@ use crate::propagate::{windows, Windows};
 use mvp_core::lifetime;
 use mvp_core::schedule::{Communication, PlacedOp};
 use mvp_ir::OpId;
-use mvp_resmodel::{PartialSchedule, PlaceError, Token, TransferPair};
+use mvp_resmodel::{NeighbourBounds, PartialSchedule, PlaceError, Token, TransferPair};
 
 /// Result of one fixed-II probe.
 #[derive(Debug)]
@@ -103,6 +115,13 @@ struct Searcher<'p, 'l, 'm> {
     /// conflict the kernel reports names the deepest implicated level for
     /// backjumping.
     ps: PartialSchedule<'p, 'l, 'm>,
+    /// Per decision level, the dependence window of its operation in each
+    /// cluster (`num_clusters` entries per level), filled by one edge walk
+    /// when the level is visited.
+    bounds: Vec<NeighbourBounds>,
+    /// Per decision level, the transfers its current candidate implies; the
+    /// buffers keep their capacity, so placements allocate nothing once warm.
+    pairs: Vec<Vec<TransferPair>>,
     /// Placed operations anchored at start cycle 0. The time-shift
     /// dominance rule keeps this above zero in every complete assignment.
     stage0_placed: usize,
@@ -131,6 +150,8 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
             win,
             order,
             ps: PartialSchedule::new(p.model(), ii),
+            bounds: vec![NeighbourBounds::default(); p.num_ops() * p.machine.num_clusters()],
+            pairs: vec![Vec::new(); p.num_ops()],
             stage0_placed: 0,
             stage0_capable_unplaced: win.earliest.iter().filter(|&&e| e == 0).count(),
             enforce_pressure: options.enforce_register_pressure,
@@ -196,15 +217,16 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
         }
 
         let mut fail_target = i64::from(pair.neighbour_token);
-        let mut conservative = false;
         let hi = pair.hi.min(pair.lo + ii - 1); // only II distinct start rows exist
+
+        // Bus symmetry breaking: a transfer may open at most bus
+        // `max-used + 1`. Every reservation below is released before the
+        // next start is tried, so the cap is the same for every start.
+        let allowed = self.ps.max_used_bus().map_or(1, |b| b + 2).min(num_buses);
+        let conservative = allowed < num_buses && pair.lo <= hi;
         for start in pair.lo..=hi {
             if !self.charge_node() {
                 return TransferStep::Budget;
-            }
-            let allowed = self.ps.max_used_bus().map_or(1, |b| b + 2).min(num_buses);
-            if allowed < num_buses {
-                conservative = true; // symmetry breaking pruned bus labels
             }
             for bus in 0..allowed {
                 let id = match self.ps.reserve_transfer_at(
@@ -298,24 +320,30 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
             conservative = true; // symmetry breaking pruned cluster labels
         }
 
+        // Dynamic bounds: the static window tightened by already-placed
+        // neighbours with the exact (bus-aware) edge weights, for every
+        // open cluster in one walk over the operation's edges. Every
+        // candidate below is released before the next cluster is tried, so
+        // the windows stay valid for the whole loop.
+        let level_bounds = level * num_clusters;
+        self.ps.neighbour_bounds_per_cluster(
+            op,
+            assumed_lat,
+            Some(self.win.earliest[op.index()]),
+            Some(self.win.latest[op.index()]),
+            &mut self.bounds[level_bounds..level_bounds + cluster_cap],
+        );
+
         for cluster in 0..cluster_cap {
             let kind = self.p.fu_kind[op.index()].index();
             if self.p.fu_count[cluster][kind] == 0 {
                 continue; // no unit of this kind: independent of any decision
             }
-            // Dynamic bounds: the static window tightened by already-placed
-            // neighbours with the exact (bus-aware) edge weights. The
-            // neighbours that tightened the window are implicated even when
-            // it stays non-empty: the candidates they pruned were never
+            // The neighbours that tightened the window are implicated even
+            // when it stays non-empty: the candidates they pruned were never
             // tried, so any exhaustion below must not backjump past them.
             // (The culprit is `None` when only the static window applies.)
-            let bounds = self.ps.neighbour_bounds(
-                op,
-                cluster,
-                assumed_lat,
-                Some(self.win.earliest[op.index()]),
-                Some(self.win.latest[op.index()]),
-            );
+            let bounds = self.bounds[level_bounds + cluster];
             let lo = bounds.lo.expect("initial window bounds are Some");
             let mut hi = bounds.hi.expect("initial window bounds are Some");
             fail_target = fail_target.max(bounds.culprit.map_or(-1, i64::from));
@@ -351,8 +379,11 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
                     // fall back to chronological attribution.
                     TransferStep::CandidateFail(level as i64 - 1)
                 } else {
-                    let pairs = self.ps.transfer_pairs(op);
-                    self.place_transfers(level, &pairs, 0)
+                    let mut pairs = std::mem::take(&mut self.pairs[level]);
+                    self.ps.transfer_pairs(op, &mut pairs);
+                    let step = self.place_transfers(level, &pairs, 0);
+                    self.pairs[level] = pairs;
+                    step
                 };
 
                 self.stage0_placed -= usize::from(takes_stage0);

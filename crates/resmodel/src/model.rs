@@ -47,6 +47,11 @@ pub struct ResModel<'l, 'm> {
     /// Number of operations of each functional-unit kind, for the
     /// resource-count (`ResMII`) infeasibility certificate.
     pub ops_per_kind: [usize; 3],
+    /// Registers each operation pins in its cluster from the moment it is
+    /// placed: 1 when it produces a value and has a successor (the final
+    /// MaxLive rule charges such a value a register even for same-cycle
+    /// consumption), else 0.
+    pub register_floor: Vec<u32>,
 }
 
 impl<'l, 'm> ResModel<'l, 'm> {
@@ -86,6 +91,10 @@ impl<'l, 'm> ResModel<'l, 'm> {
                 });
             }
         }
+        let register_floor: Vec<u32> = l
+            .op_ids()
+            .map(|op| u32::from(l.op(op).kind.produces_value() && l.succs(op).next().is_some()))
+            .collect();
         let homogeneous = machine
             .clusters()
             .map(|(_, c)| c)
@@ -105,6 +114,7 @@ impl<'l, 'm> ResModel<'l, 'm> {
             miss_latency: machine.load_miss_latency(),
             homogeneous,
             ops_per_kind,
+            register_floor,
         })
     }
 

@@ -37,6 +37,20 @@
 //! Releases must follow reservation order (LIFO), which every client —
 //! depth-first search, probe-and-undo heuristics — naturally satisfies;
 //! debug builds assert it.
+//!
+//! The kernel keeps per-cluster and per-bus use counts beside the
+//! occupancy tables, so [`max_used_cluster`](PartialSchedule::max_used_cluster)
+//! and [`max_used_bus`](PartialSchedule::max_used_bus) cost O(clusters) and
+//! O(buses) instead of a scan over every placement and bus row. A transfer
+//! takes its start row modulo the II once and wraps the rest by
+//! subtraction. [`transfer_pairs`](PartialSchedule::transfer_pairs) fills a
+//! buffer the caller passes in, and
+//! [`neighbour_bounds_per_cluster`](PartialSchedule::neighbour_bounds_per_cluster)
+//! gives an operation's dependence window in every cluster from one walk
+//! over its edges, with the same arithmetic as the single-cluster
+//! [`neighbour_bounds`](PartialSchedule::neighbour_bounds). A search that
+//! places and unplaces millions of candidates therefore allocates nothing
+//! once its buffers are warm.
 
 use crate::lifetime;
 use crate::model::ResModel;
@@ -100,7 +114,7 @@ pub enum PlaceError {
 
 /// Start-cycle bounds imposed on one operation by its already-placed
 /// neighbours, as computed by [`PartialSchedule::neighbour_bounds`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NeighbourBounds {
     /// Earliest legal start cycle (`None` when no placed predecessor
     /// constrains the operation beyond the caller's initial bound).
@@ -227,12 +241,20 @@ pub struct PartialSchedule<'r, 'l, 'm> {
     /// is placed. Each frame keeps its buffers across placements, so a
     /// search's place/unplace cycle allocates nothing once warm.
     frames: Vec<PressureFrame>,
+    /// Placed operations per cluster.
+    cluster_uses: Vec<u32>,
+    /// Reserved transfers per bus (empty for unbounded bus sets).
+    bus_uses: Vec<u32>,
 }
 
 /// The modulo rows a transfer starting at `start` occupies on its bus: its
-/// `span` consecutive cycles, modulo `ii`.
+/// `span` consecutive cycles, modulo `ii`. Finite bus sets book only
+/// transfers with `span ≤ ii`, so one division finds the first row and the
+/// rest wrap by a single subtraction.
 fn transfer_rows(start: i64, span: u32, ii: i64) -> impl Iterator<Item = usize> {
-    (0..i64::from(span)).map(move |o| (start + o).rem_euclid(ii) as usize)
+    debug_assert!(i64::from(span) <= ii, "a transfer longer than the II");
+    let first = start.rem_euclid(ii);
+    (first..first + i64::from(span)).map(move |r| (if r < ii { r } else { r - ii }) as usize)
 }
 
 /// Registers a value of the given maximum lifetime occupies: one per II the
@@ -279,6 +301,8 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             max_life: vec![None; n],
             copy_counts: vec![Vec::new(); n],
             frames: vec![PressureFrame::default(); n],
+            cluster_uses: vec![0; model.machine.num_clusters()],
+            bus_uses: vec![0; model.num_buses.unwrap_or(0)],
         }
     }
 
@@ -316,20 +340,14 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
     /// breaking over interchangeable clusters keys off this).
     #[must_use]
     pub fn max_used_cluster(&self) -> Option<ClusterId> {
-        self.placements.iter().flatten().map(|p| p.cluster).max()
+        self.cluster_uses.iter().rposition(|&n| n > 0)
     }
 
     /// Highest bus index any reserved transfer occupies (`None` on an empty
     /// or unbounded bus set).
     #[must_use]
     pub fn max_used_bus(&self) -> Option<usize> {
-        self.bus_rows.as_ref().and_then(|rows| {
-            rows.iter()
-                .enumerate()
-                .filter(|(_, r)| r.iter().any(Option::is_some))
-                .map(|(b, _)| b)
-                .max()
-        })
+        self.bus_uses.iter().rposition(|&n| n > 0)
     }
 
     fn row_of(&self, cycle: i64) -> usize {
@@ -356,11 +374,47 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
         init_lo: Option<i64>,
         init_hi: Option<i64>,
     ) -> NeighbourBounds {
+        let mut bounds = NeighbourBounds {
+            lo: init_lo,
+            hi: init_hi,
+            culprit: None,
+        };
+        let out = std::slice::from_mut(&mut bounds);
+        self.fold_neighbour_bounds(op, assumed_latency, cluster, out);
+        bounds
+    }
+
+    /// [`neighbour_bounds`](Self::neighbour_bounds) for every cluster at
+    /// once, in one walk over the operation's edges: `out[c]` receives the
+    /// window of `op` in cluster `c`, for every `c < out.len()`.
+    pub fn neighbour_bounds_per_cluster(
+        &self,
+        op: OpId,
+        assumed_latency: u32,
+        init_lo: Option<i64>,
+        init_hi: Option<i64>,
+        out: &mut [NeighbourBounds],
+    ) {
+        out.fill(NeighbourBounds {
+            lo: init_lo,
+            hi: init_hi,
+            culprit: None,
+        });
+        self.fold_neighbour_bounds(op, assumed_latency, 0, out);
+    }
+
+    /// The one implementation of the dependence-window arithmetic: tightens
+    /// `out[i]`, the window of `op` in cluster `first_cluster + i`, by every
+    /// already-placed neighbour, in edge order.
+    fn fold_neighbour_bounds(
+        &self,
+        op: OpId,
+        assumed_latency: u32,
+        first_cluster: ClusterId,
+        out: &mut [NeighbourBounds],
+    ) {
         let ii = i64::from(self.ii);
         let bus_lat = i64::from(self.model.bus_latency);
-        let mut lo = init_lo;
-        let mut hi = init_hi;
-        let mut culprit: Option<Token> = None;
         for e in self.model.l.preds(op) {
             if e.src == op {
                 continue; // self-loop: both endpoints move together
@@ -368,20 +422,18 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             let Some(p) = self.placements[e.src.index()] else {
                 continue;
             };
-            let lat = if e.kind == EdgeKind::Data {
-                i64::from(p.latency)
+            let (lat, comm) = if e.kind == EdgeKind::Data {
+                (i64::from(p.latency), bus_lat)
             } else {
-                1
+                (1, 0)
             };
-            let comm = if e.kind == EdgeKind::Data && p.cluster != cluster {
-                bus_lat
-            } else {
-                0
-            };
-            let bound = p.cycle + lat + comm - ii * i64::from(e.distance);
-            if lo.is_none_or(|x| bound > x) {
-                lo = Some(bound);
-                culprit = culprit.max(Some(p.token));
+            let same = p.cycle + lat - ii * i64::from(e.distance);
+            for (c, b) in (first_cluster..).zip(out.iter_mut()) {
+                let bound = if c == p.cluster { same } else { same + comm };
+                if b.lo.is_none_or(|x| bound > x) {
+                    b.lo = Some(bound);
+                    b.culprit = b.culprit.max(Some(p.token));
+                }
             }
         }
         for e in self.model.l.succs(op) {
@@ -391,23 +443,20 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             let Some(s) = self.placements[e.dst.index()] else {
                 continue;
             };
-            let lat = if e.kind == EdgeKind::Data {
-                i64::from(assumed_latency)
+            let (lat, comm) = if e.kind == EdgeKind::Data {
+                (i64::from(assumed_latency), bus_lat)
             } else {
-                1
+                (1, 0)
             };
-            let comm = if e.kind == EdgeKind::Data && s.cluster != cluster {
-                bus_lat
-            } else {
-                0
-            };
-            let bound = s.cycle + ii * i64::from(e.distance) - lat - comm;
-            if hi.is_none_or(|x| bound < x) {
-                hi = Some(bound);
-                culprit = culprit.max(Some(s.token));
+            let same = s.cycle + ii * i64::from(e.distance) - lat;
+            for (c, b) in (first_cluster..).zip(out.iter_mut()) {
+                let bound = if c == s.cluster { same } else { same - comm };
+                if b.hi.is_none_or(|x| bound < x) {
+                    b.hi = Some(bound);
+                    b.culprit = b.culprit.max(Some(s.token));
+                }
             }
         }
-        NeighbourBounds { lo, hi, culprit }
     }
 
     /// Whether every self-loop edge of `op` is satisfied at this II with
@@ -480,6 +529,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             token,
         });
         self.placed_count += 1;
+        self.cluster_uses[cluster] += 1;
         self.add_pressure(op);
         #[cfg(debug_assertions)]
         self.debug_check_pressure();
@@ -506,6 +556,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
         debug_assert_eq!(popped, Some(p.token), "FU releases must be LIFO");
         self.placements[op.index()] = None;
         self.placed_count -= 1;
+        self.cluster_uses[p.cluster] -= 1;
     }
 
     /// Places `op` with every legality rule enforced at once: dependence
@@ -584,7 +635,8 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
         let ii = i64::from(self.ii);
         let bus_lat = i64::from(self.model.bus_latency);
         let l = self.model.l;
-        let mut booked: Vec<TransferId> = Vec::new();
+        // The transfers booked here are the top of the LIFO stack.
+        let first_transfer = self.comms.len();
         let mut ok = true;
         // Incoming transfers: a value produced in another cluster must
         // reach this cluster before `cycle`.
@@ -600,14 +652,12 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             }
             let ready = p.cycle + i64::from(p.latency) - ii * i64::from(e.distance);
             let start_max = cycle - bus_lat;
-            match self
+            if self
                 .reserve_transfer_earliest(e.src, op, p.cluster, cluster, ready, start_max, token)
+                .is_none()
             {
-                Some(id) => booked.push(id),
-                None => {
-                    ok = false;
-                    break;
-                }
+                ok = false;
+                break;
             }
         }
         // Outgoing transfers: the value produced here must reach already
@@ -626,27 +676,27 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                 let ready = cycle + i64::from(assumed_latency);
                 let deadline = s.cycle + ii * i64::from(e.distance);
                 let start_max = deadline - bus_lat;
-                match self.reserve_transfer_earliest(
-                    op, e.dst, cluster, s.cluster, ready, start_max, token,
-                ) {
-                    Some(id) => booked.push(id),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                if self
+                    .reserve_transfer_earliest(
+                        op, e.dst, cluster, s.cluster, ready, start_max, token,
+                    )
+                    .is_none()
+                {
+                    ok = false;
+                    break;
                 }
             }
         }
         if !ok {
-            for id in booked.into_iter().rev() {
-                self.release_transfer(id);
+            while self.comms.len() > first_transfer {
+                self.release_transfer(self.comms.len() - 1);
             }
             self.release_op(op);
             return Err(PlaceError::TransferFailed);
         }
         Ok(PlaceHandle {
             op,
-            transfers: booked.len(),
+            transfers: self.comms.len() - first_transfer,
         })
     }
 
@@ -706,6 +756,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                     for r in transfer_rows(start, span, ii) {
                         table[bus][r] = Some(token);
                     }
+                    self.bus_uses[bus] += 1;
                     self.comms.push(CommRec {
                         src,
                         dst,
@@ -760,6 +811,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             for r in transfer_rows(start, span, ii) {
                 table[bus][r] = Some(token);
             }
+            self.bus_uses[bus] += 1;
         }
         self.comms.push(CommRec {
             src,
@@ -786,21 +838,23 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                 debug_assert_eq!(table[rec.bus][r], Some(rec.token));
                 table[rec.bus][r] = None;
             }
+            self.bus_uses[rec.bus] -= 1;
         }
     }
 
     /// The cross-cluster transfers implied by the (already committed)
-    /// placement of `op`: one per (producer, consumer) pair with a placed
-    /// neighbour in another cluster, the start window intersected over
-    /// parallel edges. The windows are non-empty whenever the
-    /// [`neighbour_bounds`](Self::neighbour_bounds) admitted the cycle.
-    #[must_use]
-    pub fn transfer_pairs(&self, op: OpId) -> Vec<TransferPair> {
+    /// placement of `op`, written into `pairs` (cleared first, so a search
+    /// can reuse one buffer per decision level): one per (producer,
+    /// consumer) pair with a placed neighbour in another cluster, the start
+    /// window intersected over parallel edges. The windows are non-empty
+    /// whenever the [`neighbour_bounds`](Self::neighbour_bounds) admitted
+    /// the cycle.
+    pub fn transfer_pairs(&self, op: OpId, pairs: &mut Vec<TransferPair>) {
         let p = self.placements[op.index()].expect("transfer_pairs on an unplaced operation");
         let (cluster, t) = (p.cluster, p.cycle);
         let ii = i64::from(self.ii);
         let bus_lat = i64::from(self.model.bus_latency);
-        let mut pairs: Vec<TransferPair> = Vec::new();
+        pairs.clear();
         let merge = |pairs: &mut Vec<TransferPair>, pair: TransferPair| {
             if let Some(existing) = pairs
                 .iter_mut()
@@ -820,7 +874,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             };
             if s.cluster != cluster {
                 merge(
-                    &mut pairs,
+                    pairs,
                     TransferPair {
                         src: e.src,
                         dst: op,
@@ -842,7 +896,7 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             };
             if d.cluster != cluster {
                 merge(
-                    &mut pairs,
+                    pairs,
                     TransferPair {
                         src: op,
                         dst: e.dst,
@@ -855,7 +909,6 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
                 );
             }
         }
-        pairs
     }
 
     /// Whether a transfer for (`src`, `dst`) starting at a cycle congruent
@@ -993,15 +1046,10 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
     /// longest lifetime is zero, so any completion of a prefix that places
     /// such a producer pays at least one register in its cluster — the
     /// floor keeps the incremental bound monotone *and* final-consistent
-    /// before any consumer lands.
+    /// before any consumer lands. The floor is precomputed per operation
+    /// ([`ResModel::register_floor`]).
     fn producer_regs(&self, op: OpId, life: Option<i64>) -> u32 {
-        let base = regs(life, i64::from(self.ii));
-        let l = self.model.l;
-        if l.op(op).kind.produces_value() && l.succs(op).next().is_some() {
-            base.max(1)
-        } else {
-            base
-        }
+        regs(life, i64::from(self.ii)).max(self.model.register_floor[op.index()])
     }
 
     #[cfg(debug_assertions)]

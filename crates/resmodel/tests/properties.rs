@@ -6,8 +6,8 @@
 //! enforced by [`PartialSchedule`], so that is where the properties live.
 
 use mvp_ir::{Loop, OpId};
-use mvp_machine::presets;
-use mvp_resmodel::{PartialSchedule, PlaceError, ResModel};
+use mvp_machine::{presets, MachineConfig};
+use mvp_resmodel::{NeighbourBounds, PartialSchedule, PlaceError, ResModel};
 use mvp_testutil::SplitMix64;
 
 /// A loop of `n` independent loads (no edges): every placement decision is
@@ -134,18 +134,68 @@ fn random_loop(rng: &mut SplitMix64, n: usize) -> Loop {
     b.build().unwrap()
 }
 
+/// The kernel's use counts and its all-cluster window against what they
+/// replace: `max_used_cluster`/`max_used_bus` equal a scan of the placements
+/// and transfers, and for every unplaced op the one-walk window in each
+/// cluster equals the single-cluster `neighbour_bounds`.
+fn check_counts_and_windows(
+    ps: &PartialSchedule<'_, '_, '_>,
+    model: &ResModel<'_, '_>,
+    init: (Option<i64>, Option<i64>),
+) {
+    let ops = || (0..model.num_ops()).map(OpId::from_index);
+    let placed_max = ops()
+        .filter_map(|op| ps.placement(op))
+        .map(|p| p.cluster)
+        .max();
+    assert_eq!(ps.max_used_cluster(), placed_max);
+    let bus_max = ps.communications().iter().map(|c| c.bus).max();
+    assert_eq!(
+        ps.max_used_bus(),
+        bus_max.filter(|_| model.num_buses.is_some())
+    );
+
+    let mut all = vec![NeighbourBounds::default(); model.machine.num_clusters()];
+    for op in ops().filter(|&op| ps.placement(op).is_none()) {
+        let lat = model.latency[op.index()];
+        ps.neighbour_bounds_per_cluster(op, lat, init.0, init.1, &mut all);
+        for (c, window) in all.iter().enumerate() {
+            assert_eq!(
+                *window,
+                ps.neighbour_bounds(op, c, lat, init.0, init.1),
+                "{op} in cluster {c}"
+            );
+        }
+    }
+}
+
 /// `place` + `unplace` is the identity on every observable of the kernel:
-/// pressure, placements, occupancy maxima and the transfer stack.
+/// pressure, placements, occupancy maxima and the transfer stack. On the
+/// 4-cluster machine and on the motivating machine (one register bus of
+/// latency 2, whose transfers wrap around the modulo table) as well as the
+/// 2-cluster one, the use counts and the all-cluster window agree with the
+/// scans they replace at every snapshot.
 #[test]
 fn place_unplace_round_trips_observable_state() {
     let mut rng = SplitMix64::seed_from_u64(0xD00D);
-    for _ in 0..64 {
+    let machines: [MachineConfig; 3] = [
+        presets::two_cluster(),
+        presets::four_cluster(),
+        presets::motivating_example_machine(),
+    ];
+    for round in 0..192 {
+        let machine = &machines[round % machines.len()];
         let n = rng.gen_range_inclusive(3, 9);
         let l = random_loop(&mut rng, n);
-        let machine = presets::two_cluster();
-        let model = ResModel::new(&l, &machine).unwrap();
+        let model = ResModel::new(&l, machine).unwrap();
         let ii = rng.gen_range_inclusive(1, 4) as u32;
         let mut ps = PartialSchedule::new(&model, ii);
+        let lo = rng.gen_index(3) as i64 - 1;
+        let init = if rng.gen_index(2) == 0 {
+            (None, None)
+        } else {
+            (Some(lo), Some(lo + rng.gen_index(8) as i64))
+        };
 
         // Greedily place a prefix of the operations (first fitting cluster
         // and cycle inside a bounded scan).
@@ -157,6 +207,7 @@ fn place_unplace_round_trips_observable_state() {
                 for t in 0..i64::from(4 * ii) {
                     if let Ok(h) = ps.place(op, cluster, t, lat, false, k as u32) {
                         handles.push(h);
+                        check_counts_and_windows(&ps, &model, init);
                         continue 'ops;
                     }
                 }
@@ -187,6 +238,7 @@ fn place_unplace_round_trips_observable_state() {
             for cluster in 0..machine.num_clusters() {
                 for t in 0..i64::from(2 * ii) {
                     if let Ok(h) = ps.place(op, cluster, t, model.latency[k], false, 77) {
+                        check_counts_and_windows(&ps, &model, init);
                         ps.unplace(h);
                     }
                 }
@@ -199,11 +251,13 @@ fn place_unplace_round_trips_observable_state() {
                 ps.max_used_bus(),
             );
             assert_eq!(now, snapshot, "probing {op} perturbed the kernel");
+            check_counts_and_windows(&ps, &model, init);
         }
 
         // Unwinding the whole prefix restores the empty kernel.
         for h in handles.into_iter().rev() {
             ps.unplace(h);
+            check_counts_and_windows(&ps, &model, init);
         }
         assert_eq!(ps.num_placed(), 0);
         assert_eq!(ps.num_transfers(), 0);
