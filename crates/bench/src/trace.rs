@@ -133,19 +133,16 @@ impl TraceOutcome {
 pub fn deterministic_pass(params: &TraceParams, executor: &Arc<Executor>) {
     let loops = params.corpus();
     let refs: Vec<&Loop> = loops.iter().collect();
-    let oracle = ExactOptions::new().with_node_budget(params.node_budget);
+    let exact = ExactOptions::new().with_node_budget(params.node_budget);
     for (choice, gap) in [
         (SchedulerChoice::Rmca, true),
         (SchedulerChoice::ExactSat, false),
     ] {
-        let mut builder = Pipeline::builder()
+        let pipeline = Pipeline::builder()
             .scheduler(choice)
             .executor(Arc::clone(executor))
-            .exact_node_budget(params.node_budget);
-        if gap {
-            builder = builder.optimality_gap_options(oracle);
-        }
-        let pipeline = builder
+            .exact_options(exact)
+            .optimality_gap(gap)
             .build()
             .expect("default-machine pipelines are valid");
         // Individual loops may legitimately fail (exhausted II search on a
@@ -169,7 +166,7 @@ fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> (Vec<Event>,
         .scheduler(SchedulerChoice::Portfolio)
         .executor(Arc::clone(executor))
         .schedule_cache(Arc::clone(&cache))
-        .exact_node_budget(params.node_budget)
+        .exact_options(ExactOptions::new().with_node_budget(params.node_budget))
         .build()
         .expect("default-machine pipelines are valid");
     mvp_trace::set_enabled(true);

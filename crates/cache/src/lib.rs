@@ -17,10 +17,10 @@
 //! preserves the ranking of candidate clusters, which is all the scheduler
 //! consumes.
 //!
-//! The crate also provides a closed-form [`reuse`] classification
-//! (self-temporal, self-spatial, group reuse) used for reporting and for
-//! fast pre-filtering, and a simple functional [`sim_cache`] used by both the
-//! estimator here and the cycle-level simulator.
+//! The crate also provides a closed-form self-reuse classification
+//! ([`reuse`]: self-temporal, self-spatial) and a simple functional
+//! [`sim_cache`] used by both the estimator here and the cycle-level
+//! simulator.
 //!
 //! # Example
 //!
@@ -52,10 +52,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cme;
-pub mod footprint;
 pub mod reuse;
 pub mod sim_cache;
 
 pub use cme::{LocalityAnalysis, MissProfile, OpMissStats};
-pub use reuse::{group_reuse, self_reuse, ReuseKind};
+pub use reuse::{self_reuse, ReuseKind};
 pub use sim_cache::CacheSim;

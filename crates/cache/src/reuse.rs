@@ -1,14 +1,13 @@
-//! Closed-form reuse classification of affine references.
-//!
-//! This mirrors the reuse-vector terminology used in the CME literature:
+//! Closed-form self-reuse classification of an affine reference, in the
+//! reuse-vector terminology of the CME literature:
 //!
 //! * **self-temporal** reuse: the reference touches the same address on
 //!   consecutive innermost iterations (inner stride 0),
 //! * **self-spatial** reuse: consecutive innermost iterations stay within the
-//!   same cache block often enough to matter (0 < |stride| < block size),
-//! * **group** reuse: two references to the same array whose addresses differ
-//!   by a constant smaller than a block, so one can inherit the block the
-//!   other fetched (the `LD1`/`LD3` pair of the motivating example).
+//!   same cache block often enough to matter (0 < |stride| < block size).
+//!
+//! Reuse *between* references (group reuse, conflicts) is what the CME
+//! estimator in [`crate::cme`] counts directly.
 
 use mvp_ir::{Loop, OpId};
 use mvp_machine::CacheGeometry;
@@ -55,50 +54,6 @@ pub fn self_reuse(l: &Loop, op: OpId, geometry: CacheGeometry) -> ReuseKind {
     }
 }
 
-/// Whether memory operations `a` and `b` exhibit group reuse: they reference
-/// the same array with identical strides and a constant address difference
-/// smaller than one cache block, so scheduling them on the same cluster lets
-/// one reuse the block fetched by the other.
-#[must_use]
-pub fn group_reuse(l: &Loop, a: OpId, b: OpId, geometry: CacheGeometry) -> bool {
-    let (Some(ra), Some(rb)) = (l.memory_ref_of(a), l.memory_ref_of(b)) else {
-        return false;
-    };
-    if ra.array != rb.array {
-        return false;
-    }
-    // Same direction of travel in every dimension.
-    let dims = ra.strides.len().max(rb.strides.len());
-    for d in 0..dims {
-        let sa = ra.strides.get(d).copied().unwrap_or(0);
-        let sb = rb.strides.get(d).copied().unwrap_or(0);
-        if sa != sb {
-            return false;
-        }
-    }
-    let delta = (ra.offset - rb.offset).unsigned_abs();
-    delta < geometry.block_bytes
-}
-
-/// Expected miss ratio of a reference in isolation, from its self-reuse alone
-/// (1 miss per block for spatial reuse, a single cold miss for temporal
-/// reuse, 1.0 otherwise). This is the quick analytical estimate; the CME
-/// estimator in [`crate::cme`] accounts for conflicts and group reuse too.
-#[must_use]
-pub fn isolated_miss_ratio(l: &Loop, op: OpId, geometry: CacheGeometry) -> f64 {
-    let Some(r) = l.memory_ref_of(op) else {
-        return 0.0;
-    };
-    match self_reuse(l, op, geometry) {
-        ReuseKind::SelfTemporal => 0.0,
-        ReuseKind::SelfSpatial => {
-            let stride = r.inner_stride(l.nest()).unsigned_abs();
-            stride as f64 / geometry.block_bytes as f64
-        }
-        ReuseKind::None => 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,9 +63,8 @@ mod tests {
         CacheGeometry::direct_mapped(1024)
     }
 
-    /// Loads with unit stride, large stride, zero stride and a group-reuse
-    /// partner.
-    fn sample_loop() -> (Loop, OpId, OpId, OpId, OpId, OpId) {
+    /// Loads with unit stride, large stride and zero stride.
+    fn sample_loop() -> (Loop, OpId, OpId, OpId) {
         let mut b = Loop::builder("reuse");
         let j = b.dimension("J", 4);
         let i = b.dimension("I", 64);
@@ -119,41 +73,16 @@ mod tests {
         let unit = b.load("UNIT", b.array_ref(a).stride(i, 8).build());
         let wide = b.load("WIDE", b.array_ref(a).stride(i, 128).build());
         let scalar = b.load("SCALAR", b.array_ref(c).stride(j, 8).build());
-        let partner = b.load("PARTNER", b.array_ref(a).offset(8).stride(i, 8).build());
-        let other_array = b.load("OTHER", b.array_ref(c).stride(i, 8).build());
         let l = b.build().unwrap();
-        (l, unit, wide, scalar, partner, other_array)
+        (l, unit, wide, scalar)
     }
 
     #[test]
     fn self_reuse_classification() {
-        let (l, unit, wide, scalar, _, _) = sample_loop();
+        let (l, unit, wide, scalar) = sample_loop();
         assert_eq!(self_reuse(&l, unit, geometry()), ReuseKind::SelfSpatial);
         assert_eq!(self_reuse(&l, wide, geometry()), ReuseKind::None);
         assert_eq!(self_reuse(&l, scalar, geometry()), ReuseKind::SelfTemporal);
-    }
-
-    #[test]
-    fn group_reuse_requires_same_array_same_strides_and_small_delta() {
-        let (l, unit, wide, scalar, partner, other_array) = sample_loop();
-        let g = geometry();
-        assert!(group_reuse(&l, unit, partner, g));
-        assert!(group_reuse(&l, partner, unit, g));
-        // Different stride: no group reuse.
-        assert!(!group_reuse(&l, unit, wide, g));
-        // Different array: no group reuse.
-        assert!(!group_reuse(&l, unit, other_array, g));
-        // Non-memory pairs never group-reuse.
-        assert!(!group_reuse(&l, unit, scalar, g));
-    }
-
-    #[test]
-    fn isolated_miss_ratio_matches_reuse_kind() {
-        let (l, unit, wide, scalar, _, _) = sample_loop();
-        let g = geometry();
-        assert!((isolated_miss_ratio(&l, unit, g) - 0.25).abs() < 1e-12);
-        assert_eq!(isolated_miss_ratio(&l, wide, g), 1.0);
-        assert_eq!(isolated_miss_ratio(&l, scalar, g), 0.0);
     }
 
     #[test]
@@ -162,7 +91,6 @@ mod tests {
         let x = b.fp_op("X");
         let l = b.build().unwrap();
         assert_eq!(self_reuse(&l, x, geometry()), ReuseKind::None);
-        assert_eq!(isolated_miss_ratio(&l, x, geometry()), 0.0);
     }
 
     #[test]

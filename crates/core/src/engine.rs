@@ -120,7 +120,7 @@ pub fn schedule_with_policy<P: ClusterPolicy>(
             reason: "the loop needs a functional-unit kind the machine does not provide".into(),
         });
     }
-    let analysis = LocalityAnalysis::with_window(l, options.locality_window);
+    let analysis = LocalityAnalysis::new(l);
     let base_order =
         ordering::schedule_order(l, |op| l.op(op).kind.hit_latency(&machine.latencies));
     let max_ii = min_ii.saturating_add(options.max_ii_slack);
@@ -280,11 +280,9 @@ fn try_ii<P: ClusterPolicy>(
     // The kernel exporter shifts cycles to be non-negative (by a multiple of
     // the II, so rows are preserved) and recomputes the MaxLive pressure.
     let schedule = ps.freeze(policy.name());
-    if options.enforce_register_pressure {
-        for (c, &p) in schedule.register_pressure().iter().enumerate() {
-            if p > machine.cluster(c).register_file_size as u32 {
-                return Err(None);
-            }
+    for (c, &p) in schedule.register_pressure().iter().enumerate() {
+        if p > machine.cluster(c).register_file_size as u32 {
+            return Err(None);
         }
     }
     Ok(schedule)

@@ -62,7 +62,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;
-pub mod display;
 pub mod engine;
 pub mod error;
 pub mod list_schedule;
@@ -78,14 +77,13 @@ pub use mvp_resmodel::lifetime;
 pub use mvp_resmodel::schedule;
 
 pub use baseline::BaselineScheduler;
-pub use display::render_kernel;
 pub use error::ScheduleError;
 pub use list_schedule::{FallbackScheduler, ListScheduler};
 pub use metrics::ScheduleMetrics;
 pub use options::SchedulerOptions;
 pub use rmca::RmcaScheduler;
 pub use schedule::{Communication, PlacedOp, Schedule};
-pub use validate::{is_legal, validate_schedule, Violation};
+pub use validate::{validate_schedule, Violation};
 
 use mvp_ir::Loop;
 use mvp_machine::MachineConfig;

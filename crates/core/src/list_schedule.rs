@@ -133,10 +133,9 @@ impl ListScheduler {
         }
     }
 
-    /// Creates a list scheduler with the given options
-    /// (`enforce_register_pressure`, `miss_threshold` and
-    /// `locality_window` are consulted; the II-search options are
-    /// meaningless without pipelining).
+    /// Creates a list scheduler with the given options (only
+    /// `miss_threshold` is consulted; the II search slack is meaningless
+    /// without pipelining).
     #[must_use]
     pub fn with_options(options: SchedulerOptions) -> Self {
         Self { options }
@@ -157,8 +156,7 @@ impl ModuloScheduler for ListScheduler {
         let miss_latency = machine.load_miss_latency();
         // The locality analysis is only needed when the threshold scheme is
         // active (threshold 1.0 — the default — never miss-schedules).
-        let analysis = (self.options.miss_threshold < 1.0)
-            .then(|| LocalityAnalysis::with_window(l, self.options.locality_window));
+        let analysis = (self.options.miss_threshold < 1.0).then(|| LocalityAnalysis::new(l));
         let mut fu = AcyclicFuTable::new(&model);
         let mut bus = AcyclicBusTable::new(&model);
         let mut cluster_load = vec![0usize; machine.num_clusters()];
@@ -310,17 +308,15 @@ impl ModuloScheduler for ListScheduler {
             .collect();
 
         let pressure = lifetime::register_pressure(l, &ops, ii, machine.num_clusters());
-        if self.options.enforce_register_pressure {
-            for (cluster, &p) in pressure.iter().enumerate() {
-                let capacity = machine.cluster(cluster).register_file_size;
-                if p > capacity as u32 {
-                    return Err(ScheduleError::MissingResources {
-                        reason: format!(
-                            "non-pipelined schedule needs {p} registers in cluster {cluster} \
-                             but the file holds {capacity}"
-                        ),
-                    });
-                }
+        for (cluster, &p) in pressure.iter().enumerate() {
+            let capacity = machine.cluster(cluster).register_file_size;
+            if p > capacity as u32 {
+                return Err(ScheduleError::MissingResources {
+                    reason: format!(
+                        "non-pipelined schedule needs {p} registers in cluster {cluster} \
+                         but the file holds {capacity}"
+                    ),
+                });
             }
         }
 

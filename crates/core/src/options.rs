@@ -16,25 +16,16 @@ pub struct SchedulerOptions {
     /// How many extra candidate IIs beyond the minimum II are tried before
     /// giving up.
     pub max_ii_slack: u32,
-    /// Number of iteration points evaluated per locality query (the CME
-    /// sampling window).
-    pub locality_window: usize,
-    /// Whether the register-pressure check is enforced (scheduling fails and
-    /// the II is increased when a cluster would need more registers than its
-    /// file provides).
-    pub enforce_register_pressure: bool,
 }
 
 impl SchedulerOptions {
-    /// Paper-default options: threshold 1.0 (hit latencies), a generous II
-    /// search range and a 1024-point locality window.
+    /// Paper-default options: threshold 1.0 (hit latencies) and a generous
+    /// II search range.
     #[must_use]
     pub fn new() -> Self {
         Self {
             miss_threshold: 1.0,
             max_ii_slack: 64,
-            locality_window: 1024,
-            enforce_register_pressure: true,
         }
     }
 
@@ -43,27 +34,6 @@ impl SchedulerOptions {
     #[must_use]
     pub fn with_threshold(mut self, threshold: f64) -> Self {
         self.miss_threshold = threshold.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns a copy with the given locality window.
-    #[must_use]
-    pub fn with_locality_window(mut self, window: usize) -> Self {
-        self.locality_window = window.max(1);
-        self
-    }
-
-    /// Returns a copy with the given II search slack.
-    #[must_use]
-    pub fn with_max_ii_slack(mut self, slack: u32) -> Self {
-        self.max_ii_slack = slack;
-        self
-    }
-
-    /// Returns a copy with register-pressure enforcement switched on or off.
-    #[must_use]
-    pub fn with_register_pressure(mut self, enforce: bool) -> Self {
-        self.enforce_register_pressure = enforce;
         self
     }
 
@@ -95,7 +65,6 @@ mod tests {
         assert_eq!(o.miss_threshold, 1.0);
         assert!(!o.wants_miss_latency(1.0));
         assert!(!o.wants_miss_latency(0.0));
-        assert!(o.enforce_register_pressure);
     }
 
     #[test]
@@ -114,16 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_clamps_and_overrides() {
-        let o = SchedulerOptions::new()
-            .with_threshold(2.5)
-            .with_locality_window(0)
-            .with_max_ii_slack(8)
-            .with_register_pressure(false);
+    fn builder_clamps_the_threshold() {
+        let o = SchedulerOptions::new().with_threshold(2.5);
         assert_eq!(o.miss_threshold, 1.0);
-        assert_eq!(o.locality_window, 1);
-        assert_eq!(o.max_ii_slack, 8);
-        assert!(!o.enforce_register_pressure);
         let o2 = SchedulerOptions::new().with_threshold(-1.0);
         assert_eq!(o2.miss_threshold, 0.0);
     }

@@ -366,12 +366,6 @@ pub fn validate_schedule(l: &Loop, machine: &MachineConfig, schedule: &Schedule)
     violations
 }
 
-/// Convenience wrapper: whether `schedule` is legal for `l` on `machine`.
-#[must_use]
-pub fn is_legal(l: &Loop, machine: &MachineConfig, schedule: &Schedule) -> bool {
-    validate_schedule(l, machine, schedule).is_empty()
-}
-
 fn check_structure(
     l: &Loop,
     machine: &MachineConfig,
@@ -714,7 +708,6 @@ mod tests {
                 let s = scheduler.schedule(&l, &machine).unwrap();
                 let v = validate_schedule(&l, &machine, &s);
                 assert!(v.is_empty(), "{machine}: {v:?}");
-                assert!(is_legal(&l, &machine, &s));
             }
         }
     }

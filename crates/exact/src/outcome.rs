@@ -1,6 +1,6 @@
 //! Results of the exact II search: schedules, certified bounds, probe logs.
 
-use mvp_core::Schedule;
+use mvp_core::{Schedule, ScheduleError};
 use std::fmt;
 
 /// The engine that decided a probe (or backed a whole search).
@@ -154,6 +154,22 @@ impl ExactOutcome {
     pub fn optimality_gap_of(&self, heuristic_ii: u32) -> f64 {
         let bound = self.lower_bound.max(1);
         (f64::from(heuristic_ii) - f64::from(bound)) / f64::from(bound)
+    }
+
+    /// The found schedule, or [`ScheduleError::NoFeasibleIi`] spanning
+    /// `min_ii` to the last II the search probed: the end of the search
+    /// range when every II in it was refuted, or the II where the budget ran
+    /// out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::NoFeasibleIi`] when no schedule was found.
+    pub fn into_schedule(self) -> Result<Schedule, ScheduleError> {
+        let max_ii = self.probes.last().map_or(self.min_ii, |p| p.ii);
+        self.schedule.ok_or(ScheduleError::NoFeasibleIi {
+            min_ii: self.min_ii,
+            max_ii,
+        })
     }
 
     /// Total search steps across engines: branch-and-bound nodes plus SAT

@@ -982,25 +982,22 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             }
             let ps = enc.decode();
             let ops = ps.placed_ops();
-            if options.enforce_register_pressure {
-                let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
-                let overflowing: Vec<usize> = (0..pressure.len())
-                    .filter(|&c| pressure[c] > p.register_file[c])
-                    .collect();
-                if !overflowing.is_empty() {
-                    for c in overflowing {
-                        let lemma = enc.pressure_lemma(&ops, c);
-                        enc.clause(&lemma);
-                    }
-                    self.cegar_rounds += 1;
-                    mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
-                    continue;
+            let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
+            let overflowing: Vec<usize> = (0..pressure.len())
+                .filter(|&c| pressure[c] > p.register_file[c])
+                .collect();
+            if !overflowing.is_empty() {
+                for c in overflowing {
+                    let lemma = enc.pressure_lemma(&ops, c);
+                    enc.clause(&lemma);
                 }
+                self.cegar_rounds += 1;
+                mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
+                continue;
             }
             let comms = ps.communications();
             // A SAT certificate is only as good as the schedule it decodes
             // to: re-validate with the independent oracle in every build.
-            let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
             let schedule = mvp_core::Schedule::new(
                 p.machine.name.clone(),
                 "exact-sat",

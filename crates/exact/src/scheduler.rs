@@ -29,7 +29,7 @@ use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
 use crate::sat_backend::{SatProbeSession, SatProbeStats};
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
-use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule, SchedulerOptions};
+use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule};
 use mvp_ir::{mii, Loop};
 use mvp_machine::MachineConfig;
 
@@ -408,16 +408,6 @@ impl ExactScheduler {
         self
     }
 
-    /// Creates an exact scheduler configured from the shared
-    /// [`SchedulerOptions`] (see [`ExactOptions::from_scheduler_options`]).
-    #[must_use]
-    pub fn from_scheduler_options(options: &SchedulerOptions) -> Self {
-        Self {
-            options: ExactOptions::from_scheduler_options(options),
-            backend: ExactBackend::BranchAndBound,
-        }
-    }
-
     /// The search options in use.
     #[must_use]
     pub fn options(&self) -> &ExactOptions {
@@ -446,12 +436,7 @@ impl ModuloScheduler for ExactScheduler {
     }
 
     fn schedule(&self, l: &Loop, machine: &MachineConfig) -> Result<Schedule, ScheduleError> {
-        let outcome = self.solve(l, machine)?;
-        let max_ii = outcome.min_ii.saturating_add(self.options.max_ii_slack);
-        outcome.schedule.ok_or(ScheduleError::NoFeasibleIi {
-            min_ii: outcome.min_ii,
-            max_ii,
-        })
+        self.solve(l, machine)?.into_schedule()
     }
 }
 
@@ -521,6 +506,33 @@ mod tests {
             .schedule(&l, &machine)
             .unwrap_err();
         assert!(matches!(err, ScheduleError::NoFeasibleIi { .. }));
+    }
+
+    #[test]
+    fn an_exhausted_budget_reports_the_last_probed_ii() {
+        // The budget runs out in the first probe, so the largest II the
+        // search attempted is the minimum II, not the end of the range.
+        let (l, _) = mvp_workloads::motivating_loop(&mvp_workloads::MotivatingParams::default());
+        let machine = presets::motivating_example_machine();
+        let min_ii = mii::minimum_ii(&l, &machine);
+        for backend in [
+            ExactBackend::BranchAndBound,
+            ExactBackend::Sat,
+            ExactBackend::Portfolio,
+        ] {
+            let err = ExactScheduler::with_options(ExactOptions::new().with_node_budget(1))
+                .with_backend(backend)
+                .schedule(&l, &machine)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ScheduleError::NoFeasibleIi {
+                    min_ii,
+                    max_ii: min_ii
+                },
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -129,7 +129,6 @@ struct Searcher<'p, 'l, 'm> {
     /// (`earliest == 0`). Dynamic windows only tighten, so this is a sound
     /// over-approximation of the ops that could still anchor the schedule.
     stage0_capable_unplaced: usize,
-    enforce_pressure: bool,
     nodes: u64,
     /// Conflict-driven backjumps taken (a `DeepFail` propagated past a
     /// whole decision level).
@@ -154,7 +153,6 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
             pairs: vec![Vec::new(); p.num_ops()],
             stage0_placed: 0,
             stage0_capable_unplaced: win.earliest.iter().filter(|&&e| e == 0).count(),
-            enforce_pressure: options.enforce_register_pressure,
             nodes: 0,
             backjumps: 0,
             dominance_cuts: 0,
@@ -271,20 +269,14 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
                 "the time-shift dominance rule admits only normalized schedules"
             );
             let ops = self.ps.placed_ops();
-            if self.enforce_pressure {
-                let pressure = lifetime::register_pressure(
-                    self.p.l,
-                    &ops,
-                    self.ii,
-                    self.p.machine.num_clusters(),
-                );
-                if pressure
-                    .iter()
-                    .zip(&self.p.register_file)
-                    .any(|(&used, &cap)| used > cap)
-                {
-                    return Step::Fail(level as i64 - 1);
-                }
+            let pressure =
+                lifetime::register_pressure(self.p.l, &ops, self.ii, self.p.machine.num_clusters());
+            if pressure
+                .iter()
+                .zip(&self.p.register_file)
+                .any(|(&used, &cap)| used > cap)
+            {
+                return Step::Fail(level as i64 - 1);
             }
             self.solution = Some((ops, self.ps.communications()));
             return Step::Solved;
@@ -374,7 +366,7 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
                 let takes_stage0 = t == 0;
                 self.stage0_placed += usize::from(takes_stage0);
 
-                let step = if self.enforce_pressure && self.ps.pressure_exceeded() {
+                let step = if self.ps.pressure_exceeded() {
                     // Global constraint: the culprit set is unknowable, so
                     // fall back to chronological attribution.
                     TransferStep::CandidateFail(level as i64 - 1)

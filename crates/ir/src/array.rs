@@ -50,8 +50,8 @@ pub struct Array {
     /// addresses matter: the Figure-3 ping-pong interference appears exactly
     /// when two arrays are a multiple of the cache capacity apart.
     pub base_address: u64,
-    /// Size of the array in bytes (used for footprint statistics and for
-    /// placing arrays without overlap).
+    /// Size of the array in bytes (used for placing arrays without
+    /// overlap).
     pub size_bytes: u64,
 }
 

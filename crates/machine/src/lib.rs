@@ -10,10 +10,7 @@
 //! * [`BusConfig`] — the shared register buses and memory buses that connect
 //!   clusters (and main memory),
 //! * [`MachineConfig`] — a full machine built from homogeneous clusters,
-//!   with the Table-1 presets of the paper available from [`presets`],
-//! * [`isa`] — the VLIW instruction format of Figure 2 (per-cluster
-//!   functional-unit slots plus `IN BUS` / `OUT BUS` fields and the incoming
-//!   register value latch, IRV).
+//!   with the Table-1 presets of the paper available from [`presets`].
 //!
 //! Modulo reservation bookkeeping (functional-unit issue slots, bus
 //! transfer slots) lives in the shared constraint kernel `mvp-resmodel`,
@@ -41,7 +38,6 @@ pub mod cache_geom;
 pub mod cluster;
 pub mod error;
 pub mod fu;
-pub mod isa;
 pub mod latency;
 pub mod machine;
 pub mod presets;

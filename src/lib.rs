@@ -6,7 +6,7 @@
 //! depend on a single crate:
 //!
 //! * [`machine`] — the multiVLIWprocessor machine model (clusters, buses,
-//!   ISA, Table-1 presets),
+//!   Table-1 presets),
 //! * [`ir`] — the loop IR and data-dependence graphs,
 //! * [`resmodel`] — the shared incremental modulo-constraint kernel every
 //!   scheduler reserves through (placements, bus transfers, MaxLive),

@@ -132,7 +132,7 @@ impl SchedulerChoice {
             )),
             SchedulerChoice::Exact | SchedulerChoice::ExactSat | SchedulerChoice::Portfolio => {
                 let backend = self.exact_backend().expect("exact-family choice");
-                Box::new(ExactScheduler::from_scheduler_options(&options).with_backend(backend))
+                Box::new(ExactScheduler::new().with_backend(backend))
             }
         }
     }
@@ -166,8 +166,8 @@ pub struct PipelineBuilder {
     scheduler: SchedulerChoice,
     machine: Option<Arc<MachineConfig>>,
     scheduler_options: SchedulerOptions,
-    gap_oracle: Option<ExactOptions>,
-    exact_node_budget: Option<u64>,
+    exact_options: ExactOptions,
+    optimality_gap: bool,
     executor: Option<Arc<Executor>>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
 }
@@ -178,8 +178,8 @@ impl Default for PipelineBuilder {
             scheduler: SchedulerChoice::Rmca,
             machine: None,
             scheduler_options: SchedulerOptions::new(),
-            gap_oracle: None,
-            exact_node_budget: None,
+            exact_options: ExactOptions::new(),
+            optimality_gap: false,
             executor: None,
             schedule_cache: None,
         }
@@ -224,48 +224,31 @@ impl PipelineBuilder {
 
     /// Switches the optimality-gap oracle on or off (off by default).
     ///
-    /// When on, every [`Pipeline::run`] additionally runs the exact
-    /// scheduler of [`mvp_exact`] on the loop and reports the relative gap
-    /// between the heuristic II and the certified lower bound in
-    /// [`LoopReport::optimality_gap`]. This is meant for small loops — the
-    /// exact search carries a node budget and degrades to a weaker (but
-    /// still certified) bound on large ones.
+    /// When on, every [`Pipeline::run`] also prices the schedule's II
+    /// against the certified lower bound of an exact solve under the
+    /// pipeline's [`exact_options`](Self::exact_options), and reports the
+    /// relative gap in [`LoopReport::optimality_gap`]. This is meant for
+    /// small loops — the exact search carries a node budget and degrades to
+    /// a weaker (but still certified) bound on large ones.
     ///
-    /// For [`SchedulerChoice::Exact`] pipelines the oracle shares the
-    /// scheduler's own search (one solve yields both the schedule and the
-    /// bound), so the oracle's own options — including any set with
-    /// [`optimality_gap_options`](Self::optimality_gap_options) — are not
-    /// consulted and the schedule is identical with the flag on or off.
+    /// For the exact-family choices ([`SchedulerChoice::Exact`],
+    /// [`SchedulerChoice::ExactSat`], [`SchedulerChoice::Portfolio`]) the
+    /// one solve that yields the schedule also yields the bound, so the
+    /// flag never changes the schedule.
     #[must_use]
     pub fn optimality_gap(mut self, enabled: bool) -> Self {
-        self.gap_oracle = enabled.then(ExactOptions::new);
+        self.optimality_gap = enabled;
         self
     }
 
-    /// Switches the optimality-gap oracle on with explicit search options.
+    /// Sets the options of every exact solve the pipeline runs (default:
+    /// [`ExactOptions::new`]): the exact-family schedulers' own search and
+    /// the gap oracle's. A loop whose search exhausts the node budget
+    /// before finding a schedule fails with an exhausted II search; a gap
+    /// oracle that runs out keeps the bound it certified so far.
     #[must_use]
-    pub fn optimality_gap_options(mut self, options: ExactOptions) -> Self {
-        self.gap_oracle = Some(options);
-        self
-    }
-
-    /// Caps the search-step budget of the exact *scheduler* configurations
-    /// ([`SchedulerChoice::Exact`], [`SchedulerChoice::ExactSat`],
-    /// [`SchedulerChoice::Portfolio`]). Without this, exact
-    /// pipelines always solve under the 1M-step default of
-    /// [`ExactOptions`] — far more than a suite-scale `EVERY` run wants to
-    /// spend per loop. A loop whose probe exhausts the budget fails with an
-    /// exhausted II search instead of an answer, exactly as an
-    /// under-budgeted [`mvp_exact::solve`] would.
-    ///
-    /// Only consulted by the exact-family choices; the heuristic
-    /// configurations have no node budget, and the *gap oracle's* budget is
-    /// configured separately via
-    /// [`optimality_gap_options`](Self::optimality_gap_options) (except for
-    /// exact pipelines, whose single shared solve uses this budget).
-    #[must_use]
-    pub fn exact_node_budget(mut self, budget: u64) -> Self {
-        self.exact_node_budget = Some(budget);
+    pub fn exact_options(mut self, options: ExactOptions) -> Self {
+        self.exact_options = options;
         self
     }
 
@@ -321,27 +304,30 @@ impl PipelineBuilder {
             )));
         }
         let executor = self.executor.unwrap_or_else(Executor::global);
-        let scheduler = if let Some(backend) = self.scheduler.exact_backend() {
-            let mut options = ExactOptions::from_scheduler_options(&self.scheduler_options);
-            if let Some(budget) = self.exact_node_budget {
-                options = options.with_node_budget(budget);
-            }
-            Box::new(ExactScheduler::with_options(options).with_backend(backend))
-                as Box<dyn ModuloScheduler + Send + Sync>
-        } else {
-            self.scheduler.build(self.scheduler_options)
+        let solver = match self.scheduler.exact_backend() {
+            Some(backend) => Solver::Exact(backend),
+            None => Solver::Heuristic(self.scheduler.build(self.scheduler_options)),
         };
         Ok(Pipeline {
             choice: self.scheduler,
-            scheduler,
+            solver,
             scheduler_options: self.scheduler_options,
             machine,
-            gap_oracle: self.gap_oracle,
-            exact_node_budget: self.exact_node_budget,
+            exact_options: self.exact_options,
+            optimality_gap: self.optimality_gap,
             executor,
             schedule_cache: self.schedule_cache,
         })
     }
+}
+
+/// What a [`Pipeline`] schedules with.
+enum Solver {
+    /// A heuristic modulo scheduler (or the list-scheduling fallback).
+    Heuristic(Box<dyn ModuloScheduler + Send + Sync>),
+    /// The exact search on this backend, under the pipeline's
+    /// [`ExactOptions`].
+    Exact(ExactBackend),
 }
 
 /// The end-to-end schedule → simulate → report driver.
@@ -355,11 +341,11 @@ impl PipelineBuilder {
 /// solves proceed concurrently, each under its own node budget).
 pub struct Pipeline {
     choice: SchedulerChoice,
-    scheduler: Box<dyn ModuloScheduler + Send + Sync>,
+    solver: Solver,
     scheduler_options: SchedulerOptions,
     machine: Arc<MachineConfig>,
-    gap_oracle: Option<ExactOptions>,
-    exact_node_budget: Option<u64>,
+    exact_options: ExactOptions,
+    optimality_gap: bool,
     executor: Arc<Executor>,
     schedule_cache: Option<Arc<PipelineScheduleCache>>,
 }
@@ -427,19 +413,12 @@ impl Pipeline {
         k.str(self.choice.name());
         k.f64_bits(self.scheduler_options.miss_threshold);
         k.u32(self.scheduler_options.max_ii_slack);
-        k.usize(self.scheduler_options.locality_window);
-        k.bool(self.scheduler_options.enforce_register_pressure);
-        k.bool(self.gap_oracle.is_some());
-        if let Some(oracle) = &self.gap_oracle {
-            k.u32(oracle.max_ii_slack);
-            k.u64(oracle.node_budget);
-            k.u32(oracle.horizon_stages);
-            k.bool(oracle.enforce_register_pressure);
-        }
-        k.bool(self.exact_node_budget.is_some());
-        if let Some(budget) = self.exact_node_budget {
-            k.u64(budget);
-        }
+        k.bool(self.optimality_gap);
+        let exact = &self.exact_options;
+        k.u32(exact.max_ii_slack);
+        k.u64(exact.node_budget);
+        k.u32(exact.horizon_stages);
+        k.bool(exact.sat_incremental);
         k.finish()
     }
 
@@ -490,52 +469,41 @@ impl Pipeline {
 
     /// The uncached schedule → (gap oracle) → simulate path.
     fn solve(&self, l: &Loop) -> Result<LoopReport> {
-        // When the pipeline's own scheduler *is* the exact search (any
-        // backend) and the gap oracle is on, one solve provides both the
-        // schedule and the bound — running `ExactScheduler::schedule` and
-        // then the oracle would repeat the identical search. The solve uses
-        // the options the scheduler itself was built with (not the oracle's),
-        // so toggling the gap flag never changes the schedule produced.
-        if let (Some(backend), Some(_)) = (self.choice.exact_backend(), &self.gap_oracle) {
-            let mut options = ExactOptions::from_scheduler_options(&self.scheduler_options);
-            if let Some(budget) = self.exact_node_budget {
-                options = options.with_node_budget(budget);
+        let (schedule, optimality_gap) = match &self.solver {
+            Solver::Exact(backend) => {
+                // The exact search prices its own schedule: one solve yields
+                // both, so the gap flag never changes what is scheduled. Its
+                // whole cost is charged to the schedule phase.
+                if self.optimality_gap {
+                    mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
+                }
+                let span = mvp_trace::span!("pipeline.schedule");
+                let outcome = mvp_exact::solve_with(l, &self.machine, &self.exact_options, backend);
+                drop(span);
+                let outcome = outcome?;
+                let gap = outcome
+                    .schedule_ii()
+                    .filter(|_| self.optimality_gap)
+                    .map(|ii| outcome.optimality_gap_of(ii));
+                (outcome.into_schedule()?, gap)
             }
-            // The fused exact solve is both the scheduler and the oracle:
-            // its whole cost is charged to the schedule phase, and the
-            // oracle-run counter still ticks because a gap was produced.
-            mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
-            let span = mvp_trace::span!("pipeline.schedule");
-            let outcome = mvp_exact::solve_with(l, &self.machine, &options, &backend);
-            drop(span);
-            let outcome = outcome?;
-            let max_ii = outcome.min_ii.saturating_add(options.max_ii_slack);
-            let gap = outcome
-                .schedule_ii()
-                .map(|ii| outcome.optimality_gap_of(ii));
-            let schedule =
-                outcome
-                    .schedule
-                    .ok_or(Error::Schedule(mvp_core::ScheduleError::NoFeasibleIi {
-                        min_ii: outcome.min_ii,
-                        max_ii,
-                    }))?;
-            return self.finish_run(l, schedule, gap);
-        }
-        let span = mvp_trace::span!("pipeline.schedule");
-        let schedule = self.scheduler.schedule(l, &self.machine);
-        drop(span);
-        let schedule = schedule?;
-        let optimality_gap = self
-            .gap_oracle
-            .as_ref()
-            .map(|options| {
-                mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
-                let _span = mvp_trace::span!("pipeline.gap_oracle");
-                mvp_exact::solve(l, &self.machine, options)
-            })
-            .transpose()?
-            .map(|outcome| outcome.optimality_gap_of(schedule.ii()));
+            Solver::Heuristic(scheduler) => {
+                let span = mvp_trace::span!("pipeline.schedule");
+                let schedule = scheduler.schedule(l, &self.machine);
+                drop(span);
+                let schedule = schedule?;
+                let gap = self
+                    .optimality_gap
+                    .then(|| {
+                        mvp_trace::counter_handle!("pipeline.gap_oracle.runs").incr();
+                        let _span = mvp_trace::span!("pipeline.gap_oracle");
+                        mvp_exact::solve(l, &self.machine, &self.exact_options)
+                    })
+                    .transpose()?
+                    .map(|outcome| outcome.optimality_gap_of(schedule.ii()));
+                (schedule, gap)
+            }
+        };
         self.finish_run(l, schedule, optimality_gap)
     }
 
@@ -1050,37 +1018,53 @@ mod tests {
     }
 
     #[test]
-    fn exact_node_budget_caps_the_scheduler_search() {
+    fn one_exact_budget_starves_the_exact_scheduler_and_the_gap_oracle() {
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = Arc::new(presets::motivating_example_machine());
-        // A one-node budget exhausts immediately: the exact pipeline fails
-        // with an exhausted II search instead of burning the 1M default.
-        let starved = Pipeline::builder()
-            .scheduler(SchedulerChoice::Exact)
+        let min_ii = mvp_ir::mii::minimum_ii(&l, &machine);
+        let starved = ExactOptions::new().with_node_budget(1);
+        // A one-node budget exhausts in the first probe: the exact pipeline
+        // fails with an exhausted II search that names the II it reached,
+        // with the gap flag on or off.
+        for gap in [false, true] {
+            let err = Pipeline::builder()
+                .scheduler(SchedulerChoice::Exact)
+                .machine(Arc::clone(&machine))
+                .exact_options(starved)
+                .optimality_gap(gap)
+                .build()
+                .unwrap()
+                .run(&l)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Schedule(mvp_core::ScheduleError::NoFeasibleIi { min_ii: lo, max_ii: hi })
+                        if lo == min_ii && hi == min_ii
+                ),
+                "gap {gap}: {err}"
+            );
+        }
+        // The same setting reaches a heuristic pipeline's gap oracle: RMCA
+        // still schedules (at II 4), but the starved oracle certifies no
+        // more than the minimum II.
+        let rmca = Pipeline::builder()
+            .scheduler(SchedulerChoice::Rmca)
             .machine(Arc::clone(&machine))
-            .exact_node_budget(1)
-            .build()
-            .unwrap();
-        let err = starved.run(&l).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Schedule(mvp_core::ScheduleError::NoFeasibleIi { .. })
-        ));
-        // The same cap flows into the shared solve of the Exact + gap-oracle
-        // fast path.
-        let starved_gap = Pipeline::builder()
-            .scheduler(SchedulerChoice::Exact)
-            .machine(Arc::clone(&machine))
-            .exact_node_budget(1)
+            .exact_options(starved)
             .optimality_gap(true)
             .build()
+            .unwrap()
+            .run(&l)
             .unwrap();
-        assert!(starved_gap.run(&l).is_err());
-        // A generous budget changes nothing relative to the default.
+        let bound = f64::from(min_ii);
+        let expected = (f64::from(rmca.ii) - bound) / bound;
+        assert!((rmca.optimality_gap.unwrap() - expected).abs() < 1e-12);
+        // A budget equal to the default changes nothing.
         let roomy = Pipeline::builder()
             .scheduler(SchedulerChoice::Exact)
             .machine(Arc::clone(&machine))
-            .exact_node_budget(mvp_exact::ExactOptions::new().node_budget)
+            .exact_options(ExactOptions::new().with_node_budget(ExactOptions::new().node_budget))
             .build()
             .unwrap();
         let default = Pipeline::builder()
@@ -1088,17 +1072,7 @@ mod tests {
             .machine(machine)
             .build()
             .unwrap();
-        assert_eq!(
-            roomy.run(&l).unwrap().schedule,
-            default.run(&l).unwrap().schedule
-        );
-        // Heuristic pipelines ignore the budget entirely.
-        let rmca = Pipeline::builder()
-            .scheduler(SchedulerChoice::Rmca)
-            .exact_node_budget(1)
-            .build()
-            .unwrap();
-        assert!(rmca.run(&l).is_ok());
+        assert_eq!(roomy.run(&l).unwrap(), default.run(&l).unwrap());
     }
 
     #[test]
@@ -1133,6 +1107,35 @@ mod tests {
         assert_eq!(report.optimality_gap, None);
         let batch = PipelineReport::from_runs(SchedulerChoice::Rmca, vec![report]).unwrap();
         assert_eq!(batch.optimality_gap, None);
+        // For the exact family the flag changes nothing but the gap itself.
+        let machine = Arc::new(presets::motivating_example_machine());
+        for choice in [
+            SchedulerChoice::Exact,
+            SchedulerChoice::ExactSat,
+            SchedulerChoice::Portfolio,
+        ] {
+            let run = |gap| {
+                Pipeline::builder()
+                    .scheduler(choice)
+                    .machine(Arc::clone(&machine))
+                    .optimality_gap(gap)
+                    .build()
+                    .unwrap()
+                    .run(&l)
+                    .unwrap()
+            };
+            let (off, on) = (run(false), run(true));
+            assert_eq!(off.optimality_gap, None, "{choice}");
+            assert_eq!(on.optimality_gap, Some(0.0), "{choice}");
+            assert_eq!(
+                LoopReport {
+                    optimality_gap: None,
+                    ..on
+                },
+                off,
+                "{choice}"
+            );
+        }
     }
 
     #[test]

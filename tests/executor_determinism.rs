@@ -32,11 +32,11 @@ fn suite_outcomes(choice: SchedulerChoice, threads: usize) -> Vec<multivliw::Res
         .executor(Arc::clone(&executor))
         // Gap oracle on (its per-loop solves are part of the parallel
         // stage under test), with a small budget so the certified bounds
-        // stay cheap on the suite's bigger bodies.
-        .optimality_gap_options(ExactOptions::new().with_node_budget(4096))
-        // The exact scheduler may exhaust this budget on the big bodies;
-        // those loops fail, and their errors must match too.
-        .exact_node_budget(1 << 12)
+        // stay cheap on the suite's bigger bodies. The exact scheduler may
+        // exhaust the same budget on the big bodies; those loops fail, and
+        // their errors must match too.
+        .optimality_gap(true)
+        .exact_options(ExactOptions::new().with_node_budget(4096))
         .build()
         .expect("default-machine pipelines are valid");
     executor.map(&loops, |l| pipeline.run(l))

@@ -69,7 +69,8 @@ fn suite_replays_hit_and_match_with_the_gap_oracle_on() {
         SchedulerChoice::ListFallback,
     ] {
         let p = cached_builder(choice, &cache)
-            .optimality_gap_options(ExactOptions::new().with_node_budget(4096))
+            .optimality_gap(true)
+            .exact_options(ExactOptions::new().with_node_budget(4096))
             .build()
             .unwrap();
         let before = cache.stats();
@@ -203,39 +204,62 @@ fn relabeled_isomorphic_loops_share_a_cache_entry_legally() {
 fn distinct_configurations_never_collide_in_the_suite() {
     // Every (loop, machine, scheduler, option-variant) pair in the suite
     // feeds a distinct key: a collision would silently replay the wrong
-    // artifact, so this enumerates the realistic configuration space.
+    // artifact, so this enumerates the realistic configuration space. Each
+    // exact option gets a variant of its own, so a key that drops any one
+    // of them collides here.
     let workloads = suite(&SuiteParams::small());
     let machines = [
         presets::unified(),
         presets::two_cluster(),
         presets::four_cluster(),
     ];
+    let exact_variants = [
+        ("default", ExactOptions::new()),
+        (
+            "slack16",
+            ExactOptions {
+                max_ii_slack: 16,
+                ..ExactOptions::new()
+            },
+        ),
+        ("budget4096", ExactOptions::new().with_node_budget(4096)),
+        ("scratch", ExactOptions::new().with_sat_incremental(false)),
+        ("horizon2", ExactOptions::new().with_horizon_stages(2)),
+    ];
     let mut keys: std::collections::HashMap<CacheKey, String> = std::collections::HashMap::new();
     let mut count = 0usize;
     for machine in &machines {
-        for choice in [SchedulerChoice::Baseline, SchedulerChoice::Rmca] {
+        for choice in [
+            SchedulerChoice::Baseline,
+            SchedulerChoice::Rmca,
+            SchedulerChoice::ExactSat,
+        ] {
             for threshold in [1.0, 0.3] {
                 for gap in [false, true] {
-                    let p = Pipeline::builder()
-                        .scheduler(choice)
-                        .machine(machine.clone())
-                        .threshold(threshold)
-                        .optimality_gap(gap)
-                        .build()
-                        .unwrap();
-                    for w in &workloads {
-                        for l in &w.loops {
-                            count += 1;
-                            let label = format!(
-                                "{}/{}/{}/t{}/g{}",
-                                l.name(),
-                                machine.name,
-                                choice,
-                                threshold,
-                                gap
-                            );
-                            if let Some(prev) = keys.insert(p.cache_key(l), label.clone()) {
-                                panic!("key collision: {prev} vs {label}");
+                    for (variant, exact) in exact_variants {
+                        let p = Pipeline::builder()
+                            .scheduler(choice)
+                            .machine(machine.clone())
+                            .threshold(threshold)
+                            .optimality_gap(gap)
+                            .exact_options(exact)
+                            .build()
+                            .unwrap();
+                        for w in &workloads {
+                            for l in &w.loops {
+                                count += 1;
+                                let label = format!(
+                                    "{}/{}/{}/t{}/g{}/{}",
+                                    l.name(),
+                                    machine.name,
+                                    choice,
+                                    threshold,
+                                    gap,
+                                    variant
+                                );
+                                if let Some(prev) = keys.insert(p.cache_key(l), label.clone()) {
+                                    panic!("key collision: {prev} vs {label}");
+                                }
                             }
                         }
                     }
@@ -244,5 +268,8 @@ fn distinct_configurations_never_collide_in_the_suite() {
         }
     }
     assert_eq!(keys.len(), count);
-    assert!(count >= 3 * 2 * 2 * 2 * 8, "the space actually enumerated");
+    assert!(
+        count >= 3 * 3 * 2 * 2 * 5 * 8,
+        "the space actually enumerated"
+    );
 }
