@@ -4,8 +4,9 @@
 //! implied by its other clauses, so they may change how fast SAT decides,
 //! never what it decides: on the 116-point corpus it proves every point
 //! and never contradicts branch-and-bound. The branch-and-bound search's
-//! node counts are pinned point by point, so a kernel change that claims
-//! to be node-identical is, and one that is not shows where.
+//! node counts and the SAT engine's steps are pinned point by point, so a
+//! kernel or solver change that claims to search the same nodes or steps
+//! does, and one that does not shows where.
 
 use mvp_bench::gap::{run, GapParams, GapRow};
 use mvp_exact::ExactBackend;
@@ -68,6 +69,64 @@ const BNB_NODES: [(&str, &str, u64); 52] = [
     ("motivating-2-cluster", "random_8", 21),
 ];
 
+/// SAT steps (decisions + conflicts) per point of the default 52-point
+/// corpus, as `gap --solver sat` prints them in its `conflicts` column:
+/// (machine, loop, steps), in the corpus's machine-major order.
+const SAT_STEPS: [(&str, &str, u64); 52] = [
+    ("unified", "motivating", 55),
+    ("unified", "tomcatv_xx_small", 8),
+    ("unified", "tomcatv_relax_small", 16),
+    ("unified", "swim_flux_small", 16),
+    ("unified", "mgrid_dot_small", 16),
+    ("unified", "random_1", 10),
+    ("unified", "random_2", 8),
+    ("unified", "random_3", 101),
+    ("unified", "random_4", 17),
+    ("unified", "random_5", 78),
+    ("unified", "random_6", 148),
+    ("unified", "random_7", 45),
+    ("unified", "random_8", 16),
+    ("2-cluster", "motivating", 170),
+    ("2-cluster", "tomcatv_xx_small", 19),
+    ("2-cluster", "tomcatv_relax_small", 37),
+    ("2-cluster", "swim_flux_small", 28),
+    ("2-cluster", "mgrid_dot_small", 37),
+    ("2-cluster", "random_1", 24),
+    ("2-cluster", "random_2", 15),
+    ("2-cluster", "random_3", 306),
+    ("2-cluster", "random_4", 27),
+    ("2-cluster", "random_5", 150),
+    ("2-cluster", "random_6", 524),
+    ("2-cluster", "random_7", 168),
+    ("2-cluster", "random_8", 21),
+    ("4-cluster", "motivating", 215),
+    ("4-cluster", "tomcatv_xx_small", 42),
+    ("4-cluster", "tomcatv_relax_small", 76),
+    ("4-cluster", "swim_flux_small", 200),
+    ("4-cluster", "mgrid_dot_small", 76),
+    ("4-cluster", "random_1", 171),
+    ("4-cluster", "random_2", 22),
+    ("4-cluster", "random_3", 423),
+    ("4-cluster", "random_4", 118),
+    ("4-cluster", "random_5", 1_757),
+    ("4-cluster", "random_6", 1_177),
+    ("4-cluster", "random_7", 3_294),
+    ("4-cluster", "random_8", 34),
+    ("motivating-2-cluster", "motivating", 144),
+    ("motivating-2-cluster", "tomcatv_xx_small", 32),
+    ("motivating-2-cluster", "tomcatv_relax_small", 32),
+    ("motivating-2-cluster", "swim_flux_small", 70),
+    ("motivating-2-cluster", "mgrid_dot_small", 32),
+    ("motivating-2-cluster", "random_1", 90),
+    ("motivating-2-cluster", "random_2", 42),
+    ("motivating-2-cluster", "random_3", 321),
+    ("motivating-2-cluster", "random_4", 89),
+    ("motivating-2-cluster", "random_5", 511),
+    ("motivating-2-cluster", "random_6", 1_109),
+    ("motivating-2-cluster", "random_7", 561),
+    ("motivating-2-cluster", "random_8", 62),
+];
+
 #[test]
 fn branch_and_bound_node_counts_are_pinned_per_point() {
     let rows = run(&GapParams::default(), &Executor::global());
@@ -78,6 +137,22 @@ fn branch_and_bound_node_counts_are_pinned_per_point() {
     assert_eq!(got, BNB_NODES);
     assert_eq!(rows.iter().map(|r| r.nodes).sum::<u64>(), 7_880_994);
     assert_eq!(rows.iter().filter(|r| r.proved_optimal).count(), 45);
+}
+
+#[test]
+fn sat_steps_are_pinned_per_point() {
+    let params = GapParams {
+        solver: ExactBackend::Sat,
+        ..GapParams::default()
+    };
+    let rows = run(&params, &Executor::global());
+    let got: Vec<(&str, &str, u64)> = rows
+        .iter()
+        .map(|r| (r.machine.as_str(), r.loop_name.as_str(), r.conflicts))
+        .collect();
+    assert_eq!(got, SAT_STEPS);
+    assert_eq!(rows.iter().map(|r| r.conflicts).sum::<u64>(), 12_760);
+    assert_eq!(rows.iter().filter(|r| r.proved_optimal).count(), 52);
 }
 
 /// The larger corpus the gap binary prints with
@@ -102,6 +177,7 @@ fn sat_and_branch_and_bound_agree_on_the_116_point_corpus() {
     let proved = |rows: &[GapRow]| rows.iter().filter(|r| r.proved_optimal).count();
     assert_eq!(proved(&sat), 116);
     assert_eq!(proved(&bnb), 99);
+    assert_eq!(sat.iter().map(|r| r.conflicts).sum::<u64>(), 451_645);
     for (s, b) in sat.iter().zip(&bnb) {
         let point = format!("{} on {}", s.loop_name, s.machine);
         assert_eq!((&s.machine, &s.loop_name), (&b.machine, &b.loop_name));
