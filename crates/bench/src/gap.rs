@@ -86,11 +86,13 @@ pub struct GapRow {
     pub schedule_ms: f64,
     /// Wall-clock of the exact solve pricing the row, in milliseconds.
     pub oracle_ms: f64,
-    /// Clauses the incremental SAT session reused across the row's probes
-    /// (summed over probes; 0 for pure branch-and-bound rows).
+    /// Clauses each probe's layer inherited from the incremental SAT
+    /// session once the previous layer was retired and collected (summed
+    /// over probes, see `IiProbe::reused_clauses`; 0 for pure
+    /// branch-and-bound rows).
     pub sat_reused_clauses: u64,
-    /// Learnt clauses the incremental SAT session retained across the
-    /// row's probes (summed over probes; 0 for pure branch-and-bound rows).
+    /// Learnt clauses among those inherited (summed over probes, see
+    /// `IiProbe::kept_learned`; 0 for pure branch-and-bound rows).
     pub sat_kept_learned: u64,
 }
 
@@ -244,7 +246,11 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
 
 /// The rows as the `optimality-gap.csv` table, one row per (loop, machine)
 /// point. New columns only ever append at the end, so positional consumers
-/// keep working (CI cuts fields 1-3 and 8: machine, loop, ops, nodes).
+/// keep working (CI cuts fields 1-3 and 8 — machine, loop, ops, nodes — of
+/// the default table, and fields 1-3 and 14 — conflicts, the SAT steps —
+/// of the `--solver sat` one). `sat_reused_clauses` and
+/// `sat_kept_learned` count what each probe's layer inherited once the
+/// previous layer was retired and collected.
 #[must_use]
 pub fn table(rows: &[GapRow]) -> Table {
     let mut t = Table::new(vec![

@@ -44,11 +44,12 @@ pub struct PortfolioRow {
     pub sat_conflicts: u64,
     /// Inclusive step total of the portfolio (both engines' work).
     pub portfolio_steps: u64,
-    /// Clauses the standalone SAT run's incremental session reused across
-    /// its probes (summed).
+    /// Clauses the standalone SAT run's probes inherited from its
+    /// incremental session after each retired layer was collected
+    /// (summed, see `IiProbe::reused_clauses`).
     pub sat_reused_clauses: u64,
-    /// Learnt clauses the standalone SAT run retained across its probes
-    /// (summed).
+    /// Learnt clauses among those inherited (summed, see
+    /// `IiProbe::kept_learned`).
     pub sat_kept_learned: u64,
 }
 
@@ -127,7 +128,8 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<PortfolioRow> {
 
 /// The rows as the `portfolio-solvers.csv` table. The incremental-SAT
 /// provenance columns trail the original eight so positional consumers of
-/// the artifact keep working.
+/// the artifact keep working; they count what each probe's layer inherited
+/// once the previous layer was retired and collected.
 #[must_use]
 pub fn table(rows: &[PortfolioRow]) -> Table {
     let mut t = Table::new(vec![
@@ -191,10 +193,11 @@ pub struct IncrementalRow {
     pub incremental_steps: u64,
     /// SAT steps of the from-scratch run.
     pub scratch_steps: u64,
-    /// Clauses the incremental session reused across probes (summed).
+    /// Clauses the incremental run's probes inherited after each retired
+    /// layer was collected (summed, see `IiProbe::reused_clauses`).
     pub reused_clauses: u64,
-    /// Learnt clauses the incremental session retained across probes
-    /// (summed).
+    /// Learnt clauses among those inherited (summed, see
+    /// `IiProbe::kept_learned`).
     pub kept_learned: u64,
 }
 
@@ -302,7 +305,8 @@ pub fn incremental_totals(rows: &[IncrementalRow]) -> (u64, u64) {
     )
 }
 
-/// The incremental rows as the `sat-incremental.csv` table.
+/// The incremental rows as the `sat-incremental.csv` table
+/// (`reused_clauses` and `kept_learned` as in [`table`]).
 #[must_use]
 pub fn incremental_table(rows: &[IncrementalRow]) -> Table {
     let mut t = Table::new(vec![

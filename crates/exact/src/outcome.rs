@@ -74,14 +74,15 @@ pub struct IiProbe {
     /// The engine whose certificate decided the probe. For an undecided
     /// probe (budget), the backend that was asked.
     pub solver: SolverKind,
-    /// Clauses already sitting in the incremental SAT solver when this
-    /// probe began — the re-encoding work the session avoided. Zero for the
-    /// first probe, for from-scratch sessions, and for pure
-    /// branch-and-bound probes.
+    /// Clauses this probe's layer inherits in the incremental SAT solver:
+    /// those left once the previous II's layer is retired and every clause
+    /// it satisfied is collected — the II-independent section plus
+    /// [`kept_learned`](Self::kept_learned). Zero for the first probe, for
+    /// from-scratch sessions, and for pure branch-and-bound probes.
     pub reused_clauses: u64,
-    /// Learnt clauses the incremental SAT solver retained from earlier
-    /// probes of the same search. Zero in the same cases as
-    /// [`reused_clauses`](Self::reused_clauses).
+    /// Learnt clauses among [`reused_clauses`](Self::reused_clauses): the
+    /// ones earlier probes of the same search learnt that name no retired
+    /// layer. Zero in the same cases.
     pub kept_learned: u64,
     /// Register-pressure refinement (CEGAR) rounds the probe's SAT engine
     /// ran: models re-priced as overflowing and answered with explanation

@@ -70,11 +70,16 @@
 //! first-UIP resolution can never drop `¬act_ii` from a learnt clause that
 //! mentions a layer variable positively — so when the search moves on, the
 //! layer is *retired* soundly by the unit `¬act_ii` plus freezing its
-//! still-free variables to false at the root. What carries over between
-//! probes is the *clausal* state the from-scratch path discards: the
-//! learnt-clause database. The CEGAR lemmas are layer clauses like any
-//! other — they carry `¬act_ii`, since their start bounds depend on the
-//! II's windows — and retire with their layer. The branching *heuristic*
+//! still-free variables to false at the root. Retirement satisfies every
+//! clause that names the layer, and [`Solver::collect_satisfied`] then
+//! deletes them: the layer's own clauses, its CEGAR lemmas — layer
+//! clauses like any other, carrying `¬act_ii` since their start bounds
+//! depend on the II's windows — and every learnt clause that names
+//! `¬act_ii` or a frozen variable. What carries over between probes is
+//! the *clausal* state the from-scratch path discards: the II-independent
+//! section and the learnt clauses that name no retired layer. The
+//! collection changes no later step, since a clause satisfied at the root
+//! can never propagate or conflict. The branching *heuristic*
 //! state — VSIDS activities and saved phases — is deliberately restarted
 //! cold at every layer boundary: it describes a placement shape the
 //! previous probe refuted, and carrying it over measurably traps the
@@ -174,6 +179,8 @@ struct Encoder<'a, 'l, 'm> {
     /// congruent to `row`. Only populated on finite bus sets with
     /// `1 ≤ bus_latency ≤ II`.
     transfers: BTreeMap<(OpId, OpId), Vec<Vec<Var>>>,
+    /// Scratch for [`Encoder::clause`]: a layer clause plus its guard.
+    buf: Vec<Lit>,
 }
 
 impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
@@ -231,27 +238,33 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             starts: Vec::new(),
             prefix: Vec::new(),
             transfers: BTreeMap::new(),
+            buf: Vec::new(),
         }
     }
 
-    /// Retires the current layer (if any) and encodes a fresh guarded layer
-    /// for `ii`. Incremental mode only.
-    fn begin_layer(&mut self, ii: u32, win: Windows) {
-        debug_assert!(self.incremental);
-        // Retire the previous layer: force its activation literal false
-        // forever and freeze its still-free variables. Soundness: `act` only
-        // ever occurs negatively, so every clause — original or learnt —
-        // with a positive occurrence of a layer variable still carries
-        // `¬act` and is satisfied at the root from here on.
-        if let Some(act) = self.act.take() {
-            self.solver.add_clause(&[!act]);
-            for v in self.layer_base..self.solver.num_vars() as Var {
-                if self.solver.fixed_value(v).is_none() {
-                    self.solver.add_clause(&[Lit::negative(v)]);
-                }
+    /// Retires the current layer: forces its activation literal false
+    /// forever, freezes its still-free variables, and deletes every clause
+    /// that is now satisfied at the root. Soundness: `act` only ever
+    /// occurs negatively, so every clause — original or learnt — with a
+    /// positive occurrence of a layer variable still carries `¬act`, and
+    /// every clause with a negative one is satisfied by the freeze; no
+    /// clause the solver keeps names the retired layer.
+    fn retire_layer(&mut self) {
+        let act = self.act.take().expect("a layer is active");
+        self.solver.add_clause(&[!act]);
+        for v in self.layer_base..self.solver.num_vars() as Var {
+            if self.solver.fixed_value(v).is_none() {
+                self.solver.add_clause(&[Lit::negative(v)]);
             }
-            debug_assert!(self.solver.is_ok(), "retiring a layer cannot conflict");
         }
+        debug_assert!(self.solver.is_ok(), "retiring a layer cannot conflict");
+        self.solver.collect_satisfied();
+    }
+
+    /// Encodes a fresh guarded layer for `ii` once the previous one (if
+    /// any) has been retired. Incremental mode only.
+    fn begin_layer(&mut self, ii: u32, win: Windows) {
+        debug_assert!(self.incremental && self.act.is_none());
         // Restart the branching heuristic cold at every layer boundary:
         // clauses carry over, activities and phases do not. Both kinds of
         // heuristic state earned while refuting the previous II describe a
@@ -296,10 +309,10 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         match self.act {
             None => self.solver.add_clause(lits),
             Some(act) => {
-                let mut c = Vec::with_capacity(lits.len() + 1);
-                c.extend_from_slice(lits);
-                c.push(!act);
-                self.solver.add_clause(&c);
+                self.buf.clear();
+                self.buf.extend_from_slice(lits);
+                self.buf.push(!act);
+                self.solver.add_clause(&self.buf);
             }
         }
     }
@@ -843,10 +856,12 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
 /// [`crate::outcome::IiProbe`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SatProbeStats {
-    /// Clauses already in the solver when the probe began (0 for the first
-    /// probe of a session and for every from-scratch probe).
+    /// Clauses the probe's layer inherits: those left in the solver once
+    /// the previous layer is retired and collected (0 for the first probe
+    /// of a session and for every from-scratch probe).
     pub reused_clauses: u64,
-    /// Learnt clauses retained from earlier probes of the same session.
+    /// Learnt clauses among [`reused_clauses`](Self::reused_clauses): the
+    /// ones earlier probes learnt that name no retired layer.
     pub kept_learned: u64,
 }
 
@@ -903,8 +918,9 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         if self.incremental {
             let enc = match self.enc.as_mut() {
                 Some(enc) => {
+                    enc.retire_layer();
                     stats.reused_clauses = enc.solver.num_clauses() as u64;
-                    stats.kept_learned = enc.solver.learned_clauses();
+                    stats.kept_learned = enc.solver.num_learnt() as u64;
                     enc.begin_layer(ii, win);
                     enc
                 }

@@ -348,12 +348,13 @@ fn assemble(
 }
 
 /// The exact scheduler as a drop-in [`ModuloScheduler`]: schedules with the
-/// smallest II its backend can find and certify.
+/// smallest II its backend can find and certify, under the default
+/// [`ExactOptions`].
 ///
-/// Unlike [`solve_with`] — which exposes bounds and probe logs — this
-/// front-end fits the common pipeline interface: a loop either gets a legal
-/// schedule or a [`ScheduleError::NoFeasibleIi`] when the search range or
-/// budget is exhausted without finding one.
+/// Unlike [`solve_with`] — which takes options and exposes bounds and probe
+/// logs — this front-end fits the common pipeline interface: a loop either
+/// gets a legal schedule or a [`ScheduleError::NoFeasibleIi`] when the
+/// search range or budget is exhausted without finding one.
 ///
 /// # Example
 ///
@@ -377,28 +378,14 @@ fn assemble(
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExactScheduler {
-    options: ExactOptions,
     backend: ExactBackend,
 }
 
 impl ExactScheduler {
-    /// Creates an exact scheduler with default options and the
-    /// branch-and-bound backend.
+    /// Creates an exact scheduler with the branch-and-bound backend.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            options: ExactOptions::new(),
-            backend: ExactBackend::BranchAndBound,
-        }
-    }
-
-    /// Creates an exact scheduler with the given options.
-    #[must_use]
-    pub fn with_options(options: ExactOptions) -> Self {
-        Self {
-            options,
-            backend: ExactBackend::BranchAndBound,
-        }
+        Self::default()
     }
 
     /// Returns a copy using the given probe backend.
@@ -408,25 +395,13 @@ impl ExactScheduler {
         self
     }
 
-    /// The search options in use.
-    #[must_use]
-    pub fn options(&self) -> &ExactOptions {
-        &self.options
-    }
-
-    /// The probe backend in use.
-    #[must_use]
-    pub fn backend(&self) -> &ExactBackend {
-        &self.backend
-    }
-
     /// Full search outcome (schedule, certified lower bound, probe log).
     ///
     /// # Errors
     ///
     /// Same contract as [`solve`].
     pub fn solve(&self, l: &Loop, machine: &MachineConfig) -> Result<ExactOutcome, ScheduleError> {
-        solve_with(l, machine, &self.options, &self.backend)
+        solve_with(l, machine, &ExactOptions::new(), &self.backend)
     }
 }
 
@@ -501,9 +476,10 @@ mod tests {
         assert!(!outcome.proved_optimal);
         assert_eq!(outcome.lower_bound, mii::minimum_ii(&l, &machine));
         assert_eq!(outcome.probes.last().unwrap().verdict, IiVerdict::Unknown);
-        // ...and the ModuloScheduler front-end turns it into NoFeasibleIi.
-        let err = ExactScheduler::with_options(ExactOptions::new().with_node_budget(1))
-            .schedule(&l, &machine)
+        // ...and the schedule conversion turns it into NoFeasibleIi.
+        let err = solve(&l, &machine, &ExactOptions::new().with_node_budget(1))
+            .unwrap()
+            .into_schedule()
             .unwrap_err();
         assert!(matches!(err, ScheduleError::NoFeasibleIi { .. }));
     }
@@ -520,10 +496,15 @@ mod tests {
             ExactBackend::Sat,
             ExactBackend::Portfolio,
         ] {
-            let err = ExactScheduler::with_options(ExactOptions::new().with_node_budget(1))
-                .with_backend(backend)
-                .schedule(&l, &machine)
-                .unwrap_err();
+            let err = solve_with(
+                &l,
+                &machine,
+                &ExactOptions::new().with_node_budget(1),
+                &backend,
+            )
+            .unwrap()
+            .into_schedule()
+            .unwrap_err();
             assert_eq!(
                 err,
                 ScheduleError::NoFeasibleIi {
@@ -558,8 +539,6 @@ mod tests {
         let machine = presets::two_cluster();
         let scheduler = ExactScheduler::new();
         assert_eq!(scheduler.name(), "exact");
-        assert_eq!(scheduler.options(), &ExactOptions::new());
-        assert!(matches!(scheduler.backend(), ExactBackend::BranchAndBound));
         let s = scheduler.schedule(&l, &machine).unwrap();
         let outcome = scheduler.solve(&l, &machine).unwrap();
         assert_eq!(Some(s.ii()), outcome.schedule_ii());

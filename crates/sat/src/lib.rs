@@ -23,7 +23,12 @@
 //!   [`Solver::solve`] calls (the trail is rewound to level 0 first);
 //!   learnt clauses, VSIDS activities and saved phases are kept, which is
 //!   what makes the scheduler's lazy register-pressure refinement (CEGAR)
-//!   loop and the exact backend's incremental II search cheap.
+//!   loop and the exact backend's incremental II search cheap. Between
+//!   solves, [`Solver::collect_satisfied`] deletes every clause satisfied
+//!   at level 0 — a retired activation guard's clauses, say — so the
+//!   database holds only clauses that can still propagate or conflict.
+//!   Such a clause never does either, so collecting changes no step of
+//!   any later search.
 //! * **Assumptions.** [`Solver::solve_under_assumptions`] enqueues a list
 //!   of literals as pseudo-decisions at levels `1..=n` before any branch
 //!   decision (MiniSat style). An [`SolveResult::Unsat`] under assumptions
@@ -32,6 +37,16 @@
 //!   core means the formula is unconditionally unsatisfiable).
 //! * **Budgets.** [`Solver::solve`] counts *steps* (decisions +
 //!   conflicts) and aborts with [`SolveResult::Budget`] past a step budget.
+//!
+//! # Storage
+//!
+//! Every clause's literals live in one flat arena (`Vec<Lit>`), addressed
+//! by a per-clause header holding its offset, its length and a learnt
+//! bit; a clause reference is the header's index. Adding a clause
+//! simplifies it straight into the arena's tail, so no clause owns an
+//! allocation. Collection compacts the arena and the header table in
+//! place, renumbers the references and filters each watch list without
+//! reordering its survivors.
 //!
 //! Cardinality constraints ([`Solver::at_most_k`]) use the Sinz
 //! sequential-counter encoding, which is arc-consistent under unit
@@ -115,8 +130,51 @@ enum LBool {
     Undef,
 }
 
-struct Clause {
-    lits: Vec<Lit>,
+/// Where a clause lives in the literal arena:
+/// `arena[start..start + len]`, with the learnt bit packed below `len`.
+#[derive(Clone, Copy)]
+struct Header {
+    start: u32,
+    /// `len << 1 | learnt`.
+    len_learnt: u32,
+}
+
+impl Header {
+    fn new(start: usize, len: usize, learnt: bool) -> Self {
+        let start = u32::try_from(start).expect("the clause arena fits u32 offsets");
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&len| len < 1 << 31)
+            .expect("clause lengths fit 31 bits");
+        Header {
+            start,
+            len_learnt: len << 1 | u32::from(learnt),
+        }
+    }
+
+    fn len(self) -> usize {
+        (self.len_learnt >> 1) as usize
+    }
+
+    fn learnt(self) -> bool {
+        self.len_learnt & 1 == 1
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len()
+    }
+}
+
+/// The value of `l` under the assignment `assign` (a free function so
+/// that propagation can read it while holding a clause's literals).
+fn value_of(assign: &[LBool], l: Lit) -> LBool {
+    match assign[l.var() as usize] {
+        LBool::Undef => LBool::Undef,
+        LBool::True if l.is_positive() => LBool::True,
+        LBool::False if !l.is_positive() => LBool::True,
+        _ => LBool::False,
+    }
 }
 
 /// Max-heap entry: activity snapshot at push time (stale entries are
@@ -154,7 +212,12 @@ const RESTART_UNIT: u64 = 128;
 
 /// The CDCL solver (see the [module docs](self)).
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back (see the module docs).
+    arena: Vec<Lit>,
+    /// One header per clause; a clause reference indexes this table.
+    clauses: Vec<Header>,
+    /// Learnt clauses currently in `clauses`.
+    num_learnt: usize,
     /// `watches[l.index()]` lists clauses currently watching literal `l`;
     /// they are visited when `!l` is assigned true (i.e. `l` falsified).
     watches: Vec<Vec<u32>>,
@@ -176,6 +239,9 @@ pub struct Solver {
     restarts: u64,
     learned: u64,
     seen: Vec<bool>,
+    /// Conflict analysis builds each learnt clause here (asserting literal
+    /// first) before it is copied into the arena.
+    learnt_buf: Vec<Lit>,
     /// After an assumption-relative [`SolveResult::Unsat`]: the subset of
     /// the assumptions responsible (empty = unconditionally unsat).
     conflict_core: Vec<Lit>,
@@ -192,7 +258,9 @@ impl Solver {
     #[must_use]
     pub fn new() -> Self {
         Solver {
+            arena: Vec::new(),
             clauses: Vec::new(),
+            num_learnt: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -211,6 +279,7 @@ impl Solver {
             restarts: 0,
             learned: 0,
             seen: Vec::new(),
+            learnt_buf: Vec::new(),
             conflict_core: Vec::new(),
         }
     }
@@ -254,18 +323,19 @@ impl Solver {
         self.restarts
     }
 
-    /// Total learnt clauses attached to the clause database across all
-    /// solves (learnt *units* backjump to level 0 instead of attaching and
-    /// are not counted).
-    #[must_use]
-    pub fn learned_clauses(&self) -> u64 {
-        self.learned
-    }
-
-    /// Number of clauses currently in the database (original + learnt).
+    /// Number of clauses currently in the database (original + learnt);
+    /// [`Solver::collect_satisfied`] lowers it.
     #[must_use]
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
+    }
+
+    /// Number of learnt clauses currently in the database: those learnt
+    /// so far, minus the collected ones (learnt *units* backjump to level
+    /// 0 instead of entering the database).
+    #[must_use]
+    pub fn num_learnt(&self) -> usize {
+        self.num_learnt
     }
 
     /// Whether the formula is still possibly satisfiable (`false` once
@@ -276,23 +346,7 @@ impl Solver {
     }
 
     fn lbool(&self, l: Lit) -> LBool {
-        match self.assign[l.var() as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if l.is_positive() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-        }
+        value_of(&self.assign, l)
     }
 
     /// The value of `var` in the most recent satisfying assignment.
@@ -350,7 +404,8 @@ impl Solver {
     }
 
     /// Clears all VSIDS activity back to the fresh-solver state (zero
-    /// activity, unit increment, empty branch heap). Incremental sessions
+    /// activity, unit increment, and an empty branch heap whose storage is
+    /// released). Incremental sessions
     /// call this between solves over different encodings of the *same*
     /// problem family: activity earned refuting one encoding mostly names
     /// variables that no longer matter, and letting it steer the next
@@ -360,7 +415,7 @@ impl Solver {
     pub fn reset_activities(&mut self) {
         self.activity.fill(0.0);
         self.var_inc = 1.0;
-        self.heap.clear();
+        self.heap = std::collections::BinaryHeap::new();
     }
 
     /// Resets every saved phase to the fresh-solver default (`false`), the
@@ -402,42 +457,108 @@ impl Solver {
             return;
         }
         self.backtrack(0);
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Simplify straight into the arena's tail; drop the tail again if
+        // the clause turns out satisfied, tautological or unit.
+        let start = self.arena.len();
         for &l in lits {
             debug_assert!((l.var() as usize) < self.num_vars(), "unallocated var");
             match self.lbool(l) {
-                LBool::True => return, // satisfied at level 0
                 LBool::False => continue,
+                LBool::True => {
+                    // Satisfied at level 0.
+                    self.arena.truncate(start);
+                    return;
+                }
                 LBool::Undef => {
+                    let simplified = &self.arena[start..];
                     if simplified.contains(&!l) {
-                        return; // tautology
+                        // Tautology.
+                        self.arena.truncate(start);
+                        return;
                     }
                     if !simplified.contains(&l) {
-                        simplified.push(l);
+                        self.arena.push(l);
                     }
                 }
             }
         }
-        match simplified.len() {
+        match self.arena.len() - start {
             0 => self.ok = false,
             1 => {
-                if !self.enqueue(simplified[0], None) || self.propagate().is_some() {
+                let unit = self.arena.pop().expect("one literal was simplified");
+                if !self.enqueue(unit, None) || self.propagate().is_some() {
                     self.ok = false;
                 }
             }
-            _ => {
-                self.attach_clause(simplified);
+            len => {
+                self.attach_clause(start, len, false);
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
-        debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as u32;
-        self.watches[lits[0].index()].push(cref);
-        self.watches[lits[1].index()].push(cref);
-        self.clauses.push(Clause { lits });
+    /// Registers the clause already written to `arena[start..start + len]`
+    /// and watches its first two literals.
+    fn attach_clause(&mut self, start: usize, len: usize, learnt: bool) -> u32 {
+        debug_assert!(len >= 2 && start + len == self.arena.len());
+        let cref = u32::try_from(self.clauses.len()).expect("clause references fit u32");
+        self.watches[self.arena[start].index()].push(cref);
+        self.watches[self.arena[start + 1].index()].push(cref);
+        self.clauses.push(Header::new(start, len, learnt));
+        self.num_learnt += usize::from(learnt);
         cref
+    }
+
+    /// Deletes every clause with a literal true at decision level 0, after
+    /// rewinding to level 0. Such a clause can never propagate or
+    /// conflict again, so no later solve takes a different step, learns a
+    /// different clause or finds a different model; only memory and
+    /// [`Solver::num_clauses`] change. The arena and header table are
+    /// compacted in place, references renumbered, and every watch list
+    /// filtered so its survivors keep their relative order. Incremental
+    /// callers run this once after retiring an activation literal, which
+    /// satisfies every clause that carried its negation.
+    pub fn collect_satisfied(&mut self) {
+        if !self.ok {
+            return;
+        }
+        self.backtrack(0);
+        // Conflict analysis never reads the reason of a level-0 variable,
+        // and the clause behind it may be about to go.
+        for &l in &self.trail {
+            self.reason[l.var() as usize] = None;
+        }
+        const GONE: u32 = u32::MAX;
+        let mut renumber = Vec::with_capacity(self.clauses.len());
+        let (mut kept, mut write) = (0usize, 0usize);
+        for i in 0..self.clauses.len() {
+            let h = self.clauses[i];
+            let range = h.range();
+            if self.arena[range.clone()]
+                .iter()
+                .any(|&l| value_of(&self.assign, l) == LBool::True)
+            {
+                renumber.push(GONE);
+                self.num_learnt -= usize::from(h.learnt());
+                continue;
+            }
+            let len = range.len();
+            self.arena.copy_within(range, write);
+            self.clauses[kept] = Header::new(write, len, h.learnt());
+            renumber.push(kept as u32);
+            kept += 1;
+            write += len;
+        }
+        self.arena.truncate(write);
+        self.clauses.truncate(kept);
+        for ws in &mut self.watches {
+            ws.retain_mut(|cref| {
+                *cref = renumber[*cref as usize];
+                *cref != GONE
+            });
+            if ws.is_empty() {
+                *ws = Vec::new();
+            }
+        }
     }
 
     /// Assigns `l` true at the current level. Returns `false` if `l` is
@@ -474,23 +595,22 @@ impl Solver {
             'clauses: while idx < ws.len() {
                 let cref = ws[idx];
                 idx += 1;
-                {
-                    let lits = &mut self.clauses[cref as usize].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                let lits = &mut self.arena[self.clauses[cref as usize].range()];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref as usize].lits[0];
-                if self.lbool(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let first_value = value_of(&self.assign, first);
+                if first_value == LBool::True {
                     ws[kept] = cref;
                     kept += 1;
                     continue;
                 }
-                for k in 2..self.clauses[cref as usize].lits.len() {
-                    let candidate = self.clauses[cref as usize].lits[k];
-                    if self.lbool(candidate) != LBool::False {
-                        self.clauses[cref as usize].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let candidate = lits[k];
+                    if value_of(&self.assign, candidate) != LBool::False {
+                        lits.swap(1, k);
                         self.watches[candidate.index()].push(cref);
                         continue 'clauses;
                     }
@@ -498,7 +618,7 @@ impl Solver {
                 // No replacement watch: the clause is unit or conflicting.
                 ws[kept] = cref;
                 kept += 1;
-                if self.lbool(first) == LBool::False {
+                if first_value == LBool::False {
                     // Conflict: keep the remaining watchers and stop.
                     while idx < ws.len() {
                         ws[kept] = ws[idx];
@@ -541,19 +661,22 @@ impl Solver {
         self.var_inc *= ACTIVITY_DECAY;
     }
 
-    /// First-UIP conflict analysis: returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
+    /// First-UIP conflict analysis: leaves the learnt clause (asserting
+    /// literal first) in `learnt_buf` and returns the backjump level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
         let current = self.decision_level();
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0: the asserting literal
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0: the asserting literal
         let mut counter = 0usize;
         let mut index = self.trail.len();
         let mut p: Option<Lit> = None;
         loop {
             // For a reason clause, lits[0] is the propagated literal itself.
-            let start = usize::from(p.is_some());
-            for qi in start..self.clauses[confl as usize].lits.len() {
-                let q = self.clauses[confl as usize].lits[qi];
+            let skip = usize::from(p.is_some());
+            let range = self.clauses[confl as usize].range();
+            for qi in range.start + skip..range.end {
+                let q = self.arena[qi];
                 let v = q.var();
                 if !self.seen[v as usize] && self.level[v as usize] > 0 {
                     self.seen[v as usize] = true;
@@ -598,7 +721,8 @@ impl Solver {
             learnt.swap(1, max_i);
             bt_level = self.level[learnt[1].var() as usize];
         }
-        (learnt, bt_level)
+        self.learnt_buf = learnt;
+        bt_level
     }
 
     /// Final-conflict analysis (MiniSat's `analyzeFinal`): called when the
@@ -630,8 +754,9 @@ impl Solver {
                 Some(cref) => {
                     // lits[0] is the propagated literal itself; implicate
                     // the antecedents assigned above the root.
-                    for qi in 1..self.clauses[cref as usize].lits.len() {
-                        let q = self.clauses[cref as usize].lits[qi];
+                    let range = self.clauses[cref as usize].range();
+                    for qi in range.start + 1..range.end {
+                        let q = self.arena[qi];
                         if self.level[q.var() as usize] > 0 {
                             self.seen[q.var() as usize] = true;
                         }
@@ -779,15 +904,17 @@ impl Solver {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt_level) = self.analyze(confl);
+                let bt_level = self.analyze(confl);
                 self.backtrack(bt_level);
-                if learnt.len() == 1 {
-                    let enqueued = self.enqueue(learnt[0], None);
+                let assert_lit = self.learnt_buf[0];
+                if self.learnt_buf.len() == 1 {
+                    let enqueued = self.enqueue(assert_lit, None);
                     debug_assert!(enqueued, "asserting literal must be free after backjump");
                 } else {
-                    let cref = self.attach_clause(learnt);
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learnt_buf);
+                    let cref = self.attach_clause(start, self.learnt_buf.len(), true);
                     self.learned += 1;
-                    let assert_lit = self.clauses[cref as usize].lits[0];
                     let enqueued = self.enqueue(assert_lit, Some(cref));
                     debug_assert!(enqueued, "asserting literal must be free after backjump");
                 }
@@ -868,12 +995,13 @@ impl Solver {
         if k >= n {
             return;
         }
-        let clause = |solver: &mut Self, lits: &[Lit]| {
-            let mut c: Vec<Lit> = lits.to_vec();
-            if let Some(e) = escape {
-                c.push(e);
-            }
-            solver.add_clause(&c);
+        // One buffer carries every emitted clause plus its escape.
+        let mut buf: Vec<Lit> = Vec::with_capacity(4);
+        let mut clause = |solver: &mut Self, lits: &[Lit]| {
+            buf.clear();
+            buf.extend_from_slice(lits);
+            buf.extend(escape);
+            solver.add_clause(&buf);
         };
         if k == 0 {
             for &l in lits {
@@ -881,25 +1009,27 @@ impl Solver {
             }
             return;
         }
-        // s[i][j] ("the count over lits[..=i] is > j") for i in 0..n-1.
+        // s(i, j) ("the count over lits[..=i] is > j") for i in 0..n-1,
+        // row-major in one vector.
         mvp_trace::counter_handle!("sat.atmostk.aux_vars").add(((n - 1) * k) as u64);
-        let s: Vec<Vec<Lit>> = (0..n - 1)
-            .map(|_| (0..k).map(|_| Lit::positive(self.new_var())).collect())
+        let aux: Vec<Lit> = (0..(n - 1) * k)
+            .map(|_| Lit::positive(self.new_var()))
             .collect();
-        clause(self, &[!lits[0], s[0][0]]);
-        for &l in &s[0][1..] {
-            clause(self, &[!l]);
+        let s = |i: usize, j: usize| aux[i * k + j];
+        clause(self, &[!lits[0], s(0, 0)]);
+        for j in 1..k {
+            clause(self, &[!s(0, j)]);
         }
-        for i in 1..n - 1 {
-            clause(self, &[!lits[i], s[i][0]]);
-            clause(self, &[!s[i - 1][0], s[i][0]]);
+        for (i, &l) in lits.iter().enumerate().take(n - 1).skip(1) {
+            clause(self, &[!l, s(i, 0)]);
+            clause(self, &[!s(i - 1, 0), s(i, 0)]);
             for j in 1..k {
-                clause(self, &[!lits[i], !s[i - 1][j - 1], s[i][j]]);
-                clause(self, &[!s[i - 1][j], s[i][j]]);
+                clause(self, &[!l, !s(i - 1, j - 1), s(i, j)]);
+                clause(self, &[!s(i - 1, j), s(i, j)]);
             }
-            clause(self, &[!lits[i], !s[i - 1][k - 1]]);
+            clause(self, &[!l, !s(i - 1, k - 1)]);
         }
-        clause(self, &[!lits[n - 1], !s[n - 2][k - 1]]);
+        clause(self, &[!lits[n - 1], !s(n - 2, k - 1)]);
     }
 
     /// Adds clauses enforcing "at most one of `lits` is true" (pairwise for
@@ -912,12 +1042,12 @@ impl Solver {
     /// to every emitted clause (see [`Solver::at_most_k_unless`]).
     pub fn at_most_one_unless(&mut self, lits: &[Lit], escape: Option<Lit>) {
         if lits.len() <= 6 {
+            let mut c: Vec<Lit> = Vec::with_capacity(3);
             for i in 0..lits.len() {
                 for j in i + 1..lits.len() {
-                    let mut c = vec![!lits[i], !lits[j]];
-                    if let Some(e) = escape {
-                        c.push(e);
-                    }
+                    c.clear();
+                    c.extend([!lits[i], !lits[j]]);
+                    c.extend(escape);
                     self.add_clause(&c);
                 }
             }
@@ -1283,6 +1413,192 @@ mod tests {
         assert_eq!(s.solve(None), SolveResult::Sat);
         // The warm-started phase steers the first decision.
         assert!(s.value(0));
+    }
+
+    /// Every observable result of one solve, for differential comparison.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: SolveResult,
+        steps: u64,
+        conflicts: u64,
+        model: Vec<bool>,
+        core: Vec<Lit>,
+    }
+
+    /// What the checked collections of a run deleted and kept.
+    #[derive(Default)]
+    struct Collected {
+        deleted: usize,
+        learnt_deleted: usize,
+        learnt_kept: usize,
+    }
+
+    fn lits(s: &Solver, cref: usize) -> &[Lit] {
+        &s.arena[s.clauses[cref].range()]
+    }
+
+    fn random_clause(rng: &mut Rng, vars: &[Var], width: usize) -> Vec<Lit> {
+        (0..width)
+            .map(|_| {
+                let v = vars[rng.below(vars.len() as u64) as usize];
+                if rng.below(2) == 0 {
+                    Lit::positive(v)
+                } else {
+                    Lit::negative(v)
+                }
+            })
+            .collect()
+    }
+
+    /// Runs [`Solver::collect_satisfied`] and checks its structural
+    /// contract: no survivor is satisfied at the root; survivors keep
+    /// their literals, learnt bits and relative order; each sits on the
+    /// watch lists of exactly its first two literals, in its previous
+    /// relative order; and no level-0 variable keeps a reason.
+    fn collect_checked(s: &mut Solver, collected: &mut Collected) {
+        if !s.is_ok() {
+            // A latched solver has nothing left to decide or collect.
+            return;
+        }
+        let root_true =
+            |s: &Solver, c: usize| lits(s, c).iter().any(|&l| s.lbool(l) == LBool::True);
+        let before: Vec<(Vec<Lit>, bool)> = (0..s.num_clauses())
+            .map(|c| (lits(s, c).to_vec(), s.clauses[c].learnt()))
+            .collect();
+        let mut renumber: Vec<Option<u32>> = Vec::new();
+        let mut survivors = 0u32;
+        for (c, (_, learnt)) in before.iter().enumerate() {
+            if root_true(s, c) {
+                renumber.push(None);
+                collected.deleted += 1;
+                collected.learnt_deleted += usize::from(*learnt);
+            } else {
+                renumber.push(Some(survivors));
+                survivors += 1;
+            }
+        }
+        let expected_watches: Vec<Vec<u32>> = s
+            .watches
+            .iter()
+            .map(|ws| ws.iter().filter_map(|&c| renumber[c as usize]).collect())
+            .collect();
+
+        s.collect_satisfied();
+
+        assert_eq!(s.num_clauses(), survivors as usize);
+        for (old, new) in renumber.iter().enumerate() {
+            if let Some(new) = new {
+                let new = *new as usize;
+                assert_eq!(lits(s, new), before[old].0, "clause {old} -> {new}");
+                assert_eq!(s.clauses[new].learnt(), before[old].1);
+            }
+        }
+        assert!((0..s.num_clauses()).all(|c| !root_true(s, c)));
+        assert_eq!(s.watches, expected_watches);
+        let mut watched_on = vec![Vec::new(); s.num_clauses()];
+        for (lit, ws) in s.watches.iter().enumerate() {
+            for &c in ws {
+                watched_on[c as usize].push(lit);
+            }
+        }
+        for (c, on) in watched_on.iter().enumerate() {
+            let mut first_two = [lits(s, c)[0].index(), lits(s, c)[1].index()];
+            first_two.sort_unstable();
+            assert_eq!(on, &first_two, "clause {c} watches");
+        }
+        assert!(s.trail.iter().all(|l| s.reason[l.var() as usize].is_none()));
+        let learnt = s.clauses.iter().filter(|h| h.learnt()).count();
+        assert_eq!(s.num_learnt(), learnt);
+        collected.learnt_kept += learnt;
+    }
+
+    /// Drives a random layered formula the way the exact backend's session
+    /// drives its solver: a global section, then layers whose clauses all
+    /// carry `¬act`, each probed under `act` (plus a few global
+    /// assumptions, small budgets and a refinement clause after every
+    /// solve) and then retired by the unit `¬act` and freezing the layer's
+    /// free variables, after which `retired` runs. The random draws never
+    /// depend on a solve's outcome, so two runs of one seed build the same
+    /// clauses in the same order.
+    fn layered_run(seed: u64, retired: &mut dyn FnMut(&mut Solver)) -> Vec<Observed> {
+        let mut rng = Rng(seed);
+        let mut s = Solver::new();
+        let global: Vec<Var> = (0..6 + rng.below(5)).map(|_| s.new_var()).collect();
+        let mut observed = Vec::new();
+        for _layer in 0..4 {
+            for _ in 0..global.len() / 2 {
+                let c = random_clause(&mut rng, &global, 3);
+                s.add_clause(&c);
+            }
+            let act = Lit::positive(s.new_var());
+            let mut vars = global.clone();
+            vars.extend((0..4 + rng.below(6)).map(|_| s.new_var()));
+            for _ in 0..4 * vars.len() {
+                let mut c = random_clause(&mut rng, &vars, 3);
+                c.push(!act);
+                s.add_clause(&c);
+            }
+            for _ in 0..3 {
+                let mut assumptions = vec![act];
+                let extra = rng.below(3) as usize;
+                assumptions.extend(random_clause(&mut rng, &global, extra));
+                let budget = (rng.below(3) == 0).then(|| 1 + rng.below(40));
+                let result = s.solve_under_assumptions(&assumptions, budget);
+                observed.push(Observed {
+                    result,
+                    steps: s.steps(),
+                    conflicts: s.conflicts(),
+                    model: if result == SolveResult::Sat {
+                        s.model.clone()
+                    } else {
+                        Vec::new()
+                    },
+                    core: s.unsat_core().to_vec(),
+                });
+                let mut lemma = random_clause(&mut rng, &vars, 2);
+                lemma.push(!act);
+                s.add_clause(&lemma);
+            }
+            s.add_clause(&[!act]);
+            for v in act.var()..s.num_vars() as Var {
+                if s.fixed_value(v).is_none() {
+                    s.add_clause(&[Lit::negative(v)]);
+                }
+            }
+            retired(&mut s);
+        }
+        observed
+    }
+
+    #[test]
+    fn collection_keeps_only_unsatisfied_clauses_in_watch_order() {
+        let mut collected = Collected::default();
+        for round in 0..60 {
+            layered_run(0xC0_11EC7 + round, &mut |s| {
+                collect_checked(s, &mut collected)
+            });
+        }
+        assert!(collected.deleted > 0, "retirement satisfies clauses");
+        assert!(
+            collected.learnt_deleted > 0,
+            "learnt clauses naming a retired layer go with it"
+        );
+        assert!(
+            collected.learnt_kept > 0,
+            "learnt clauses over the global section survive"
+        );
+    }
+
+    #[test]
+    fn collection_changes_no_step_of_a_layered_search() {
+        for round in 0..200 {
+            let seed = 0x5EED_1A7E + round;
+            assert_eq!(
+                layered_run(seed, &mut |_| {}),
+                layered_run(seed, &mut Solver::collect_satisfied),
+                "round {round}"
+            );
+        }
     }
 
     #[test]
