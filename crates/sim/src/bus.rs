@@ -12,26 +12,37 @@
 //! iteration, so overlapping iterations can present their requests slightly
 //! out of time order) while still capturing both occasional contention and
 //! sustained saturation.
+//!
+//! # Window storage
+//!
+//! The booked windows are dense counts from the oldest window still
+//! reachable. The engine calls [`MemoryBuses::forget_before`] with each
+//! iteration's issue base: every later request is issued at or after it, so
+//! the windows before it can never be booked again and are dropped. What
+//! remains reaches from that base to the latest grant: the schedule's span
+//! (the iterations still in flight) plus the bus waits. The storage is thus
+//! bounded by the schedule, not by the length of the run, unless the buses
+//! are so oversubscribed that the waits themselves grow without bound.
 
 use mvp_machine::{BusConfig, BusCount};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Arbitrated set of memory buses.
 #[derive(Debug, Clone)]
-pub struct MemoryBuses {
+pub(crate) struct MemoryBuses {
     latency: u64,
     /// Transactions each window may start; `None` = unbounded buses.
     capacity: Option<usize>,
-    /// Number of transactions already booked per window.
-    windows: HashMap<u64, usize>,
+    /// Transactions booked per window, starting at window `first`.
+    windows: VecDeque<usize>,
+    first: u64,
     transactions: u64,
     wait_cycles: u64,
 }
 
 impl MemoryBuses {
     /// Creates the bus model from a machine's memory-bus configuration.
-    #[must_use]
-    pub fn new(config: BusConfig) -> Self {
+    pub(crate) fn new(config: BusConfig) -> Self {
         let capacity = match config.count {
             BusCount::Finite(n) => Some(n.max(1)),
             BusCount::Unbounded => None,
@@ -39,29 +50,44 @@ impl MemoryBuses {
         Self {
             latency: u64::from(config.latency.max(1)),
             capacity,
-            windows: HashMap::new(),
+            windows: VecDeque::new(),
+            first: 0,
             transactions: 0,
             wait_cycles: 0,
         }
     }
 
     /// Latency of one bus transaction.
-    #[must_use]
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         self.latency
     }
 
     /// Requests a bus at time `now`. Returns `(wait, grant_time)`: the cycles
     /// spent waiting for a free bus and the time at which the transaction
     /// starts.
-    pub fn request(&mut self, now: u64) -> (u64, u64) {
+    pub(crate) fn request(&mut self, now: u64) -> (u64, u64) {
         self.transactions += 1;
         let Some(capacity) = self.capacity else {
             return (0, now);
         };
         let mut window = now / self.latency;
+        if self.windows.is_empty() {
+            self.first = window;
+        } else if window < self.first {
+            // Earlier than every booked window (overlapping iterations
+            // present requests slightly out of time order): those windows
+            // are still empty.
+            for _ in window..self.first {
+                self.windows.push_front(0);
+            }
+            self.first = window;
+        }
+        let mut slot = (window - self.first) as usize;
         loop {
-            let used = self.windows.entry(window).or_insert(0);
+            if slot >= self.windows.len() {
+                self.windows.resize(slot + 1, 0);
+            }
+            let used = &mut self.windows[slot];
             if *used < capacity {
                 *used += 1;
                 let grant = now.max(window * self.latency);
@@ -70,18 +96,29 @@ impl MemoryBuses {
                 return (wait, grant);
             }
             window += 1;
+            slot += 1;
         }
     }
 
+    /// Drops the windows that end before `time`. No request may be made
+    /// before `time` afterwards.
+    pub(crate) fn forget_before(&mut self, time: u64) {
+        let window = time / self.latency;
+        if window <= self.first {
+            return;
+        }
+        let drop = ((window - self.first) as usize).min(self.windows.len());
+        self.windows.drain(..drop);
+        self.first = window;
+    }
+
     /// Total transactions issued so far.
-    #[must_use]
-    pub fn transactions(&self) -> u64 {
+    pub(crate) fn transactions(&self) -> u64 {
         self.transactions
     }
 
     /// Total cycles spent waiting for a free bus.
-    #[must_use]
-    pub fn wait_cycles(&self) -> u64 {
+    pub(crate) fn wait_cycles(&self) -> u64 {
         self.wait_cycles
     }
 }
@@ -136,6 +173,31 @@ mod tests {
         // ...must not delay a request that happens earlier in simulated time.
         assert_eq!(buses.request(5), (0, 5));
         assert_eq!(buses.wait_cycles(), 0);
+    }
+
+    #[test]
+    fn forgetting_past_windows_changes_no_grant_and_bounds_storage() {
+        // Out-of-order requests per "iteration", each at or after the
+        // iteration's base, as the engine presents them: 4 requests every 10
+        // cycles on 2 buses of latency 4 wait at times but do not back up.
+        let mut kept = MemoryBuses::new(BusConfig::finite(2, 4));
+        let mut pruned = MemoryBuses::new(BusConfig::finite(2, 4));
+        for iteration in 0..500u64 {
+            let base = iteration * 10;
+            pruned.forget_before(base);
+            for offset in [7, 0, 1, 12] {
+                let now = base + offset;
+                assert_eq!(kept.request(now), pruned.request(now), "request at {now}");
+            }
+            assert!(
+                pruned.windows.len() <= 8,
+                "{} windows",
+                pruned.windows.len()
+            );
+        }
+        assert_eq!(kept.wait_cycles(), pruned.wait_cycles());
+        assert!(kept.wait_cycles() > 0);
+        assert!(kept.windows.len() > 1000);
     }
 
     #[test]

@@ -6,13 +6,136 @@
 //! assumed. Because all clusters run in lockstep, any such stall delays the
 //! whole machine; the engine models this with a single global stall counter
 //! that shifts every subsequent issue time.
+//!
+//! # What one iteration costs
+//!
+//! Everything an issue needs that does not change from one iteration to the
+//! next is read from the loop and the schedule once, before the first
+//! iteration, into one table in issue order: each operation's cycle,
+//! cluster and access kind, and the `(producer, distance)` pairs of its
+//! load predecessors (the only operands that can arrive late). A memory
+//! operation's address is affine in the iteration vector, so it is
+//! computed once per execution of the loop (the outer iteration vector is
+//! fixed) and then stepped by the innermost stride. Load completion times
+//! sit in one flat `operations × ring` buffer. An iteration therefore
+//! walks the table, adds one stride per memory operation, reads one ring
+//! slot per load predecessor and calls the memory system once per access;
+//! it allocates nothing.
 
 use crate::memory_system::MemorySystem;
 use crate::options::SimOptions;
 use crate::stats::SimStats;
 use mvp_core::Schedule;
-use mvp_ir::{EdgeKind, Loop, OpId, OpKind};
-use mvp_machine::MachineConfig;
+use mvp_ir::{ArrayRef, EdgeKind, Loop, OpId, OpKind};
+use mvp_machine::{ClusterId, MachineConfig};
+use std::ops::Range;
+
+/// One operation of the kernel, as the engine issues it.
+struct Issue<'l> {
+    /// Scheduled cycle within an iteration.
+    cycle: u64,
+    cluster: ClusterId,
+    /// First entry of the operation's row in the `ready` buffer.
+    row: usize,
+    /// The operation's load predecessors, in [`Tables::load_preds`].
+    preds: Range<usize>,
+    /// The memory access, for loads and stores.
+    access: Option<Access<'l>>,
+}
+
+/// The affine address stream of one memory operation.
+struct Access<'l> {
+    is_load: bool,
+    reference: &'l ArrayRef,
+    array_base: i64,
+    /// Byte stride along the innermost dimension.
+    inner_stride: i64,
+    /// Unclamped address of the next iteration of the current execution.
+    next: i64,
+}
+
+impl Access<'_> {
+    /// Points the stream at iteration 0 of the execution whose outer
+    /// iteration vector is `outer` (dimensions past it count as 0, like
+    /// [`ArrayRef::address`]).
+    fn start(&mut self, outer: &[u64]) {
+        self.next = self.array_base + self.reference.offset;
+        for (stride, &i) in self.reference.strides.iter().zip(outer) {
+            self.next += stride * i as i64;
+        }
+    }
+
+    /// The address of this iteration; advances to the next one.
+    fn step(&mut self) -> u64 {
+        let address = self.next.max(0) as u64;
+        self.next += self.inner_stride;
+        address
+    }
+}
+
+/// The per-operation tables built once per simulation.
+struct Tables<'l> {
+    /// Every operation, in issue order.
+    issues: Vec<Issue<'l>>,
+    /// `(producer row, distance)` of every load predecessor, grouped by
+    /// consumer.
+    load_preds: Vec<(usize, usize)>,
+    /// Slots per operation in the `ready` buffer: the largest dependence
+    /// distance plus one.
+    ring: usize,
+}
+
+impl<'l> Tables<'l> {
+    fn new(l: &'l Loop, schedule: &Schedule) -> Self {
+        let max_distance = l.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize;
+        let ring = max_distance + 1;
+        // Only the innermost dimension varies within an execution; it sits
+        // after the outer ones in the iteration vector.
+        let dims = l.nest().num_dims();
+        let mut order: Vec<OpId> = l.op_ids().collect();
+        order.sort_by_key(|&op| (schedule.placement(op).cycle, op.index()));
+        let mut load_preds = Vec::new();
+        let issues = order
+            .into_iter()
+            .map(|op| {
+                let first = load_preds.len();
+                load_preds.extend(
+                    l.preds(op)
+                        .filter(|e| e.kind == EdgeKind::Data && l.op(e.src).kind == OpKind::Load)
+                        .map(|e| (e.src.index() * ring, e.distance as usize)),
+                );
+                let access = l.op(op).is_memory().then(|| {
+                    let reference = l
+                        .memory_ref_of(op)
+                        .expect("memory operations always have an address");
+                    Access {
+                        is_load: l.op(op).is_load(),
+                        reference,
+                        array_base: l.array(reference.array).base_address as i64,
+                        inner_stride: match dims {
+                            0 => 0,
+                            _ => reference.strides.get(dims - 1).copied().unwrap_or(0),
+                        },
+                        next: 0,
+                    }
+                });
+                let place = schedule.placement(op);
+                Issue {
+                    cycle: u64::from(place.cycle),
+                    cluster: place.cluster,
+                    row: op.index() * ring,
+                    preds: first..load_preds.len(),
+                    access,
+                }
+            })
+            .collect();
+        Self {
+            issues,
+            load_preds,
+            ring,
+        }
+    }
+}
 
 /// Simulates `schedule` (produced for `machine`) executing `l`, and returns
 /// the cycle breakdown.
@@ -38,15 +161,13 @@ pub fn simulate(
     let sc = u64::from(schedule.stage_count());
     let niter = l.iterations();
 
-    // Operations in issue order within one iteration.
-    let mut issue_order: Vec<OpId> = l.op_ids().collect();
-    issue_order.sort_by_key(|&op| (schedule.placement(op).cycle, op.index()));
-
-    // Ring buffers of load completion times, indexed by iteration modulo the
-    // largest dependence distance (+1).
-    let max_distance = l.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize;
-    let ring = max_distance + 1;
-    let mut ready: Vec<Vec<u64>> = vec![vec![0; ring]; l.num_ops()];
+    let Tables {
+        mut issues,
+        load_preds,
+        ring,
+    } = Tables::new(l, schedule);
+    // Load completion times: row `op × ring`, slot `iteration % ring`.
+    let mut ready = vec![0u64; l.num_ops() * ring];
 
     let mut memory = MemorySystem::new(machine);
     let mut stall_cycles: u64 = 0;
@@ -54,19 +175,15 @@ pub fn simulate(
     let mut iterations_done: u64 = 0;
     let mut executions: u64 = 0;
 
-    // Outer iteration vectors (everything but the innermost dimension).
+    // Outer iteration vectors (everything but the innermost dimension); a
+    // single empty one when there is no outer dimension.
     let outer_dims = l.nest().num_dims().saturating_sub(1);
-    let outer_vectors: Vec<Vec<u64>> = if outer_dims == 0 {
-        vec![Vec::new()]
-    } else {
-        let mut outer_nest = mvp_ir::LoopNest::new();
-        for d in &l.nest().dims()[..outer_dims] {
-            outer_nest.push_dimension(d.name.clone(), d.trip_count);
-        }
-        outer_nest.iteration_vectors().collect()
-    };
+    let mut outer_nest = mvp_ir::LoopNest::new();
+    for d in &l.nest().dims()[..outer_dims] {
+        outer_nest.push_dimension(d.name.clone(), d.trip_count);
+    }
 
-    'outer: for outer in outer_vectors {
+    'outer: for outer in outer_nest.iteration_vectors() {
         if iterations_done >= options.max_inner_iterations {
             break;
         }
@@ -78,8 +195,9 @@ pub fn simulate(
         let stalls_at_exec_start = stall_cycles;
         let mut iters_this_exec: u64 = 0;
         // Loop-carried values do not survive a fresh execution of the loop.
-        for r in &mut ready {
-            r.iter_mut().for_each(|x| *x = 0);
+        ready.fill(0);
+        for access in issues.iter_mut().filter_map(|i| i.access.as_mut()) {
+            access.start(&outer);
         }
 
         for k in 0..niter.max(1) {
@@ -87,35 +205,26 @@ pub fn simulate(
                 compute_cycles += (iters_this_exec + sc - 1) * ii;
                 continue 'outer;
             }
-            let mut iv: Vec<u64> = outer.clone();
-            if l.nest().num_dims() > 0 {
-                iv.push(k);
-            }
             let base = exec_base + k * ii;
+            // Every access from here on is issued at or after `base`.
+            memory.forget_before(base);
+            let slot = (k % ring as u64) as usize;
 
-            for &op in &issue_order {
-                let place = schedule.placement(op);
+            for op in &mut issues {
                 // Issue time: the static position of the operation plus every
                 // stall the lockstep machine has suffered since this
                 // execution of the loop started.
-                let mut issue =
-                    base + u64::from(place.cycle) + (stall_cycles - stalls_at_exec_start);
+                let mut issue = base + op.cycle + (stall_cycles - stalls_at_exec_start);
 
                 // Wait for operands produced by loads that are still in
                 // flight (the scheduler assumed a shorter latency).
-                for e in l.preds(op) {
-                    if e.kind != EdgeKind::Data {
-                        continue;
-                    }
-                    if l.op(e.src).kind != OpKind::Load {
-                        continue;
-                    }
-                    let d = u64::from(e.distance);
-                    if d > k {
+                for &(producer, d) in &load_preds[op.preds.clone()] {
+                    if d as u64 > k {
                         continue; // value comes from the prologue: assume ready
                     }
-                    let producer_iter = (k - d) as usize % ring;
-                    let available = ready[e.src.index()][producer_iter];
+                    // `d < ring`, so this is `(k - d) % ring`.
+                    let producer_slot = if slot >= d { slot - d } else { slot + ring - d };
+                    let available = ready[producer + producer_slot];
                     if available > issue {
                         let stall = available - issue;
                         stall_cycles += stall;
@@ -124,14 +233,11 @@ pub fn simulate(
                 }
 
                 // Perform the memory access, if any.
-                if l.op(op).is_memory() {
-                    let address = l
-                        .address_of(op, &iv)
-                        .expect("memory operations always have an address");
-                    let is_store = l.op(op).kind == OpKind::Store;
-                    let outcome = memory.access(place.cluster, address, is_store, issue);
-                    if l.op(op).is_load() {
-                        ready[op.index()][(k as usize) % ring] = issue + outcome.latency;
+                if let Some(access) = &mut op.access {
+                    let address = access.step();
+                    let latency = memory.access(op.cluster, address, !access.is_load, issue);
+                    if access.is_load {
+                        ready[op.row + slot] = issue + latency;
                     }
                 }
             }

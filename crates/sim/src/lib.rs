@@ -49,16 +49,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bus;
+mod bus;
 pub mod engine;
-pub mod memory_system;
-pub mod mshr;
-pub mod msi;
+mod memory_system;
+mod mshr;
+mod msi;
 pub mod options;
 pub mod stats;
 
 pub use engine::simulate;
-pub use memory_system::{AccessOutcome, MemorySystem, ServiceLevel};
-pub use msi::{CoherentCache, HitKind, MsiState};
+pub use memory_system::MemoryCounters;
 pub use options::SimOptions;
 pub use stats::SimStats;

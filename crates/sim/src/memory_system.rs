@@ -19,35 +19,6 @@ use crate::mshr::Mshr;
 use crate::msi::{CoherentCache, HitKind, MsiState};
 use mvp_machine::{ClusterId, MachineConfig};
 
-/// Which level of the memory hierarchy served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceLevel {
-    /// Hit in the local cache.
-    LocalHit,
-    /// The line was already being fetched; the access merged with the
-    /// pending miss.
-    InFlightMerge,
-    /// A store hit a Shared line and had to invalidate remote copies.
-    Upgrade,
-    /// Miss served by another cluster's cache.
-    RemoteCache,
-    /// Miss served by main memory.
-    MainMemory,
-}
-
-/// Timing and classification of one memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome {
-    /// Total latency of the access as seen by the issuing cluster.
-    pub latency: u64,
-    /// Level that served the access.
-    pub level: ServiceLevel,
-    /// Cycles spent waiting for a free memory bus.
-    pub bus_wait: u64,
-    /// Cycles spent waiting for a free MSHR entry.
-    pub mshr_wait: u64,
-}
-
 /// Aggregate counters of the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryCounters {
@@ -122,21 +93,21 @@ impl MemoryCounters {
 
 /// The whole distributed memory system of one multiVLIWprocessor.
 #[derive(Debug, Clone)]
-pub struct MemorySystem {
+pub(crate) struct MemorySystem {
     caches: Vec<CoherentCache>,
     mshrs: Vec<Mshr>,
     buses: MemoryBuses,
     lat_cache: u64,
     lat_memory: u64,
     counters: MemoryCounters,
-    block_bytes: u64,
+    /// `log2` of the block size (a power of two by validation).
+    block_shift: u32,
 }
 
 impl MemorySystem {
     /// Builds the memory system of `machine` (one cache + MSHR per cluster,
     /// the shared memory buses and main memory).
-    #[must_use]
-    pub fn new(machine: &MachineConfig) -> Self {
+    pub(crate) fn new(machine: &MachineConfig) -> Self {
         let caches: Vec<CoherentCache> = machine
             .clusters()
             .map(|(_, c)| CoherentCache::new(c.cache))
@@ -153,13 +124,12 @@ impl MemorySystem {
             lat_cache: u64::from(machine.latencies.load_hit),
             lat_memory: u64::from(machine.latencies.main_memory),
             counters: MemoryCounters::default(),
-            block_bytes,
+            block_shift: block_bytes.trailing_zeros(),
         }
     }
 
     /// Aggregate counters observed so far.
-    #[must_use]
-    pub fn counters(&self) -> MemoryCounters {
+    pub(crate) fn counters(&self) -> MemoryCounters {
         let mut c = self.counters;
         c.bus_wait_cycles = self.buses.wait_cycles();
         c.bus_transactions = self.buses.transactions();
@@ -167,22 +137,17 @@ impl MemorySystem {
         c
     }
 
-    /// The per-cluster cache of `cluster` (read-only, for tests and reports).
-    #[must_use]
-    pub fn cache(&self, cluster: ClusterId) -> &CoherentCache {
-        &self.caches[cluster]
-    }
-
-    /// Performs a memory access from `cluster` to `address` at time `now`.
-    pub fn access(
+    /// Performs a memory access from `cluster` to `address` at time `now`
+    /// and returns its latency as seen by the issuing cluster.
+    pub(crate) fn access(
         &mut self,
         cluster: ClusterId,
         address: u64,
         is_store: bool,
         now: u64,
-    ) -> AccessOutcome {
+    ) -> u64 {
         self.counters.accesses += 1;
-        let block = address / self.block_bytes;
+        let block = address >> self.block_shift;
 
         match self.caches[cluster].lookup(block, is_store) {
             HitKind::Hit => {
@@ -190,21 +155,11 @@ impl MemorySystem {
                 if let Some(done) = self.mshrs[cluster].pending_completion(block, now) {
                     self.counters.merges += 1;
                     self.caches[cluster].touch(block, is_store);
-                    return AccessOutcome {
-                        latency: self.lat_cache.max(done.saturating_sub(now)),
-                        level: ServiceLevel::InFlightMerge,
-                        bus_wait: 0,
-                        mshr_wait: 0,
-                    };
+                    return self.lat_cache.max(done.saturating_sub(now));
                 }
                 self.counters.local_hits += 1;
                 self.caches[cluster].touch(block, is_store);
-                AccessOutcome {
-                    latency: self.lat_cache,
-                    level: ServiceLevel::LocalHit,
-                    bus_wait: 0,
-                    mshr_wait: 0,
-                }
+                self.lat_cache
             }
             HitKind::UpgradeMiss => {
                 // Store to a Shared line: invalidate every other copy over a
@@ -213,40 +168,24 @@ impl MemorySystem {
                 let (bus_wait, _grant) = self.buses.request(now);
                 self.invalidate_others(cluster, block);
                 self.caches[cluster].touch(block, true);
-                AccessOutcome {
-                    latency: self.lat_cache + bus_wait + self.buses.latency(),
-                    level: ServiceLevel::Upgrade,
-                    bus_wait,
-                    mshr_wait: 0,
-                }
+                self.lat_cache + bus_wait + self.buses.latency()
             }
             HitKind::Miss => self.handle_miss(cluster, block, is_store, now),
         }
     }
 
-    fn handle_miss(
-        &mut self,
-        cluster: ClusterId,
-        block: u64,
-        is_store: bool,
-        now: u64,
-    ) -> AccessOutcome {
+    fn handle_miss(&mut self, cluster: ClusterId, block: u64, is_store: bool, now: u64) -> u64 {
+        let state = if is_store {
+            MsiState::Modified
+        } else {
+            MsiState::Shared
+        };
         // Secondary miss to a line already being fetched: merge.
         if let Some(done) = self.mshrs[cluster].pending_completion(block, now) {
             self.counters.merges += 1;
             // Make sure the line is (or will be) resident.
-            let state = if is_store {
-                MsiState::Modified
-            } else {
-                MsiState::Shared
-            };
             self.caches[cluster].allocate(block, state);
-            return AccessOutcome {
-                latency: self.lat_cache.max(done.saturating_sub(now)),
-                level: ServiceLevel::InFlightMerge,
-                bus_wait: 0,
-                mshr_wait: 0,
-            };
+            return self.lat_cache.max(done.saturating_sub(now));
         }
 
         // Primary miss: wait for an MSHR entry, then for a bus, then fetch
@@ -261,16 +200,11 @@ impl MemorySystem {
             .enumerate()
             .any(|(c, cache)| c != cluster && cache.contains(block));
         let fill_latency = if remote {
+            self.counters.remote_fills += 1;
             self.lat_cache
         } else {
-            self.lat_memory
-        };
-        let level = if remote {
-            self.counters.remote_fills += 1;
-            ServiceLevel::RemoteCache
-        } else {
             self.counters.memory_fills += 1;
-            ServiceLevel::MainMemory
+            self.lat_memory
         };
 
         // Coherence actions at the remote copies.
@@ -287,35 +221,23 @@ impl MemorySystem {
         }
 
         let latency = self.lat_cache + mshr_wait + bus_wait + self.buses.latency() + fill_latency;
-        let completion = now + latency;
-        self.mshrs[cluster].insert(block, completion, mshr_wait);
-
-        let state = if is_store {
-            MsiState::Modified
-        } else {
-            MsiState::Shared
-        };
+        self.mshrs[cluster].insert(block, now + latency, mshr_wait);
         self.caches[cluster].allocate(block, state);
-
-        AccessOutcome {
-            latency,
-            level,
-            bus_wait,
-            mshr_wait,
-        }
+        latency
     }
 
     /// Empties every cluster's cache and MSHR (cold caches) while keeping the
     /// accumulated counters and bus state. Used to model loops whose data is
     /// not resident when the loop is re-entered.
-    pub fn flush_caches(&mut self) {
-        for (cache, mshr) in self.caches.iter_mut().zip(&mut self.mshrs) {
-            let geometry = *cache.geometry();
-            *cache = CoherentCache::new(geometry);
-            let wait = mshr.wait_cycles();
-            let merges = mshr.merges();
-            *mshr = Mshr::with_history(geometry.mshr_entries, wait, merges);
-        }
+    pub(crate) fn flush_caches(&mut self) {
+        self.caches.iter_mut().for_each(CoherentCache::clear);
+        self.mshrs.iter_mut().for_each(Mshr::clear);
+    }
+
+    /// Drops bus state no request at or after `time` can reach (see
+    /// [`MemoryBuses::forget_before`]).
+    pub(crate) fn forget_before(&mut self, time: u64) {
+        self.buses.forget_before(time);
     }
 
     fn invalidate_others(&mut self, cluster: ClusterId, block: u64) {
@@ -339,13 +261,10 @@ mod tests {
     #[test]
     fn cold_miss_goes_to_main_memory_then_hits_locally() {
         let mut m = system();
-        let a = m.access(0, 0x1000, false, 0);
-        assert_eq!(a.level, ServiceLevel::MainMemory);
         // 2 (cache) + 1 (bus) + 10 (memory) with the realistic preset buses.
-        assert_eq!(a.latency, 13);
-        let b = m.access(0, 0x1008, false, 100);
-        assert_eq!(b.level, ServiceLevel::LocalHit);
-        assert_eq!(b.latency, 2);
+        assert_eq!(m.access(0, 0x1000, false, 0), 13);
+        assert_eq!(m.counters().memory_fills, 1);
+        assert_eq!(m.access(0, 0x1008, false, 100), 2);
         let c = m.counters();
         assert_eq!(c.accesses, 2);
         assert_eq!(c.memory_fills, 1);
@@ -356,14 +275,15 @@ mod tests {
     fn remote_cache_serves_misses_from_other_clusters() {
         let mut m = system();
         m.access(0, 0x2000, false, 0);
-        let a = m.access(1, 0x2000, false, 100);
-        assert_eq!(a.level, ServiceLevel::RemoteCache);
         // 2 (local) + 1 (bus) + 2 (remote cache).
-        assert_eq!(a.latency, 5);
+        assert_eq!(m.access(1, 0x2000, false, 100), 5);
         assert_eq!(m.counters().remote_fills, 1);
-        // Both caches now share the line.
-        assert!(m.cache(0).contains(0x2000 / 32));
-        assert!(m.cache(1).contains(0x2000 / 32));
+        // Both caches now share the line: both hit locally.
+        m.access(0, 0x2000, false, 200);
+        m.access(1, 0x2000, false, 200);
+        let c = m.counters();
+        assert_eq!(c.local_hits, 2);
+        assert_eq!((c.memory_fills, c.remote_fills), (1, 1));
     }
 
     #[test]
@@ -371,26 +291,25 @@ mod tests {
         let mut m = system();
         m.access(0, 0x3000, false, 0);
         m.access(1, 0x3000, false, 50); // now shared in both
-        let up = m.access(0, 0x3000, true, 100); // store hits Shared: upgrade
-        assert_eq!(up.level, ServiceLevel::Upgrade);
+        m.access(0, 0x3000, true, 100); // store hits Shared: upgrade
         assert_eq!(m.counters().upgrades, 1);
         assert_eq!(m.counters().invalidations, 1);
-        assert!(!m.cache(1).contains(0x3000 / 32));
         // A later load from cluster 1 misses again (coherence miss) and is
         // served by cluster 0's modified copy.
-        let reload = m.access(1, 0x3000, false, 200);
-        assert_eq!(reload.level, ServiceLevel::RemoteCache);
+        m.access(1, 0x3000, false, 200);
+        let c = m.counters();
+        assert_eq!(c.remote_fills, 2);
+        assert_eq!(c.local_hits, 0);
     }
 
     #[test]
     fn secondary_miss_merges_with_the_in_flight_fill() {
         let mut m = system();
         let first = m.access(0, 0x4000, false, 0);
-        assert_eq!(first.level, ServiceLevel::MainMemory);
+        assert_eq!(m.counters().memory_fills, 1);
         // Same block, 3 cycles later: merge, latency is the remaining time.
         let second = m.access(0, 0x4008, false, 3);
-        assert_eq!(second.level, ServiceLevel::InFlightMerge);
-        assert_eq!(second.latency, first.latency - 3);
+        assert_eq!(second, first - 3);
         assert_eq!(m.counters().merges, 1);
         assert_eq!(m.counters().memory_fills, 1);
     }
@@ -401,10 +320,9 @@ mod tests {
         let machine =
             presets::two_cluster().with_memory_buses(mvp_machine::BusConfig::finite(1, 4));
         let mut m = MemorySystem::new(&machine);
-        let a = m.access(0, 0x5000, false, 0);
-        let b = m.access(1, 0x9000, false, 1);
-        assert_eq!(a.bus_wait, 0);
-        assert_eq!(b.bus_wait, 3);
+        m.access(0, 0x5000, false, 0);
+        assert_eq!(m.counters().bus_wait_cycles, 0);
+        m.access(1, 0x9000, false, 1);
         assert_eq!(m.counters().bus_wait_cycles, 3);
         assert_eq!(m.counters().bus_transactions, 2);
     }

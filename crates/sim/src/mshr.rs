@@ -7,87 +7,54 @@
 //! notes when "an earlier miss has already started loading the relevant
 //! cache line".
 
-use std::collections::HashMap;
-
 /// MSHR model of one cluster's non-blocking cache.
 #[derive(Debug, Clone)]
-pub struct Mshr {
+pub(crate) struct Mshr {
     entries: usize,
-    /// In-flight misses: block number → completion time.
-    in_flight: HashMap<u64, u64>,
+    /// In-flight misses as `(block, completion time)`. There are at most a
+    /// few (Table 1 has 10 entries), so a linear scan beats hashing.
+    in_flight: Vec<(u64, u64)>,
     wait_cycles: u64,
-    merges: u64,
 }
 
 impl Mshr {
     /// Creates an MSHR with the given number of entries.
-    #[must_use]
-    pub fn new(entries: usize) -> Self {
-        Self::with_history(entries, 0, 0)
-    }
-
-    /// Creates an empty MSHR that keeps previously accumulated statistics
-    /// (used when caches are flushed mid-simulation).
-    #[must_use]
-    pub fn with_history(entries: usize, wait_cycles: u64, merges: u64) -> Self {
+    pub(crate) fn new(entries: usize) -> Self {
         Self {
             entries: entries.max(1),
-            in_flight: HashMap::new(),
-            wait_cycles,
-            merges,
+            in_flight: Vec::new(),
+            wait_cycles: 0,
         }
     }
 
     /// Drops entries that completed at or before `now`.
     fn expire(&mut self, now: u64) {
-        self.in_flight.retain(|_, &mut done| done > now);
+        if !self.in_flight.is_empty() {
+            self.in_flight.retain(|&(_, done)| done > now);
+        }
     }
 
     /// Completion time of an in-flight fetch of `block`, if any (a secondary
     /// miss can merge with it instead of allocating a new entry).
-    pub fn pending_completion(&mut self, block: u64, now: u64) -> Option<u64> {
+    pub(crate) fn pending_completion(&mut self, block: u64, now: u64) -> Option<u64> {
         self.expire(now);
-        let done = self.in_flight.get(&block).copied();
-        if done.is_some() {
-            self.merges += 1;
-        }
-        done
-    }
-
-    /// Allocates an entry for a new miss of `block` issued at `now` that will
-    /// complete `service_latency` cycles after it gets an entry. Returns
-    /// `(entry_wait, completion_time)`.
-    pub fn allocate(&mut self, block: u64, now: u64, service_latency: u64) -> (u64, u64) {
-        self.expire(now);
-        let mut start = now;
-        if self.in_flight.len() >= self.entries {
-            let earliest = self
-                .in_flight
-                .values()
-                .copied()
-                .min()
-                .expect("MSHR is full, so it is non-empty");
-            let wait = earliest.saturating_sub(now);
-            self.wait_cycles += wait;
-            start = now + wait;
-            self.expire(start);
-        }
-        let completion = start + service_latency;
-        self.in_flight.insert(block, completion);
-        (start - now, completion)
+        self.in_flight
+            .iter()
+            .find(|&&(b, _)| b == block)
+            .map(|&(_, done)| done)
     }
 
     /// Cycles a new miss arriving at `now` must wait before an MSHR entry is
     /// available (0 when the MSHR has a free entry). Does not allocate.
-    pub fn entry_wait(&mut self, now: u64) -> u64 {
+    pub(crate) fn entry_wait(&mut self, now: u64) -> u64 {
         self.expire(now);
         if self.in_flight.len() < self.entries {
             return 0;
         }
         let earliest = self
             .in_flight
-            .values()
-            .copied()
+            .iter()
+            .map(|&(_, done)| done)
             .min()
             .expect("MSHR is full, so it is non-empty");
         earliest.saturating_sub(now)
@@ -95,27 +62,22 @@ impl Mshr {
 
     /// Records an in-flight miss of `block` completing at `completion`,
     /// accounting `waited` cycles of entry wait.
-    pub fn insert(&mut self, block: u64, completion: u64, waited: u64) {
+    pub(crate) fn insert(&mut self, block: u64, completion: u64, waited: u64) {
         self.wait_cycles += waited;
-        self.in_flight.insert(block, completion);
+        match self.in_flight.iter_mut().find(|(b, _)| *b == block) {
+            Some(entry) => entry.1 = completion,
+            None => self.in_flight.push((block, completion)),
+        }
+    }
+
+    /// Forgets every in-flight miss (cold caches); the wait total stays.
+    pub(crate) fn clear(&mut self) {
+        self.in_flight.clear();
     }
 
     /// Total cycles spent waiting for a free entry.
-    #[must_use]
-    pub fn wait_cycles(&self) -> u64 {
+    pub(crate) fn wait_cycles(&self) -> u64 {
         self.wait_cycles
-    }
-
-    /// Number of secondary misses merged with an in-flight entry.
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Number of misses currently outstanding at time `now`.
-    pub fn outstanding(&mut self, now: u64) -> usize {
-        self.expire(now);
-        self.in_flight.len()
     }
 }
 
@@ -126,30 +88,31 @@ mod tests {
     #[test]
     fn allocation_without_pressure_is_free() {
         let mut mshr = Mshr::new(4);
-        let (wait, done) = mshr.allocate(10, 100, 12);
-        assert_eq!(wait, 0);
-        assert_eq!(done, 112);
-        assert_eq!(mshr.outstanding(100), 1);
-        assert_eq!(mshr.outstanding(112), 0);
+        assert_eq!(mshr.entry_wait(100), 0);
+        mshr.insert(10, 112, 0);
+        // Outstanding at 100, gone at its completion time 112.
+        assert_eq!(mshr.pending_completion(10, 100), Some(112));
+        assert_eq!(mshr.pending_completion(10, 112), None);
+        assert_eq!(mshr.wait_cycles(), 0);
     }
 
     #[test]
     fn full_mshr_waits_for_the_earliest_completion() {
         let mut mshr = Mshr::new(2);
-        mshr.allocate(1, 0, 10); // completes at 10
-        mshr.allocate(2, 0, 20); // completes at 20
-        let (wait, done) = mshr.allocate(3, 5, 10);
+        mshr.insert(1, 10, 0);
+        mshr.insert(2, 20, 0);
+        let wait = mshr.entry_wait(5);
         assert_eq!(wait, 5); // waits until time 10
-        assert_eq!(done, 20);
+        mshr.insert(3, 5 + wait + 10, wait);
+        assert_eq!(mshr.pending_completion(3, 5), Some(20));
         assert_eq!(mshr.wait_cycles(), 5);
     }
 
     #[test]
     fn secondary_miss_merges_with_in_flight_entry() {
         let mut mshr = Mshr::new(4);
-        mshr.allocate(7, 0, 14);
+        mshr.insert(7, 14, 0);
         assert_eq!(mshr.pending_completion(7, 3), Some(14));
-        assert_eq!(mshr.merges(), 1);
         // After completion the entry disappears.
         assert_eq!(mshr.pending_completion(7, 14), None);
     }
@@ -157,10 +120,9 @@ mod tests {
     #[test]
     fn zero_entry_request_is_clamped_to_one() {
         let mut mshr = Mshr::new(0);
-        let (wait, done) = mshr.allocate(1, 0, 5);
-        assert_eq!((wait, done), (0, 5));
+        assert_eq!(mshr.entry_wait(0), 0);
+        mshr.insert(1, 5, 0);
         // The single entry is now busy; a second miss waits.
-        let (wait2, _) = mshr.allocate(2, 1, 5);
-        assert_eq!(wait2, 4);
+        assert_eq!(mshr.entry_wait(1), 4);
     }
 }

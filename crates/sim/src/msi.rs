@@ -9,18 +9,18 @@ use mvp_machine::CacheGeometry;
 
 /// MSI coherence state of a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MsiState {
+pub(crate) enum MsiState {
     /// The line is valid and possibly dirty; no other cache holds it.
     Modified,
     /// The line is valid and clean; other caches may hold it too.
     Shared,
-    /// The line is not present (invalid lines are simply absent).
+    /// The line is not present.
     Invalid,
 }
 
 /// Where a local cache lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HitKind {
+pub(crate) enum HitKind {
     /// Present locally with a state sufficient for the request.
     Hit,
     /// Present locally but only Shared while the request was a store: an
@@ -33,16 +33,29 @@ pub enum HitKind {
 #[derive(Debug, Clone, Copy)]
 struct Line {
     block: u64,
+    /// [`MsiState::Invalid`] marks an empty way.
     state: MsiState,
-    /// LRU timestamp: larger = more recently used.
+    /// LRU timestamp: larger = more recently used. Every touch and every
+    /// allocation takes a fresh tick, so no two lines of a cache share one.
     last_use: u64,
 }
 
+const EMPTY: Line = Line {
+    block: 0,
+    state: MsiState::Invalid,
+    last_use: 0,
+};
+
 /// One cluster's coherent L1 data cache (tag + state store).
+///
+/// The lines live in one flat `num_sets × ways` array: set `s` owns
+/// `lines[s * ways..(s + 1) * ways]`, and an empty way holds an
+/// [`MsiState::Invalid`] line.
 #[derive(Debug, Clone)]
-pub struct CoherentCache {
-    geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
+pub(crate) struct CoherentCache {
+    num_sets: u64,
+    ways: usize,
+    lines: Vec<Line>,
     tick: u64,
 }
 
@@ -52,49 +65,61 @@ impl CoherentCache {
     /// # Panics
     ///
     /// Panics if the geometry is invalid.
-    #[must_use]
-    pub fn new(geometry: CacheGeometry) -> Self {
+    pub(crate) fn new(geometry: CacheGeometry) -> Self {
         geometry
             .validate()
             .expect("cache geometry must be validated before simulation");
+        let num_sets = geometry.num_sets();
+        let ways = geometry.associativity as usize;
         Self {
-            geometry,
-            sets: vec![Vec::new(); geometry.num_sets() as usize],
+            num_sets,
+            ways,
+            lines: vec![EMPTY; num_sets as usize * ways],
             tick: 0,
         }
     }
 
-    /// The cache geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geometry
+    /// Empties every way (cold cache).
+    pub(crate) fn clear(&mut self) {
+        self.lines.fill(EMPTY);
+        self.tick = 0;
     }
 
-    fn set_index(&self, block: u64) -> usize {
-        (block % self.geometry.num_sets()) as usize
+    /// The ways of the set `block` maps to.
+    fn set(&self, block: u64) -> &[Line] {
+        let first = (block % self.num_sets) as usize * self.ways;
+        &self.lines[first..first + self.ways]
+    }
+
+    fn set_mut(&mut self, block: u64) -> &mut [Line] {
+        let first = (block % self.num_sets) as usize * self.ways;
+        &mut self.lines[first..first + self.ways]
+    }
+
+    /// The valid line holding `block`, if any.
+    fn line_mut(&mut self, block: u64) -> Option<&mut Line> {
+        self.set_mut(block)
+            .iter_mut()
+            .find(|l| l.block == block && l.state != MsiState::Invalid)
     }
 
     /// State of the line holding `block`, or [`MsiState::Invalid`] if absent.
-    #[must_use]
-    pub fn state_of(&self, block: u64) -> MsiState {
-        let set = self.set_index(block);
-        self.sets[set]
+    pub(crate) fn state_of(&self, block: u64) -> MsiState {
+        self.set(block)
             .iter()
-            .find(|l| l.block == block)
+            .find(|l| l.block == block && l.state != MsiState::Invalid)
             .map_or(MsiState::Invalid, |l| l.state)
     }
 
     /// Whether the cache currently holds `block` in any valid state.
-    #[must_use]
-    pub fn contains(&self, block: u64) -> bool {
+    pub(crate) fn contains(&self, block: u64) -> bool {
         self.state_of(block) != MsiState::Invalid
     }
 
     /// Looks up `block` for a load (`is_store == false`) or store
     /// (`is_store == true`) **without** allocating. Returns how the local
     /// lookup fared.
-    #[must_use]
-    pub fn lookup(&self, block: u64, is_store: bool) -> HitKind {
+    pub(crate) fn lookup(&self, block: u64, is_store: bool) -> HitKind {
         match self.state_of(block) {
             MsiState::Invalid => HitKind::Miss,
             MsiState::Modified => HitKind::Hit,
@@ -111,78 +136,67 @@ impl CoherentCache {
     /// Marks `block` as used (LRU update) and, for stores, upgrades its state
     /// to Modified. Call after a [`HitKind::Hit`] or once an upgrade
     /// completes.
-    pub fn touch(&mut self, block: u64, is_store: bool) {
+    pub(crate) fn touch(&mut self, block: u64, is_store: bool) {
         self.tick += 1;
-        let set = self.set_index(block);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
-            line.last_use = self.tick;
+        let tick = self.tick;
+        if let Some(line) = self.line_mut(block) {
+            line.last_use = tick;
             if is_store {
                 line.state = MsiState::Modified;
             }
         }
     }
 
-    /// Allocates `block` in the given state, evicting the LRU line of the set
-    /// if the set is full. Returns the evicted block, if any (used by the
-    /// memory system to write back / drop state).
-    pub fn allocate(&mut self, block: u64, state: MsiState) -> Option<u64> {
+    /// Allocates `block` in the given state, evicting the least recently
+    /// used line of the set if no way is empty. Returns the evicted block,
+    /// if any.
+    pub(crate) fn allocate(&mut self, block: u64, state: MsiState) -> Option<u64> {
         self.tick += 1;
-        let ways = self.geometry.associativity as usize;
-        let set = self.set_index(block);
-        let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.block == block) {
+        let tick = self.tick;
+        if let Some(line) = self.line_mut(block) {
             line.state = state;
-            line.last_use = self.tick;
+            line.last_use = tick;
             return None;
         }
-        let mut evicted = None;
-        if lines.len() >= ways {
-            let lru = lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("set is non-empty");
-            evicted = Some(lines.remove(lru).block);
-        }
-        lines.push(Line {
+        // An empty way is free; otherwise the ticks are unique, so the
+        // least recently used line is the one with the smallest tick.
+        let victim = self
+            .set_mut(block)
+            .iter_mut()
+            .min_by_key(|l| (l.state != MsiState::Invalid, l.last_use))
+            .expect("a set has at least one way");
+        let evicted = (victim.state != MsiState::Invalid).then_some(victim.block);
+        *victim = Line {
             block,
             state,
-            last_use: self.tick,
-        });
+            last_use: tick,
+        };
         evicted
     }
 
     /// Invalidates `block` (snoop-induced). Returns whether a valid copy was
     /// removed.
-    pub fn invalidate(&mut self, block: u64) -> bool {
-        let set = self.set_index(block);
-        let lines = &mut self.sets[set];
-        if let Some(pos) = lines.iter().position(|l| l.block == block) {
-            lines.remove(pos);
-            true
-        } else {
-            false
+    pub(crate) fn invalidate(&mut self, block: u64) -> bool {
+        match self.line_mut(block) {
+            Some(line) => {
+                line.state = MsiState::Invalid;
+                true
+            }
+            None => false,
         }
     }
 
     /// Downgrades `block` to Shared (a remote reader snooped it). Returns
     /// whether the block was present in Modified state.
-    pub fn downgrade(&mut self, block: u64) -> bool {
-        let set = self.set_index(block);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
-            let was_modified = line.state == MsiState::Modified;
-            line.state = MsiState::Shared;
-            was_modified
-        } else {
-            false
+    pub(crate) fn downgrade(&mut self, block: u64) -> bool {
+        match self.line_mut(block) {
+            Some(line) => {
+                let was_modified = line.state == MsiState::Modified;
+                line.state = MsiState::Shared;
+                was_modified
+            }
+            None => false,
         }
-    }
-
-    /// Number of valid lines currently resident.
-    #[must_use]
-    pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
     }
 }
 
@@ -200,7 +214,8 @@ mod tests {
         assert_eq!(c.lookup(0, false), HitKind::Miss);
         assert_eq!(c.state_of(0), MsiState::Invalid);
         assert!(!c.contains(0));
-        assert_eq!(c.resident_lines(), 0);
+        // No block of two cache-fulls is resident.
+        assert!((0..64).all(|block| !c.contains(block)));
     }
 
     #[test]
@@ -262,6 +277,15 @@ mod tests {
         let evicted = c.allocate(9, MsiState::Modified);
         assert_eq!(evicted, None);
         assert_eq!(c.state_of(9), MsiState::Modified);
-        assert_eq!(c.resident_lines(), 1);
+        // Block 9 still holds a single way: in a 2-way cache, one more
+        // block of its set fits without an eviction.
+        let mut c = CoherentCache::new(CacheGeometry {
+            associativity: 2,
+            ..CacheGeometry::direct_mapped(1024)
+        });
+        c.allocate(9, MsiState::Shared);
+        c.allocate(9, MsiState::Modified);
+        assert_eq!(c.allocate(9 + 16, MsiState::Shared), None);
+        assert!(c.contains(9) && c.contains(9 + 16));
     }
 }

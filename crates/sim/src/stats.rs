@@ -42,16 +42,6 @@ impl SimStats {
         }
     }
 
-    /// Cycles per innermost-loop iteration (total cycles / iterations).
-    #[must_use]
-    pub fn cycles_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.total_cycles() as f64 / self.iterations as f64
-        }
-    }
-
     /// Total cycles normalised against a reference run (e.g. the Unified
     /// configuration), the y-axis of Figures 5 and 6.
     #[must_use]
@@ -102,7 +92,7 @@ mod tests {
         let s = stats(300, 100);
         assert_eq!(s.total_cycles(), 400);
         assert!((s.stall_fraction() - 0.25).abs() < 1e-12);
-        assert!((s.cycles_per_iteration() - 4.0).abs() < 1e-12);
+        assert_eq!(s.total_cycles(), 4 * s.iterations);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use mvp_exec::Executor;
 use mvp_ir::{Loop, OpId};
 use mvp_machine::{presets, MachineConfig};
 use mvp_schedcache::{canonicalize, hash_machine, CacheKey, CanonicalLoop, ScheduleCache};
-use mvp_sim::memory_system::MemoryCounters;
+use mvp_sim::MemoryCounters;
 use mvp_sim::{simulate, SimOptions, SimStats};
 use mvp_workloads::Workload;
 use std::fmt;
