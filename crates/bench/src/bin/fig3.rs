@@ -5,7 +5,7 @@
 //! `N` (default 256) is the trip count; a missing, unparsable or zero
 //! value is a usage error (exit code 2).
 
-use mvp_bench::report::arg;
+use mvp_bench::report::{arg, print_report};
 use mvp_workloads::motivating::MotivatingParams;
 
 fn main() {
@@ -19,5 +19,5 @@ fn main() {
         params.iterations = n;
     }
     let output = mvp_bench::fig3::run(&params);
-    print!("{}", mvp_bench::fig3::render(&output));
+    print_report(&mvp_bench::fig3::render(&output));
 }

@@ -1,5 +1,5 @@
 //! Prints Table 1 of the paper (machine configurations and latencies).
 
 fn main() {
-    print!("{}", mvp_bench::table1::render());
+    mvp_bench::report::print_report(&mvp_bench::table1::render());
 }

@@ -16,7 +16,7 @@
 //!   clearly ahead of the baseline (the paper reports ≈5% at 2 clusters and
 //!   ≈20% at 4 clusters for threshold 0.00).
 
-use crate::report::{arg, norm, Table};
+use crate::report::{arg, norm, print_report, Table};
 use multivliw::pipeline::{Pipeline, SchedulerChoice};
 use multivliw::Error;
 use mvp_exec::Executor;
@@ -258,7 +258,7 @@ pub fn cli(figure: Figure) {
     for c in clusters {
         let output = run(figure, c, &params, quick, &Executor::global())
             .expect("the bundled workloads are schedulable on every configuration");
-        println!("{}", render(&output));
+        print_report(&format!("{}\n", render(&output)));
     }
 }
 

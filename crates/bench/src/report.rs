@@ -2,6 +2,7 @@
 //! as aligned text for stdout and as CSV for the CI artifacts.
 
 use std::fmt::Write as _;
+use std::io::{self, ErrorKind};
 
 /// A table of pre-formatted cells with two views: [`render`](Self::render)
 /// (fixed-width text) and [`to_csv`](Self::to_csv). A report builds one
@@ -109,6 +110,37 @@ pub fn write_env_artifact(env_var: &str, label: &str, contents: impl FnOnce() ->
     }
 }
 
+/// Writes `text` to `out` and flushes it. A reader that has gone away
+/// ([`ErrorKind::BrokenPipe`]) is not an error: the result is then
+/// `Ok(false)`, so the caller can stop quietly.
+///
+/// # Errors
+///
+/// Any other write or flush error.
+pub fn write_report(out: &mut impl io::Write, text: &str) -> io::Result<bool> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Prints `text` on stdout: the one way the figure and table binaries
+/// print. When stdout's reader has gone away (`fig5 | head -1`) the process
+/// ends quietly with exit code 0; any other write error ends it with code 1.
+///
+/// Like [`write_env_artifact`] this is binary-exit-path code.
+pub fn print_report(text: &str) {
+    match write_report(&mut io::stdout().lock(), text) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("failed to write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Shared flag parser of the experiment binaries: the value following the
 /// flag `name` in `args`, parsed as `T`, or `None` when the flag is absent.
 ///
@@ -173,6 +205,29 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
+    }
+
+    /// A writer whose every write fails with `kind`.
+    struct Failing(ErrorKind);
+
+    impl io::Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reports_stop_quietly_at_a_closed_reader() {
+        let mut out = Vec::new();
+        assert!(write_report(&mut out, "a\nb\n").unwrap());
+        assert_eq!(out, b"a\nb\n");
+        assert!(!write_report(&mut Failing(ErrorKind::BrokenPipe), "a\n").unwrap());
+        let err = write_report(&mut Failing(ErrorKind::PermissionDenied), "a\n").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
     }
 
     #[test]
