@@ -89,9 +89,6 @@ impl<'l> Tables<'l> {
     fn new(l: &'l Loop, schedule: &Schedule) -> Self {
         let max_distance = l.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize;
         let ring = max_distance + 1;
-        // Only the innermost dimension varies within an execution; it sits
-        // after the outer ones in the iteration vector.
-        let dims = l.nest().num_dims();
         let mut order: Vec<OpId> = l.op_ids().collect();
         order.sort_by_key(|&op| (schedule.placement(op).cycle, op.index()));
         let mut load_preds = Vec::new();
@@ -112,10 +109,7 @@ impl<'l> Tables<'l> {
                         is_load: l.op(op).is_load(),
                         reference,
                         array_base: l.array(reference.array).base_address as i64,
-                        inner_stride: match dims {
-                            0 => 0,
-                            _ => reference.strides.get(dims - 1).copied().unwrap_or(0),
-                        },
+                        inner_stride: reference.inner_stride(l.nest()),
                         next: 0,
                     }
                 });

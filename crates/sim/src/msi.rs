@@ -6,6 +6,7 @@
 //! latency consequences.
 
 use mvp_machine::CacheGeometry;
+use std::ops::Range;
 
 /// MSI coherence state of a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,27 +86,23 @@ impl CoherentCache {
         self.tick = 0;
     }
 
-    /// The ways of the set `block` maps to.
-    fn set(&self, block: u64) -> &[Line] {
+    /// Indices in `lines` of the ways of the set `block` maps to.
+    fn set_of(&self, block: u64) -> Range<usize> {
         let first = (block % self.num_sets) as usize * self.ways;
-        &self.lines[first..first + self.ways]
-    }
-
-    fn set_mut(&mut self, block: u64) -> &mut [Line] {
-        let first = (block % self.num_sets) as usize * self.ways;
-        &mut self.lines[first..first + self.ways]
+        first..first + self.ways
     }
 
     /// The valid line holding `block`, if any.
     fn line_mut(&mut self, block: u64) -> Option<&mut Line> {
-        self.set_mut(block)
+        let set = self.set_of(block);
+        self.lines[set]
             .iter_mut()
             .find(|l| l.block == block && l.state != MsiState::Invalid)
     }
 
     /// State of the line holding `block`, or [`MsiState::Invalid`] if absent.
     pub(crate) fn state_of(&self, block: u64) -> MsiState {
-        self.set(block)
+        self.lines[self.set_of(block)]
             .iter()
             .find(|l| l.block == block && l.state != MsiState::Invalid)
             .map_or(MsiState::Invalid, |l| l.state)
@@ -160,8 +157,8 @@ impl CoherentCache {
         }
         // An empty way is free; otherwise the ticks are unique, so the
         // least recently used line is the one with the smallest tick.
-        let victim = self
-            .set_mut(block)
+        let set = self.set_of(block);
+        let victim = self.lines[set]
             .iter_mut()
             .min_by_key(|l| (l.state != MsiState::Invalid, l.last_use))
             .expect("a set has at least one way");
