@@ -8,20 +8,9 @@
 //! With `MVP_PORTFOLIO_CSV=<path>` the per-row portfolio results (winner,
 //! branch-and-bound nodes, SAT conflicts, inclusive portfolio steps) are
 //! written as the `portfolio-solvers.csv` artifact.
-//!
-//! The same run also drives the incremental-vs-scratch SAT differential:
-//! each point is solved twice by the SAT backend (persistent session vs
-//! per-probe re-encoding), pinned to identical verdicts, and the per-loop
-//! step/retention comparison is written as the
-//! `sat-incremental.csv` artifact (`MVP_SAT_INCR_CSV=<path>`). The process
-//! exits non-zero when the incremental mode spends more total SAT steps on
-//! the corpus than the from-scratch mode — clause retention must pay for
-//! itself in aggregate.
 
 use mvp_bench::gap::GapParams;
-use mvp_bench::portfolio::{
-    incremental_table, incremental_totals, render, render_incremental, run, run_incremental, table,
-};
+use mvp_bench::portfolio::{render, run, table};
 use mvp_bench::report::{arg, write_env_artifact};
 use mvp_exec::Executor;
 
@@ -41,29 +30,10 @@ fn main() {
         params.node_budget = b;
     }
 
-    let executor = Executor::global();
-    let rows = run(&params, &executor);
+    let rows = run(&params, &Executor::global());
     print!("{}", render(&rows));
 
     write_env_artifact("MVP_PORTFOLIO_CSV", &format!("{} rows", rows.len()), || {
         table(&rows).to_csv()
     });
-
-    let incr_rows = run_incremental(&params, &executor);
-    print!("{}", render_incremental(&incr_rows));
-
-    write_env_artifact(
-        "MVP_SAT_INCR_CSV",
-        &format!("{} rows", incr_rows.len()),
-        || incremental_table(&incr_rows).to_csv(),
-    );
-
-    let (incremental, scratch) = incremental_totals(&incr_rows);
-    if incremental > scratch {
-        eprintln!(
-            "incremental SAT spent {incremental} steps on the corpus, \
-             more than the {scratch} from-scratch steps"
-        );
-        std::process::exit(1);
-    }
 }

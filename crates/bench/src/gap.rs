@@ -86,14 +86,6 @@ pub struct GapRow {
     pub schedule_ms: f64,
     /// Wall-clock of the exact solve pricing the row, in milliseconds.
     pub oracle_ms: f64,
-    /// Clauses each probe's layer inherited from the incremental SAT
-    /// session once the previous layer was retired and collected (summed
-    /// over probes, see `IiProbe::reused_clauses`; 0 for pure
-    /// branch-and-bound rows).
-    pub sat_reused_clauses: u64,
-    /// Learnt clauses among those inherited (summed over probes, see
-    /// `IiProbe::kept_learned`; 0 for pure branch-and-bound rows).
-    pub sat_kept_learned: u64,
 }
 
 impl GapRow {
@@ -226,8 +218,6 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             rmca_ii: heuristics.1,
             schedule_ms: schedule_ns as f64 / 1e6,
             oracle_ms: oracle_ns as f64 / 1e6,
-            sat_reused_clauses: outcome.probes.iter().map(|p| p.reused_clauses).sum(),
-            sat_kept_learned: outcome.probes.iter().map(|p| p.kept_learned).sum(),
         };
         // A hard assert, not a debug_assert: the gap bin runs in release
         // mode in CI, and a heuristic beating a "certified" bound means
@@ -248,9 +238,7 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
 /// point. New columns only ever append at the end, so positional consumers
 /// keep working (CI cuts fields 1-3 and 8 — machine, loop, ops, nodes — of
 /// the default table, and fields 1-3 and 14 — conflicts, the SAT steps —
-/// of the `--solver sat` one). `sat_reused_clauses` and
-/// `sat_kept_learned` count what each probe's layer inherited once the
-/// previous layer was retired and collected.
+/// of the `--solver sat` one).
 #[must_use]
 pub fn table(rows: &[GapRow]) -> Table {
     let mut t = Table::new(vec![
@@ -270,8 +258,6 @@ pub fn table(rows: &[GapRow]) -> Table {
         "conflicts",
         "schedule_ms",
         "oracle_ms",
-        "sat_reused_clauses",
-        "sat_kept_learned",
     ]);
     let gap_cell = |g: Option<f64>| g.map_or_else(String::new, |g| format!("{g:.4}"));
     for r in rows {
@@ -292,8 +278,6 @@ pub fn table(rows: &[GapRow]) -> Table {
             r.conflicts.to_string(),
             format!("{:.3}", r.schedule_ms),
             format!("{:.3}", r.oracle_ms),
-            r.sat_reused_clauses.to_string(),
-            r.sat_kept_learned.to_string(),
         ]);
     }
     t
@@ -368,14 +352,6 @@ mod tests {
         assert_eq!(fig3.nodes, 0, "the SAT engine charges conflicts, not nodes");
         assert!(fig3.conflicts > 0);
         assert!(table(&rows).to_csv().contains(",sat,"));
-        // Fig3's MII already equals the optimum, so its search is a single
-        // probe with nothing to carry over; rows whose first probe is
-        // refuted by search must show the session reusing clauses.
-        assert_eq!(fig3.sat_reused_clauses, 0);
-        assert!(
-            rows.iter().any(|r| r.sat_reused_clauses > 0),
-            "some multi-probe row reuses clauses across II probes"
-        );
     }
 
     #[test]
@@ -391,7 +367,7 @@ mod tests {
             header,
             "machine,loop,ops,min_ii,lower_bound,exact_ii,proved_optimal,nodes,\
              baseline_ii,rmca_ii,baseline_gap,rmca_gap,solver,conflicts,\
-             schedule_ms,oracle_ms,sat_reused_clauses,sat_kept_learned"
+             schedule_ms,oracle_ms"
         );
         // CI's node-count artifact is `cut -d, -f1-3,8` of this CSV.
         let cut: Vec<&str> = header.split(',').collect();

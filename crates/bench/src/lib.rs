@@ -12,8 +12,7 @@
 //!   `--solver` picks the exact engine),
 //! * `portfolio` — SAT-vs-branch-and-bound differential over the gap
 //!   corpus with a dovetailed portfolio per probe (`MVP_PORTFOLIO_CSV` for
-//!   the `portfolio-solvers.csv` artifact, `MVP_SAT_INCR_CSV` for the
-//!   incremental-vs-scratch SAT `sat-incremental.csv`),
+//!   the `portfolio-solvers.csv` artifact),
 //! * `trace` — observability showcase: a chrome://tracing JSON export
 //!   covering every instrumented layer plus the deterministic
 //!   counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the

@@ -53,13 +53,10 @@ fn counter_snapshot_is_byte_identical_for_1_and_8_threads() {
             "exact.sat.encoded_vars",
             "pipeline.gap_oracle.runs",
             "pipeline.runs",
-            "sat.assumption_probes",
             "sat.atmostk.aux_vars",
             "sat.conflicts",
             "sat.decisions",
-            "sat.kept_learned",
             "sat.learned_clauses",
-            "sat.reencoded_clauses",
             "sat.restarts",
         ]
     );

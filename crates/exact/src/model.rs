@@ -172,8 +172,6 @@ mod tests {
         let p = Problem::new(&l, &machine).unwrap();
         let e = l.edges()[0]; // LD -> F, data, distance 0
         assert_eq!(p.edge_weight(&e, 3), 2);
-        assert_eq!(p.exact_edge_weight(&e, 3, 0, 0), 2);
-        assert_eq!(p.exact_edge_weight(&e, 3, 0, 1), 3); // + bus latency 1
         let carried = mvp_ir::DepEdge::data(e.src, e.dst, 2);
         assert_eq!(p.edge_weight(&carried, 3), 2 - 6);
     }

@@ -24,27 +24,18 @@ pub struct ExactOptions {
     /// beyond anything the heuristic schedulers produce on the paper's loops
     /// or the fuzz corpus (stage counts there stay in the low single digits).
     pub horizon_stages: u32,
-    /// Whether the SAT backend keeps one incremental solver alive across the
-    /// whole II search (assumption-guarded per-II layers, clause and
-    /// learnt-state retention) instead of re-encoding from scratch per
-    /// probe. On by default; [`ExactOptions::with_sat_incremental`]
-    /// switches it off, which the differential suites use to compare the
-    /// two modes.
-    pub sat_incremental: bool,
 }
 
 impl ExactOptions {
     /// Default options: 32 IIs of slack, a 1M-node budget (the Figure-3
     /// motivating loop on its Section-3 machine — the hardest pinned case —
-    /// needs just under half of it), an 8-stage horizon and incremental SAT
-    /// solving.
+    /// needs just under half of it) and an 8-stage horizon.
     #[must_use]
     pub fn new() -> Self {
         Self {
             max_ii_slack: 32,
             node_budget: 1_000_000,
             horizon_stages: 8,
-            sat_incremental: true,
         }
     }
 
@@ -62,13 +53,6 @@ impl ExactOptions {
         self
     }
 
-    /// Returns a copy with incremental SAT solving switched on or off.
-    #[must_use]
-    pub fn with_sat_incremental(mut self, incremental: bool) -> Self {
-        self.sat_incremental = incremental;
-        self
-    }
-
     /// Returns `self` unchanged: this builder sets nothing. It exists only
     /// because the benchmark package (`perfbench/src/exact.rs`) still calls
     /// `.with_ladder_width(1)`, and it is deleted right after the benchmark
@@ -76,6 +60,16 @@ impl ExactOptions {
     #[doc(hidden)]
     #[must_use]
     pub fn with_ladder_width(self, _width: u32) -> Self {
+        self
+    }
+
+    /// Returns `self` unchanged: this builder sets nothing. It exists only
+    /// because the benchmark package (`perfbench/src/exact.rs`) still calls
+    /// `.with_sat_incremental(true)`, and it is deleted right after the
+    /// benchmark drops that call.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_sat_incremental(self, _incremental: bool) -> Self {
         self
     }
 }
@@ -94,12 +88,10 @@ mod tests {
     fn builders_clamp_and_override() {
         let o = ExactOptions::new()
             .with_node_budget(0)
-            .with_horizon_stages(0)
-            .with_sat_incremental(false);
+            .with_horizon_stages(0);
         assert_eq!(o.max_ii_slack, 32);
         assert_eq!(o.node_budget, 1);
         assert_eq!(o.horizon_stages, 1);
-        assert!(!o.sat_incremental);
         assert_eq!(o.with_ladder_width(4), o, "the shim sets nothing");
     }
 }

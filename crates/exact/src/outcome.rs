@@ -74,16 +74,6 @@ pub struct IiProbe {
     /// The engine whose certificate decided the probe. For an undecided
     /// probe (budget), the backend that was asked.
     pub solver: SolverKind,
-    /// Clauses this probe's layer inherits in the incremental SAT solver:
-    /// those left once the previous II's layer is retired and every clause
-    /// it satisfied is collected — the II-independent section plus
-    /// [`kept_learned`](Self::kept_learned). Zero for the first probe, for
-    /// from-scratch sessions, and for pure branch-and-bound probes.
-    pub reused_clauses: u64,
-    /// Learnt clauses among [`reused_clauses`](Self::reused_clauses): the
-    /// ones earlier probes of the same search learnt that name no retired
-    /// layer. Zero in the same cases.
-    pub kept_learned: u64,
     /// Register-pressure refinement (CEGAR) rounds the probe's SAT engine
     /// ran: models re-priced as overflowing and answered with explanation
     /// lemmas. Zero for pure branch-and-bound probes. The process-wide
@@ -222,8 +212,6 @@ mod tests {
                 nodes: 10,
                 conflicts: 7,
                 solver: SolverKind::Sat,
-                reused_clauses: 0,
-                kept_learned: 0,
                 cegar_rounds: 0,
             }],
         };

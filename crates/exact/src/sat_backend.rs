@@ -42,7 +42,7 @@
 //!   *at-most-k* over the pairs' negated co-location literals. Both are
 //!   pigeonhole counts that CDCL would otherwise rediscover row by row;
 //!   they remove no model, and cut the corpus's SAT steps from 53,644 to
-//!   12,760;
+//!   12,760 when they were added;
 //! * **register pressure** (`RegisterFileOverflow`): checked *outside* the
 //!   CNF by counterexample-guided refinement (CEGAR). Every model is
 //!   re-priced with the exact MaxLive computation; for each cluster it
@@ -57,38 +57,16 @@
 //! over as a single clause: some operation with `earliest == 0` starts at
 //! cycle 0 (any legal schedule shifts down to such a normalized one).
 //!
-//! # Incremental solving across II probes
+//! # One formula per probe
 //!
-//! In the default *incremental* mode one [`SatProbeSession`] owns one
-//! [`Solver`] for the whole outer II search. The II-*independent* structure
-//! — cluster one-hots and the co-location biconditionals — is encoded once.
-//! Everything II-*specific* (start windows, dependence clauses, modulo FU
-//! rows, transfer variables, the anchor) forms a per-II **layer** whose
-//! clauses all carry the negation of a fresh *activation literal*
-//! `act_ii`; probing an II is [`Solver::solve_under_assumptions`] with
-//! `[act_ii]`. Because `act_ii` never occurs positively in any clause,
-//! first-UIP resolution can never drop `¬act_ii` from a learnt clause that
-//! mentions a layer variable positively — so when the search moves on, the
-//! layer is *retired* soundly by the unit `¬act_ii` plus freezing its
-//! still-free variables to false at the root. Retirement satisfies every
-//! clause that names the layer, and [`Solver::collect_satisfied`] then
-//! deletes them: the layer's own clauses, its CEGAR lemmas — layer
-//! clauses like any other, carrying `¬act_ii` since their start bounds
-//! depend on the II's windows — and every learnt clause that names
-//! `¬act_ii` or a frozen variable. What carries over between probes is
-//! the *clausal* state the from-scratch path discards: the II-independent
-//! section and the learnt clauses that name no retired layer. The
-//! collection changes no later step, since a clause satisfied at the root
-//! can never propagate or conflict. The branching *heuristic*
-//! state — VSIDS activities and saved phases — is deliberately restarted
-//! cold at every layer boundary: it describes a placement shape the
-//! previous probe refuted, and carrying it over measurably traps the
-//! register-pressure CEGAR loop (see [`Encoder::begin_layer`]).
-//!
-//! The from-scratch path ([`ExactOptions::sat_incremental`] `= false`)
-//! builds a fresh unguarded encoder per probe — clause-for-clause the
-//! pre-incremental encoding — and is compared against the incremental
-//! path by the differential suites.
+//! Each fixed-II probe encodes one self-contained formula in a fresh
+//! [`Solver`], as SAT-MapIt and Tirelli et al. do: the start windows, the
+//! cluster choices and every rule above, for that II alone. Nothing
+//! carries over from one II to the next; the probe's
+//! [`SatProbeSession`] is dropped once the probe is decided. Within one
+//! probe the solver persists: register-pressure lemmas and the portfolio's
+//! budget instalments ([`SatProbeSession::resume`]) re-run it on its
+//! learnt state.
 //!
 //! # Decoding and trust
 //!
@@ -101,8 +79,6 @@
 //!
 //! Budget accounting mirrors the branch-and-bound: one *step* is one solver
 //! decision or conflict, drawn from the same shared pool as search nodes.
-//! With a persistent solver the session charges per-probe step *deltas*, so
-//! the contract is unchanged.
 
 use crate::model::Problem;
 use crate::options::ExactOptions;
@@ -146,29 +122,16 @@ impl Bound {
 
 struct Encoder<'a, 'l, 'm> {
     p: &'a Problem<'l, 'm>,
-    /// Incremental mode: the II-independent section persists and per-II
-    /// layers are guarded by activation literals; `false` is the
-    /// from-scratch encoder (one probe, no guards).
-    incremental: bool,
     solver: Solver,
     /// One-hot cluster choice per operation (empty on single-cluster
-    /// machines, where the choice is void). II-independent.
+    /// machines, where the choice is void).
     clusters: Vec<Vec<Var>>,
-    /// Co-location variable per unordered operation pair. II-independent;
-    /// pre-materialized in incremental mode so layers allocate no global
-    /// variables. A `BTreeMap` keeps clause emission deterministic — clause
+    /// Co-location variable per unordered operation pair, allocated on
+    /// first use. A `BTreeMap` keeps clause emission deterministic — clause
     /// order feeds VSIDS, which picks the model.
     same: BTreeMap<(OpId, OpId), Lit>,
-    // ---- the current II layer ----
     ii: i64,
     win: Windows,
-    /// The layer's activation literal (`None` in from-scratch mode): every
-    /// layer clause carries its negation and a probe solves under the
-    /// assumption that it holds.
-    act: Option<Lit>,
-    /// First variable of the current layer: retirement freezes the range
-    /// `[layer_base, num_vars)`.
-    layer_base: Var,
     /// One-hot start variables: `starts[op][k]` ⇔ start = `earliest[op] + k`.
     starts: Vec<Vec<Var>>,
     /// Monotone prefix variables: `prefix[op][k]` ⇔ start ≤ `earliest + k`,
@@ -179,16 +142,24 @@ struct Encoder<'a, 'l, 'm> {
     /// congruent to `row`. Only populated on finite bus sets with
     /// `1 ≤ bus_latency ≤ II`.
     transfers: BTreeMap<(OpId, OpId), Vec<Vec<Var>>>,
-    /// Scratch for [`Encoder::clause`]: a layer clause plus its guard.
-    buf: Vec<Lit>,
 }
 
 impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
-    /// The from-scratch encoder: one probe, no guards — clause-for-clause
-    /// the pre-incremental encoding (and the escape-hatch reference the
-    /// differential suites compare against).
-    fn scratch(p: &'a Problem<'l, 'm>, ii: u32, win: Windows) -> Self {
-        let mut enc = Self::empty(p, false, ii, win);
+    /// Encodes the whole fixed-II formula: start variables first, so that
+    /// the conflict-free branch order (variable index) picks start cycles
+    /// before clusterings.
+    fn new(p: &'a Problem<'l, 'm>, ii: u32, win: Windows) -> Self {
+        let mut enc = Self {
+            p,
+            solver: Solver::new(),
+            clusters: Vec::new(),
+            same: BTreeMap::new(),
+            ii: i64::from(ii),
+            win,
+            starts: Vec::new(),
+            prefix: Vec::new(),
+            transfers: BTreeMap::new(),
+        };
         enc.encode_starts();
         enc.encode_clusters();
         enc.encode_dependences();
@@ -197,130 +168,6 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         enc.encode_transfers();
         enc.encode_anchor();
         enc
-    }
-
-    /// The persistent incremental encoder: encodes the II-independent
-    /// section (cluster one-hots, co-location biconditionals) and the first
-    /// II's guarded layer. Later IIs enter via [`Encoder::begin_layer`].
-    fn incremental(p: &'a Problem<'l, 'm>, ii: u32, win: Windows) -> Self {
-        let mut enc = Self::empty(p, true, ii, win);
-        enc.encode_clusters();
-        // Pre-materialize every co-location pair a layer could ask for
-        // (all cross-capable Data pairs), so layers allocate no global
-        // variables and the retirement freeze range stays layer-pure.
-        if p.machine.num_clusters() > 1 && p.bus_latency > 0 {
-            let pairs: Vec<(OpId, OpId)> =
-                p.l.edges()
-                    .iter()
-                    .filter(|e| e.kind == EdgeKind::Data && e.src != e.dst)
-                    .map(|e| (e.src, e.dst))
-                    .collect();
-            for (a, b) in pairs {
-                let _ = enc.same_lit(a, b);
-            }
-        }
-        let win = enc.win.clone();
-        enc.begin_layer(ii, win);
-        enc
-    }
-
-    fn empty(p: &'a Problem<'l, 'm>, incremental: bool, ii: u32, win: Windows) -> Self {
-        Self {
-            p,
-            incremental,
-            solver: Solver::new(),
-            clusters: Vec::new(),
-            same: BTreeMap::new(),
-            ii: i64::from(ii),
-            win,
-            act: None,
-            layer_base: 0,
-            starts: Vec::new(),
-            prefix: Vec::new(),
-            transfers: BTreeMap::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    /// Retires the current layer: forces its activation literal false
-    /// forever, freezes its still-free variables, and deletes every clause
-    /// that is now satisfied at the root. Soundness: `act` only ever
-    /// occurs negatively, so every clause — original or learnt — with a
-    /// positive occurrence of a layer variable still carries `¬act`, and
-    /// every clause with a negative one is satisfied by the freeze; no
-    /// clause the solver keeps names the retired layer.
-    fn retire_layer(&mut self) {
-        let act = self.act.take().expect("a layer is active");
-        self.solver.add_clause(&[!act]);
-        for v in self.layer_base..self.solver.num_vars() as Var {
-            if self.solver.fixed_value(v).is_none() {
-                self.solver.add_clause(&[Lit::negative(v)]);
-            }
-        }
-        debug_assert!(self.solver.is_ok(), "retiring a layer cannot conflict");
-        self.solver.collect_satisfied();
-    }
-
-    /// Encodes a fresh guarded layer for `ii` once the previous one (if
-    /// any) has been retired. Incremental mode only.
-    fn begin_layer(&mut self, ii: u32, win: Windows) {
-        debug_assert!(self.incremental && self.act.is_none());
-        // Restart the branching heuristic cold at every layer boundary:
-        // clauses carry over, activities and phases do not. Both kinds of
-        // heuristic state earned while refuting the previous II describe a
-        // placement shape that *cannot work*: letting them steer the next
-        // probe raises the gap corpus's SAT steps from 12,760 to 30,875
-        // (`random_7` on four clusters: 3,294 to 21,579).
-        self.solver.reset_activities();
-        self.solver.reset_phases();
-        self.ii = i64::from(ii);
-        self.win = win;
-        self.starts.clear();
-        self.prefix.clear();
-        self.transfers.clear();
-        let act = Lit::positive(self.solver.new_var());
-        self.act = Some(act);
-        self.layer_base = act.var();
-        self.encode_starts();
-        self.encode_dependences();
-        self.encode_fu_occupancy();
-        self.encode_cluster_capacity();
-        self.encode_transfers();
-        self.encode_anchor();
-        // Branch on this layer's start selectors before the session-global
-        // cluster and co-location variables. A from-scratch encoding gets
-        // this order for free (starts are the lowest-numbered variables);
-        // here the globals were allocated first, and without the boost the
-        // conflict-free branch order would fix a clustering first and then
-        // enumerate start permutations inside it: without the boost the
-        // gap corpus takes 68,257 SAT steps instead of 12,760.
-        for i in 0..self.starts.len() {
-            for k in 0..self.starts[i].len() {
-                let v = self.starts[i][k];
-                self.solver.boost(v, 1.0);
-            }
-        }
-    }
-
-    /// Adds a layer clause: in incremental mode the negated activation
-    /// literal rides along, so the clause only binds while this II's layer
-    /// is assumed (and is permanently satisfied once the layer retires).
-    fn clause(&mut self, lits: &[Lit]) {
-        match self.act {
-            None => self.solver.add_clause(lits),
-            Some(act) => {
-                self.buf.clear();
-                self.buf.extend_from_slice(lits);
-                self.buf.push(!act);
-                self.solver.add_clause(&self.buf);
-            }
-        }
-    }
-
-    /// The escape literal layer cardinality constraints carry (see
-    /// [`Solver::at_most_k_unless`]).
-    fn escape(&self) -> Option<Lit> {
-        self.act.map(|act| !act)
     }
 
     fn width(&self, op: OpId) -> usize {
@@ -353,28 +200,35 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             let w = self.width(op);
             let s: Vec<Var> = (0..w).map(|_| self.solver.new_var()).collect();
             if w == 1 {
-                self.clause(&[Lit::positive(s[0])]);
+                self.solver.add_clause(&[Lit::positive(s[0])]);
                 self.starts.push(s);
                 self.prefix.push(Vec::new());
                 continue;
             }
             let pf: Vec<Var> = (0..w - 1).map(|_| self.solver.new_var()).collect();
             for k in 0..w - 2 {
-                self.clause(&[Lit::negative(pf[k]), Lit::positive(pf[k + 1])]);
+                self.solver
+                    .add_clause(&[Lit::negative(pf[k]), Lit::positive(pf[k + 1])]);
             }
-            self.clause(&[Lit::negative(s[0]), Lit::positive(pf[0])]);
-            self.clause(&[Lit::negative(pf[0]), Lit::positive(s[0])]);
+            self.solver
+                .add_clause(&[Lit::negative(s[0]), Lit::positive(pf[0])]);
+            self.solver
+                .add_clause(&[Lit::negative(pf[0]), Lit::positive(s[0])]);
             for k in 1..w - 1 {
-                self.clause(&[Lit::negative(s[k]), Lit::positive(pf[k])]);
-                self.clause(&[Lit::negative(s[k]), Lit::negative(pf[k - 1])]);
-                self.clause(&[
+                self.solver
+                    .add_clause(&[Lit::negative(s[k]), Lit::positive(pf[k])]);
+                self.solver
+                    .add_clause(&[Lit::negative(s[k]), Lit::negative(pf[k - 1])]);
+                self.solver.add_clause(&[
                     Lit::negative(pf[k]),
                     Lit::positive(pf[k - 1]),
                     Lit::positive(s[k]),
                 ]);
             }
-            self.clause(&[Lit::negative(s[w - 1]), Lit::negative(pf[w - 2])]);
-            self.clause(&[Lit::positive(pf[w - 2]), Lit::positive(s[w - 1])]);
+            self.solver
+                .add_clause(&[Lit::negative(s[w - 1]), Lit::negative(pf[w - 2])]);
+            self.solver
+                .add_clause(&[Lit::positive(pf[w - 2]), Lit::positive(s[w - 1])]);
             self.starts.push(s);
             self.prefix.push(pf);
         }
@@ -382,7 +236,6 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
 
     /// One-hot cluster choice over the clusters owning a unit of the
     /// operation's kind ([`Problem::new`] guarantees at least one exists).
-    /// II-independent: encoded once per solver, never guarded.
     fn encode_clusters(&mut self) {
         let nc = self.p.machine.num_clusters();
         if nc <= 1 {
@@ -406,17 +259,12 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     }
 
     /// The co-location variable of an unordered pair, biconditionally tied
-    /// to the cluster choices on first use. II-independent (and therefore
-    /// unguarded); incremental mode pre-materializes every pair up front.
+    /// to the cluster choices on first use.
     fn same_lit(&mut self, a: OpId, b: OpId) -> Lit {
         let key = if a <= b { (a, b) } else { (b, a) };
         if let Some(&l) = self.same.get(&key) {
             return l;
         }
-        debug_assert!(
-            self.act.is_none(),
-            "incremental layers must not allocate global co-location vars"
-        );
         let sm = Lit::positive(self.solver.new_var());
         for k in 0..self.p.machine.num_clusters() {
             let ca = Lit::positive(self.clusters[key.0.index()][k]);
@@ -453,7 +301,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                 // Same-cluster bound (the weaker one; valid unconditionally).
                 let mut clause = vec![not_here];
                 if self.leq(e.src, t - w_same).push_onto(&mut clause, true) {
-                    self.clause(&clause);
+                    self.solver.add_clause(&clause);
                 }
                 // Cross-cluster bound, guarded by the co-location variable.
                 if let Some(sm) = sm {
@@ -462,7 +310,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                         .leq(e.src, t - w_same - bus_lat)
                         .push_onto(&mut clause, true)
                     {
-                        self.clause(&clause);
+                        self.solver.add_clause(&clause);
                     }
                 }
             }
@@ -496,7 +344,8 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                 let hi = self.win.latest[op.index()];
                 for t in lo..=hi {
                     let rho = t.rem_euclid(self.ii) as usize;
-                    self.clause(&[!self.start_lit(op, t), Lit::positive(r[rho])]);
+                    self.solver
+                        .add_clause(&[!self.start_lit(op, t), Lit::positive(r[rho])]);
                 }
                 for (rho, &rv) in r.iter().enumerate() {
                     let mut clause = vec![Lit::negative(rv)];
@@ -505,7 +354,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                             .filter(|t| t.rem_euclid(self.ii) as usize == rho)
                             .map(|t| self.start_lit(op, t)),
                     );
-                    self.clause(&clause);
+                    self.solver.add_clause(&clause);
                 }
                 row_vars.insert(op, r);
             }
@@ -527,14 +376,14 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                             let r = Lit::positive(row_vars[&op][rho]);
                             if nc > 1 {
                                 let c = Lit::positive(self.clusters[op.index()][k]);
-                                self.clause(&[!c, !r, z]);
+                                self.solver.add_clause(&[!c, !r, z]);
                             } else {
-                                self.clause(&[!r, z]);
+                                self.solver.add_clause(&[!r, z]);
                             }
                             z
                         })
                         .collect();
-                    self.solver.at_most_k_unless(&zs, cap, self.escape());
+                    self.solver.at_most_k(&zs, cap);
                 }
             }
         }
@@ -564,7 +413,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                     .iter()
                     .map(|op| Lit::positive(self.clusters[op.index()][k]))
                     .collect();
-                self.solver.at_most_k_unless(&on_k, cap, self.escape());
+                self.solver.at_most_k(&on_k, cap);
             }
         }
     }
@@ -599,10 +448,10 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         if bus_lat > self.ii {
             // A transfer overlaps its own next-iteration instance: every
             // Data pair must co-locate (the kernel's `reserve_transfer_*`
-            // reject such transfers outright). II-dependent, so guarded.
+            // reject such transfers outright).
             for &(a, b) in pair_edges.keys().collect::<Vec<_>>() {
                 let sm = self.same_lit(a, b);
-                self.clause(&[sm]);
+                self.solver.add_clause(&[sm]);
             }
             return;
         }
@@ -619,10 +468,10 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             // A cross pair books exactly one transfer; a co-located pair none.
             let mut coverage = vec![sm];
             coverage.extend(&all);
-            self.clause(&coverage);
-            self.solver.at_most_one_unless(&all, self.escape());
+            self.solver.add_clause(&coverage);
+            self.solver.at_most_one(&all);
             for &l in &all {
-                self.clause(&[!l, !sm]);
+                self.solver.add_clause(&[!l, !sm]);
             }
             for (bus, per_row) in y.iter().enumerate() {
                 for (rho, &v) in per_row.iter().enumerate() {
@@ -637,7 +486,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                 .collect();
             for per_row in &y {
                 for (rho, &v) in per_row.iter().enumerate() {
-                    self.clause(&[Lit::negative(v), yr[rho]]);
+                    self.solver.add_clause(&[Lit::negative(v), yr[rho]]);
                 }
             }
             // Window clauses: with the producer at `t1`, the decoded start of
@@ -654,7 +503,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
                         let deadline = sigma + bus_lat - self.ii * i64::from(d) - 1;
                         let mut clause = vec![!yr_l, !self.start_lit(a, t1)];
                         if self.leq(b, deadline).push_onto(&mut clause, false) {
-                            self.clause(&clause);
+                            self.solver.add_clause(&clause);
                         }
                     }
                 }
@@ -664,7 +513,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
 
         for per_bus in &covering {
             for group in per_bus {
-                self.solver.at_most_one_unless(group, self.escape());
+                self.solver.at_most_one(group);
             }
         }
 
@@ -679,7 +528,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             .map(|&(a, b)| !self.same_lit(a, b))
             .collect();
         if cap < cross.len() {
-            self.solver.at_most_k_unless(&cross, cap, self.escape());
+            self.solver.at_most_k(&cross, cap);
         }
     }
 
@@ -696,7 +545,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
             .filter(|op| self.win.earliest[op.index()] == 0)
             .map(|op| self.start_lit(op, 0))
             .collect();
-        self.clause(&clause);
+        self.solver.add_clause(&clause);
     }
 
     /// Decodes the current model through the shared constraint kernel,
@@ -852,44 +701,29 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     }
 }
 
-/// Per-probe clause-retention provenance, surfaced through
-/// [`crate::outcome::IiProbe`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SatProbeStats {
-    /// Clauses the probe's layer inherits: those left in the solver once
-    /// the previous layer is retired and collected (0 for the first probe
-    /// of a session and for every from-scratch probe).
-    pub reused_clauses: u64,
-    /// Learnt clauses among [`reused_clauses`](Self::reused_clauses): the
-    /// ones earlier probes learnt that name no retired layer.
-    pub kept_learned: u64,
-}
-
-/// One SAT backend session spanning a whole outer II search: in incremental
-/// mode (the default) a single [`Solver`] persists across probes (see the
-/// [module docs](self)); in from-scratch mode each probe builds a fresh
-/// encoder, reproducing the pre-incremental behaviour exactly.
+/// The SAT backend's state for one fixed-II probe: the probe's encoder,
+/// kept between [`SatProbeSession::probe`] and any
+/// [`SatProbeSession::resume`] instalments (the portfolio's dovetail) and
+/// dropped with the session.
 pub(crate) struct SatProbeSession<'a, 'l, 'm> {
     p: &'a Problem<'l, 'm>,
-    incremental: bool,
     enc: Option<Encoder<'a, 'l, 'm>>,
-    /// Register-pressure refinement rounds of the current probe, summed
-    /// over its [`SatProbeSession::resume`] instalments.
+    /// Register-pressure refinement rounds of the probe, summed over its
+    /// [`SatProbeSession::resume`] instalments.
     cegar_rounds: u64,
 }
 
 impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
-    pub(crate) fn new(p: &'a Problem<'l, 'm>, incremental: bool) -> Self {
+    pub(crate) fn new(p: &'a Problem<'l, 'm>) -> Self {
         Self {
             p,
-            incremental,
             enc: None,
             cegar_rounds: 0,
         }
     }
 
-    /// Register-pressure refinement rounds the current probe has run so
-    /// far (every instalment since the last [`SatProbeSession::probe`]).
+    /// Register-pressure refinement rounds the probe has run so far (every
+    /// instalment since [`SatProbeSession::probe`]).
     pub(crate) fn cegar_rounds(&self) -> u64 {
         self.cegar_rounds
     }
@@ -899,60 +733,34 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     /// CNF encoding, CDCL search and kernel-checked decoding. `steps_used`
     /// is incremented by the solver steps (decisions + conflicts) the probe
     /// consumed; the budget contract matches
-    /// [`crate::search::solve_fixed_ii`].
+    /// [`crate::search::solve_fixed_ii`]. A session runs one probe.
     pub(crate) fn probe(
         &mut self,
         ii: u32,
         options: &ExactOptions,
         steps_used: &mut u64,
-    ) -> (FixedIiOutcome, SatProbeStats) {
+    ) -> FixedIiOutcome {
+        debug_assert!(self.enc.is_none(), "a session runs one probe");
         let p = self.p;
-        self.cegar_rounds = 0;
         if ii == 0 || p.resource_infeasible(ii) {
-            return (FixedIiOutcome::Infeasible, SatProbeStats::default());
+            return FixedIiOutcome::Infeasible;
         }
         let Some(win) = windows(p, ii, |asap| p.horizon(asap, ii, options)) else {
-            return (FixedIiOutcome::Infeasible, SatProbeStats::default());
+            return FixedIiOutcome::Infeasible;
         };
-        let mut stats = SatProbeStats::default();
-        if self.incremental {
-            let enc = match self.enc.as_mut() {
-                Some(enc) => {
-                    enc.retire_layer();
-                    stats.reused_clauses = enc.solver.num_clauses() as u64;
-                    stats.kept_learned = enc.solver.num_learnt() as u64;
-                    enc.begin_layer(ii, win);
-                    enc
-                }
-                None => self.enc.insert(Encoder::incremental(p, ii, win)),
-            };
-            mvp_trace::counter_handle!("sat.assumption_probes").incr();
-            mvp_trace::counter_handle!("sat.kept_learned").add(stats.kept_learned);
-            mvp_trace::counter_handle!("sat.reencoded_clauses")
-                .add(enc.solver.num_clauses() as u64 - stats.reused_clauses);
-        } else {
-            let enc = Encoder::scratch(p, ii, win);
-            mvp_trace::counter_handle!("sat.reencoded_clauses")
-                .add(enc.solver.num_clauses() as u64);
-            self.enc = Some(enc);
-        }
-        {
-            let enc = self.enc.as_ref().expect("encoder initialised above");
-            mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
-            mvp_trace::counter_handle!("exact.sat.encoded_clauses")
-                .add(enc.solver.num_clauses() as u64);
-        }
-        let outcome = self.solve_layer(ii, options, steps_used);
-        (outcome, stats)
+        let enc = self.enc.insert(Encoder::new(p, ii, win));
+        mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
+        mvp_trace::counter_handle!("exact.sat.encoded_clauses")
+            .add(enc.solver.num_clauses() as u64);
+        self.solve_formula(ii, options, steps_used)
     }
 
-    /// Re-enters the budget/CEGAR loop of the current layer with a fresh
-    /// step budget, without re-encoding anything: the solver keeps every
-    /// clause it has learnt so far, so an interleaving caller (the
-    /// dovetailed portfolio probe) can hand the engine its budget
-    /// in instalments and still pay the total cost of one continuous
-    /// solve. `ii` must be the II of the layer the last
-    /// [`SatProbeSession::probe`] call encoded.
+    /// Re-enters the budget/CEGAR loop of the probe with a fresh step
+    /// budget, without re-encoding anything: the solver keeps every clause
+    /// it has learnt so far, so an interleaving caller (the dovetailed
+    /// portfolio probe) can hand the engine its budget in instalments and
+    /// still pay the total cost of one continuous solve. `ii` must be the
+    /// II the [`SatProbeSession::probe`] call encoded.
     pub(crate) fn resume(
         &mut self,
         ii: u32,
@@ -960,18 +768,16 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         steps_used: &mut u64,
     ) -> FixedIiOutcome {
         if self.enc.is_none() {
-            // The first probe decided before encoding (structurally
-            // infeasible II); there is nothing to resume.
+            // The probe decided before encoding (structurally infeasible
+            // II); there is nothing to resume.
             return FixedIiOutcome::Infeasible;
         }
-        self.solve_layer(ii, options, steps_used)
+        self.solve_formula(ii, options, steps_used)
     }
 
-    /// The budget/CEGAR loop of the current layer: repeated
-    /// assumption-solves under the layer's activation literals, with
-    /// MaxLive refinement between models, until a verdict or the step
-    /// budget.
-    fn solve_layer(
+    /// The budget/CEGAR loop of the probe: repeated solves, with MaxLive
+    /// refinement between models, until a verdict or the step budget.
+    fn solve_formula(
         &mut self,
         ii: u32,
         options: &ExactOptions,
@@ -981,17 +787,13 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
         let enc = self.enc.as_mut().expect("encoder initialised by probe");
         let _span = mvp_trace::span!("exact.sat.probe", ii = ii, vars = enc.solver.num_vars());
         let steps0 = enc.solver.steps();
-        let assumptions: Vec<Lit> = enc.act.into_iter().collect();
         let outcome = loop {
             let spent = enc.solver.steps() - steps0;
             let remaining = options.node_budget.saturating_sub(spent);
             if remaining == 0 {
                 break FixedIiOutcome::Budget;
             }
-            match enc
-                .solver
-                .solve_under_assumptions(&assumptions, Some(remaining))
-            {
+            match enc.solver.solve(Some(remaining)) {
                 SolveResult::Unsat => break FixedIiOutcome::Infeasible,
                 SolveResult::Budget => break FixedIiOutcome::Budget,
                 SolveResult::Sat => {}
@@ -1005,7 +807,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             if !overflowing.is_empty() {
                 for c in overflowing {
                     let lemma = enc.pressure_lemma(&ops, c);
-                    enc.clause(&lemma);
+                    enc.solver.add_clause(&lemma);
                 }
                 self.cegar_rounds += 1;
                 mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
@@ -1036,9 +838,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
 }
 
 /// One-shot convenience wrapper: a single probe on a fresh
-/// [`SatProbeSession`] honouring [`ExactOptions::sat_incremental`]. The
-/// scheduler probes through a persistent session instead; this wrapper
-/// backs the unit tests below.
+/// [`SatProbeSession`], for the unit tests below.
 #[cfg(test)]
 pub(crate) fn solve_fixed_ii_sat(
     p: &Problem<'_, '_>,
@@ -1046,9 +846,7 @@ pub(crate) fn solve_fixed_ii_sat(
     options: &ExactOptions,
     steps_used: &mut u64,
 ) -> FixedIiOutcome {
-    SatProbeSession::new(p, options.sat_incremental)
-        .probe(ii, options, steps_used)
-        .0
+    SatProbeSession::new(p).probe(ii, options, steps_used)
 }
 
 #[cfg(test)]
@@ -1061,14 +859,6 @@ mod tests {
         let p = Problem::new(l, machine).unwrap();
         let mut steps = 0;
         solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut steps)
-    }
-
-    /// The same probe through a from-scratch (unguarded) session.
-    fn probe_scratch(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
-        let p = Problem::new(l, machine).unwrap();
-        let mut steps = 0;
-        let options = ExactOptions::new().with_sat_incremental(false);
-        solve_fixed_ii_sat(&p, ii, &options, &mut steps)
     }
 
     fn chain() -> Loop {
@@ -1087,15 +877,13 @@ mod tests {
     fn feasible_probes_return_placements_for_every_op() {
         let l = chain();
         let machine = presets::two_cluster();
-        for outcome in [probe(&l, &machine, 1), probe_scratch(&l, &machine, 1)] {
-            match outcome {
-                FixedIiOutcome::Feasible { ops, .. } => {
-                    assert_eq!(ops.len(), 3);
-                    assert!(ops.iter().all(|p| p.cluster < 2));
-                    assert!(ops.iter().all(|p| !p.miss_scheduled));
-                }
-                other => panic!("expected feasible at II=1, got {other:?}"),
+        match probe(&l, &machine, 1) {
+            FixedIiOutcome::Feasible { ops, .. } => {
+                assert_eq!(ops.len(), 3);
+                assert!(ops.iter().all(|p| p.cluster < 2));
+                assert!(ops.iter().all(|p| !p.miss_scheduled));
             }
+            other => panic!("expected feasible at II=1, got {other:?}"),
         }
     }
 
@@ -1286,7 +1074,7 @@ mod tests {
                     let Some(win) = windows(&p, ii, |asap| p.horizon(asap, ii, &options)) else {
                         continue;
                     };
-                    let enc = Encoder::scratch(&p, ii, win.clone());
+                    let enc = Encoder::new(&p, ii, win.clone());
                     let n = p.num_ops();
                     let placed = |a: Vec<(i64, usize)>| -> Vec<PlacedOp> {
                         a.into_iter()
@@ -1475,7 +1263,7 @@ mod tests {
                     let Some(win) = windows(&p, ii, |asap| p.horizon(asap, ii, &options)) else {
                         continue;
                     };
-                    let mut enc = Encoder::scratch(&p, ii, win.clone());
+                    let mut enc = Encoder::new(&p, ii, win.clone());
                     let bus_lat = p.bus_latency as usize;
                     let bus_cap = p
                         .num_buses
@@ -1566,67 +1354,5 @@ mod tests {
             tight_cluster > 0 && tight_bus > 0,
             "both bounds are met with equality somewhere"
         );
-    }
-
-    #[test]
-    fn sessions_reuse_clauses_and_learnt_state_across_probes() {
-        // X→Y (d0), Y→X (d2): RecMII = 2, but the II=2 refutation needs
-        // actual CNF search (windows and resource counts both pass), so the
-        // session builds a layer there; the II=3 probe must retire it,
-        // reuse the solver, and report the retention provenance.
-        let mut b = Loop::builder("slack-rec");
-        let x = b.fp_op("X");
-        let y = b.fp_op("Y");
-        b.data_edge(x, y, 0);
-        b.data_edge(y, x, 2);
-        let l = b.build().unwrap();
-        let machine = presets::motivating_example_machine();
-        let p = Problem::new(&l, &machine).unwrap();
-        let mut session = SatProbeSession::new(&p, true);
-        let mut steps = 0;
-        let (first, first_stats) = session.probe(2, &ExactOptions::new(), &mut steps);
-        assert!(matches!(first, FixedIiOutcome::Infeasible), "{first:?}");
-        assert_eq!(first_stats.reused_clauses, 0, "first probe starts fresh");
-        let (second, second_stats) = session.probe(3, &ExactOptions::new(), &mut steps);
-        assert!(matches!(second, FixedIiOutcome::Feasible { .. }));
-        assert!(
-            second_stats.reused_clauses > 0,
-            "the II=3 probe must reuse the II=2 instance's clauses"
-        );
-    }
-
-    #[test]
-    fn incremental_and_scratch_sessions_agree_probe_by_probe() {
-        let loops = [chain()];
-        for l in &loops {
-            for machine in [
-                presets::unified(),
-                presets::two_cluster(),
-                presets::motivating_example_machine(),
-            ] {
-                let p = Problem::new(l, &machine).unwrap();
-                let mut inc = SatProbeSession::new(&p, true);
-                let mut scr = SatProbeSession::new(&p, false);
-                for ii in 1..=4u32 {
-                    let (mut si, mut ss) = (0, 0);
-                    let (a, _) = inc.probe(ii, &ExactOptions::new(), &mut si);
-                    let (b, _) = scr.probe(ii, &ExactOptions::new(), &mut ss);
-                    assert_eq!(
-                        matches!(a, FixedIiOutcome::Feasible { .. }),
-                        matches!(b, FixedIiOutcome::Feasible { .. }),
-                        "II={ii} on {} for {}",
-                        machine.name,
-                        l.name(),
-                    );
-                    assert_eq!(
-                        matches!(a, FixedIiOutcome::Infeasible),
-                        matches!(b, FixedIiOutcome::Infeasible),
-                        "II={ii} on {} for {}",
-                        machine.name,
-                        l.name(),
-                    );
-                }
-            }
-        }
     }
 }

@@ -11,8 +11,8 @@
 //! # One commit loop
 //!
 //! The probes run one at a time, strictly in II order, on the caller's
-//! thread. One SAT session spans the whole search, so its solver carries
-//! clauses and learnt state from probe to probe.
+//! thread. Each SAT probe encodes its own formula and drops it once the
+//! probe is decided; nothing carries over from one II to the next.
 //!
 //! # Backends
 //!
@@ -26,7 +26,7 @@
 use crate::model::Problem;
 use crate::options::ExactOptions;
 use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
-use crate::sat_backend::{SatProbeSession, SatProbeStats};
+use crate::sat_backend::SatProbeSession;
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
 use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule};
@@ -116,7 +116,6 @@ pub fn solve_with(
 struct ProbeResult {
     outcome: FixedIiOutcome,
     solver: SolverKind,
-    stats: SatProbeStats,
     /// Branch-and-bound steps this probe consumed.
     nodes: u64,
     /// SAT steps this probe consumed.
@@ -131,7 +130,6 @@ impl ProbeResult {
         Self {
             outcome,
             solver,
-            stats: SatProbeStats::default(),
             nodes: 0,
             conflicts: 0,
             cegar_rounds: 0,
@@ -155,8 +153,8 @@ const DOVETAIL_ESCALATION: u64 = 4;
 /// over, so split budgets cost what one continuous solve would), while
 /// the stateless branch-and-bound restarts from scratch each cycle. The
 /// quantum schedule is fixed, so the probe's verdict *and* its step counts
-/// are a pure function of the problem, the II, the budget and the session
-/// state, and the probe's total cost is bounded by a constant factor of the
+/// are a pure function of the problem, the II and the budget, and the
+/// probe's total cost is bounded by a constant factor of the
 /// *cheaper* engine's solo cost, so one engine's pathological II (say, a
 /// refutation SAT grinds on but branch-and-bound dispatches) cannot sink
 /// the search.
@@ -177,9 +175,7 @@ fn dovetail_probe(
         let sat_options = options.with_node_budget(quantum.min(remaining));
         let outcome = if first {
             first = false;
-            let (outcome, stats) = session.probe(ii, &sat_options, &mut r.conflicts);
-            r.stats = stats;
-            outcome
+            session.probe(ii, &sat_options, &mut r.conflicts)
         } else {
             session.resume(ii, &sat_options, &mut r.conflicts)
         };
@@ -203,13 +199,13 @@ fn dovetail_probe(
     }
 }
 
-/// Runs one probe on `backend`, probing SAT through `session`.
+/// Runs one probe on `backend`. A SAT or portfolio probe encodes its own
+/// formula in a fresh session, dropped when the probe returns.
 fn run_probe(
     p: &Problem<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     backend: ExactBackend,
-    session: &mut SatProbeSession<'_, '_, '_>,
 ) -> ProbeResult {
     let _span = mvp_trace::span!("exact.probe", ii = ii);
     match backend {
@@ -222,17 +218,18 @@ fn run_probe(
             }
         }
         ExactBackend::Sat => {
+            let mut session = SatProbeSession::new(p);
             let mut conflicts = 0u64;
-            let (outcome, stats) = session.probe(ii, options, &mut conflicts);
+            let outcome = session.probe(ii, options, &mut conflicts);
             ProbeResult {
-                stats,
                 conflicts,
                 cegar_rounds: session.cegar_rounds(),
                 ..ProbeResult::of(outcome, SolverKind::Sat)
             }
         }
         ExactBackend::Portfolio => {
-            let r = dovetail_probe(p, ii, options, session);
+            let mut session = SatProbeSession::new(p);
+            let r = dovetail_probe(p, ii, options, &mut session);
             ProbeResult {
                 cegar_rounds: session.cegar_rounds(),
                 ..r
@@ -256,7 +253,6 @@ fn ii_search(
     backend: ExactBackend,
 ) -> ExactOutcome {
     let _span = mvp_trace::span!("exact.search", min_ii = min_ii);
-    let mut session = SatProbeSession::new(p, options.sat_incremental);
     let mut nodes = 0u64;
     let mut conflicts = 0u64;
     let mut probes: Vec<IiProbe> = Vec::new();
@@ -268,13 +264,7 @@ fn ii_search(
         if remaining == 0 {
             break;
         }
-        let r = run_probe(
-            p,
-            ii,
-            &options.with_node_budget(remaining),
-            backend,
-            &mut session,
-        );
+        let r = run_probe(p, ii, &options.with_node_budget(remaining), backend);
         nodes += r.nodes;
         conflicts += r.conflicts;
         let verdict = match r.outcome {
@@ -291,8 +281,6 @@ fn ii_search(
             nodes: r.nodes,
             conflicts: r.conflicts,
             solver: r.solver,
-            reused_clauses: r.stats.reused_clauses,
-            kept_learned: r.stats.kept_learned,
             cegar_rounds: r.cegar_rounds,
         });
         mvp_trace::counter_handle!("exact.sat.cegar_rounds").add(r.cegar_rounds);

@@ -5,7 +5,7 @@ use mvp_core::{validate_schedule, BaselineScheduler, ModuloScheduler, RmcaSchedu
 use mvp_exact::{solve, solve_with, ExactBackend, ExactOptions, ExactScheduler, IiVerdict};
 use mvp_ir::{mii, Loop};
 use mvp_machine::{presets, BusConfig, CacheGeometry, ClusterConfig, MachineConfig};
-use mvp_workloads::generator::{GeneratorConfig, LoopGenerator};
+use mvp_workloads::generator::{GeneratorConfig, GeneratorMode, LoopGenerator};
 use mvp_workloads::motivating::{motivating_loop, MotivatingParams};
 use mvp_workloads::rng::SplitMix64;
 
@@ -216,10 +216,12 @@ fn exact_scheduler_is_a_drop_in_modulo_scheduler() {
 /// tiny, and every schedule they emit is validator-clean. The gap corpus
 /// refines register pressure on only three points, so this is what
 /// exercises the SAT engine's explanation lemmas, alone and inside the
-/// portfolio.
+/// portfolio. Fuzzed schedulable loops on the two- and four-cluster
+/// Table-1 machines ride along; they stress clustering and transfers
+/// rather than registers.
 #[test]
 fn exact_engines_agree_per_ii_on_register_starved_machines() {
-    let machines: Vec<MachineConfig> = [(2, 2), (2, 3), (4, 2)]
+    let starved: Vec<MachineConfig> = [(2, 2), (2, 3), (4, 2)]
         .into_iter()
         .map(|(clusters, regs)| {
             MachineConfig::builder(format!("starved-{clusters}x{regs}"))
@@ -238,58 +240,80 @@ fn exact_engines_agree_per_ii_on_register_starved_machines() {
         max_ops: 6,
         ..GeneratorConfig::default()
     };
-    let options = ExactOptions::new().with_node_budget(20_000);
     let mut meta = SplitMix64::seed_from_u64(0x5EED_4E65);
-    let (mut compared, mut cegar_rounds, mut portfolio_schedules) = (0usize, 0u64, 0usize);
+    let mut points: Vec<(String, Loop, &MachineConfig)> = Vec::new();
     for case in 0..12 {
         let seed = meta.next_u64();
         let l = LoopGenerator::new(cfg, seed).generate();
-        for machine in &machines {
-            let outcomes = [
-                ExactBackend::BranchAndBound,
-                ExactBackend::Sat,
-                ExactBackend::Portfolio,
-            ]
-            .map(|backend| solve_with(&l, machine, &options, &backend).unwrap());
-            let at = |ii: u32, o: &mvp_exact::ExactOutcome| {
-                o.probes
-                    .iter()
-                    .find(|p| p.ii == ii && p.verdict != IiVerdict::Unknown)
-                    .map(|p| p.verdict)
-            };
-            for (i, a) in outcomes.iter().enumerate() {
-                for b in &outcomes[i + 1..] {
-                    for probe in &a.probes {
-                        if let (Some(x), Some(y)) = (at(probe.ii, a), at(probe.ii, b)) {
-                            assert_eq!(
-                                x, y,
-                                "case {case} seed {seed:#x} on {}: II={} {} says {x}, {} {y}",
-                                machine.name, probe.ii, a.backend, b.backend
-                            );
-                            compared += 1;
-                        }
+        for machine in &starved {
+            points.push((format!("case {case} seed {seed:#x}"), l.clone(), machine));
+        }
+    }
+    let fuzz_cfg = GeneratorConfig {
+        min_ops: 4,
+        max_ops: 10,
+        ..GeneratorConfig::default()
+    }
+    .with_mode(GeneratorMode::Schedulable);
+    let mut fuzz = LoopGenerator::new(fuzz_cfg, 0xD1F_F5A7);
+    let table1 = [presets::two_cluster(), presets::four_cluster()];
+    for case in 0..8 {
+        let l = fuzz.generate();
+        for machine in &table1 {
+            points.push((
+                format!("fuzz case {case} ({})", l.name()),
+                l.clone(),
+                machine,
+            ));
+        }
+    }
+    let options = ExactOptions::new().with_node_budget(20_000);
+    let (mut compared, mut cegar_rounds, mut portfolio_schedules) = (0usize, 0u64, 0usize);
+    for (point, l, machine) in &points {
+        let outcomes = [
+            ExactBackend::BranchAndBound,
+            ExactBackend::Sat,
+            ExactBackend::Portfolio,
+        ]
+        .map(|backend| solve_with(l, machine, &options, &backend).unwrap());
+        let at = |ii: u32, o: &mvp_exact::ExactOutcome| {
+            o.probes
+                .iter()
+                .find(|p| p.ii == ii && p.verdict != IiVerdict::Unknown)
+                .map(|p| p.verdict)
+        };
+        for (i, a) in outcomes.iter().enumerate() {
+            for b in &outcomes[i + 1..] {
+                for probe in &a.probes {
+                    if let (Some(x), Some(y)) = (at(probe.ii, a), at(probe.ii, b)) {
+                        assert_eq!(
+                            x, y,
+                            "{point} on {}: II={} {} says {x}, {} {y}",
+                            machine.name, probe.ii, a.backend, b.backend
+                        );
+                        compared += 1;
                     }
                 }
             }
-            for a in &outcomes {
-                for b in &outcomes {
-                    assert!(
-                        a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
-                        "case {case} seed {seed:#x} on {}: a {} schedule beats the {} bound",
-                        machine.name,
-                        a.backend,
-                        b.backend
-                    );
-                }
-                if let Some(s) = &a.schedule {
-                    let v = validate_schedule(&l, machine, s);
-                    assert!(v.is_empty(), "case {case} seed {seed:#x}: {v:?}");
-                }
-            }
-            let [_, sat, portfolio] = &outcomes;
-            cegar_rounds += sat.probes.iter().map(|p| p.cegar_rounds).sum::<u64>();
-            portfolio_schedules += usize::from(portfolio.schedule.is_some());
         }
+        for a in &outcomes {
+            for b in &outcomes {
+                assert!(
+                    a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
+                    "{point} on {}: a {} schedule beats the {} bound",
+                    machine.name,
+                    a.backend,
+                    b.backend
+                );
+            }
+            if let Some(s) = &a.schedule {
+                let v = validate_schedule(l, machine, s);
+                assert!(v.is_empty(), "{point} on {}: {v:?}", machine.name);
+            }
+        }
+        let [_, sat, portfolio] = &outcomes;
+        cegar_rounds += sat.probes.iter().map(|p| p.cegar_rounds).sum::<u64>();
+        portfolio_schedules += usize::from(portfolio.schedule.is_some());
     }
     assert!(compared > 0);
     assert!(

@@ -140,25 +140,6 @@ impl<'l, 'm> ResModel<'l, 'm> {
         lat - i64::from(ii) * i64::from(e.distance)
     }
 
-    /// The exact start-to-start requirement of edge `e` when `src` is placed
-    /// in `src_cluster` and `dst` in `dst_cluster` (the validator's
-    /// `value_ready − consumer_iteration_base`): latency plus the bus latency
-    /// for cross-cluster data edges, minus the iteration offset.
-    #[must_use]
-    pub fn exact_edge_weight(
-        &self,
-        e: &DepEdge,
-        ii: u32,
-        src_cluster: usize,
-        dst_cluster: usize,
-    ) -> i64 {
-        let mut w = self.edge_weight(e, ii);
-        if e.kind == EdgeKind::Data && src_cluster != dst_cluster {
-            w += i64::from(self.bus_latency);
-        }
-        w
-    }
-
     /// The resource-count certificate (the `ResMII` bound, per unit kind):
     /// `ii` is infeasible whenever some kind must issue more operations per
     /// II than the machine has unit-slots, i.e. `ops > units × ii` — the
@@ -242,8 +223,6 @@ mod tests {
         let m = ResModel::new(&l, &machine).unwrap();
         let e = l.edges()[0]; // LD -> F, data, distance 0
         assert_eq!(m.edge_weight(&e, 3), 2);
-        assert_eq!(m.exact_edge_weight(&e, 3, 0, 0), 2);
-        assert_eq!(m.exact_edge_weight(&e, 3, 0, 1), 3); // + bus latency 1
         let carried = DepEdge::data(e.src, e.dst, 2);
         assert_eq!(m.edge_weight(&carried, 3), 2 - 6);
     }

@@ -50,19 +50,6 @@ pub struct CacheStats {
     pub shards: usize,
 }
 
-impl CacheStats {
-    /// Hits over lookups, in `[0, 1]` (`0` when nothing was looked up).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-}
-
 struct Entry<V> {
     value: V,
     /// Last-touched stamp from the owning shard's clock (bigger = more
@@ -273,7 +260,6 @@ mod tests {
         assert_eq!(cache.get(&key(1)), Some(10));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 1, 0));
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(stats.entries, 1);
         assert!(!cache.is_empty());
     }

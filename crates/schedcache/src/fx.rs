@@ -103,14 +103,6 @@ pub struct CacheKey {
     pub hi: u64,
 }
 
-impl CacheKey {
-    /// The key rendered as 32 hex digits (for logs and CSV artifacts).
-    #[must_use]
-    pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-}
-
 /// Accumulates a [`CacheKey`]: two FxHash lanes with different seeds and
 /// decorrelated inputs, fed field-by-field by the canonicalizer and the
 /// pipeline.
@@ -252,6 +244,5 @@ mod tests {
         b.str("a");
         b.str("b");
         assert_ne!(a.finish(), b.finish(), "length prefix separates strings");
-        assert_eq!(CacheKey { lo: 1, hi: 2 }.to_hex().len(), 32);
     }
 }

@@ -37,8 +37,7 @@
 //!   `schedcache.evict`, `exact.search`, `exact.probe`, `exact.sat.probe`,
 //!   `exact.sat.cegar_round`, `sat.solve`.
 //! * counters: `sat.decisions`, `sat.conflicts`, `sat.restarts`,
-//!   `sat.learned_clauses`, `sat.atmostk.aux_vars`, `sat.assumption_probes`,
-//!   `sat.kept_learned`, `sat.reencoded_clauses`, `exact.sat.cegar_rounds`,
+//!   `sat.learned_clauses`, `sat.atmostk.aux_vars`, `exact.sat.cegar_rounds`,
 //!   `exact.sat.encoded_vars`, `exact.sat.encoded_clauses`,
 //!   `exact.bnb.nodes`, `exact.bnb.backjumps`, `exact.bnb.dominance_cuts`,
 //!   `pipeline.runs`, `pipeline.gap_oracle.runs`.

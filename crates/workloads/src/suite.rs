@@ -1,7 +1,6 @@
 //! The benchmark suite used by the evaluation harness.
 
 use crate::kernels::{self, KernelParams};
-use crate::motivating::{motivating_loop, MotivatingParams};
 use mvp_ir::Loop;
 
 /// One benchmark of the suite: a named set of modulo-scheduled loops.
@@ -11,14 +10,6 @@ pub struct Workload {
     pub name: &'static str,
     /// The innermost loops evaluated for this benchmark.
     pub loops: Vec<Loop>,
-}
-
-impl Workload {
-    /// Total number of operations across the workload's loops.
-    #[must_use]
-    pub fn total_ops(&self) -> usize {
-        self.loops.iter().map(Loop::num_ops).sum()
-    }
 }
 
 /// Parameters of the whole suite.
@@ -79,16 +70,6 @@ pub fn suite(params: &SuiteParams) -> Vec<Workload> {
     ]
 }
 
-/// The motivating example as a single-loop workload (used by the Figure-3
-/// harness next to the suite).
-#[must_use]
-pub fn motivating_workload(params: &MotivatingParams) -> Workload {
-    Workload {
-        name: "motivating",
-        loops: vec![motivating_loop(params).0],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,12 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn workloads_report_their_sizes() {
+    fn every_workload_has_at_least_five_ops() {
         for w in suite(&SuiteParams::small()) {
-            assert!(w.total_ops() >= 5, "{} too small", w.name);
+            let ops: usize = w.loops.iter().map(Loop::num_ops).sum();
+            assert!(ops >= 5, "{} too small", w.name);
         }
-        let m = motivating_workload(&MotivatingParams::default());
-        assert_eq!(m.total_ops(), 8);
     }
 
     #[test]

@@ -378,13 +378,6 @@ impl Pipeline {
         &self.machine
     }
 
-    /// The machine as a shareable handle (cheap to clone into further
-    /// pipelines or worker threads).
-    #[must_use]
-    pub fn shared_machine(&self) -> Arc<MachineConfig> {
-        Arc::clone(&self.machine)
-    }
-
     /// The executor batch runs are parallelised on.
     #[must_use]
     pub fn executor(&self) -> &Arc<Executor> {
@@ -418,7 +411,6 @@ impl Pipeline {
         k.u32(exact.max_ii_slack);
         k.u64(exact.node_budget);
         k.u32(exact.horizon_stages);
-        k.bool(exact.sat_incremental);
         k.finish()
     }
 
@@ -903,7 +895,7 @@ mod tests {
             .build()
             .unwrap();
         // The builder keeps the caller's Arc instead of cloning the config.
-        assert!(std::sync::Arc::ptr_eq(&p.shared_machine(), &machine));
+        assert_eq!(std::sync::Arc::strong_count(&machine), 2);
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let report = p.run(&l).unwrap();
         assert_eq!(report.scheduler, SchedulerChoice::ListFallback);
