@@ -65,8 +65,8 @@
 //! carries over from one II to the next; the probe's
 //! [`SatProbeSession`] is dropped once the probe is decided. Within one
 //! probe the solver persists: register-pressure lemmas and the portfolio's
-//! budget instalments ([`SatProbeSession::resume`]) re-run it on its
-//! learnt state.
+//! budget instalments (repeated [`SatProbeSession::solve`] calls) re-run
+//! it on its learnt state.
 //!
 //! # Decoding and trust
 //!
@@ -702,89 +702,56 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
 }
 
 /// The SAT backend's state for one fixed-II probe: the probe's encoder,
-/// kept between [`SatProbeSession::probe`] and any
-/// [`SatProbeSession::resume`] instalments (the portfolio's dovetail) and
-/// dropped with the session.
+/// kept across the portfolio's budget instalments (each a
+/// [`SatProbeSession::solve`] call) and dropped with the session.
 pub(crate) struct SatProbeSession<'a, 'l, 'm> {
-    p: &'a Problem<'l, 'm>,
-    enc: Option<Encoder<'a, 'l, 'm>>,
+    ii: u32,
+    enc: Encoder<'a, 'l, 'm>,
     /// Register-pressure refinement rounds of the probe, summed over its
-    /// [`SatProbeSession::resume`] instalments.
+    /// [`SatProbeSession::solve`] calls.
     cegar_rounds: u64,
 }
 
 impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
-    pub(crate) fn new(p: &'a Problem<'l, 'm>) -> Self {
-        Self {
-            p,
-            enc: None,
-            cegar_rounds: 0,
+    /// Opens the probe of `ii`: certificates first (resource counts,
+    /// positive dependence cycles — shared with the branch-and-bound),
+    /// then the CNF encoding. `None` means a certificate refuted the II,
+    /// so there is nothing to solve.
+    pub(crate) fn new(p: &'a Problem<'l, 'm>, ii: u32, options: &ExactOptions) -> Option<Self> {
+        if ii == 0 || p.resource_infeasible(ii) {
+            return None;
         }
+        let win = windows(p, ii, |asap| p.horizon(asap, ii, options))?;
+        let enc = Encoder::new(p, ii, win);
+        mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
+        mvp_trace::counter_handle!("exact.sat.encoded_clauses")
+            .add(enc.solver.num_clauses() as u64);
+        Some(Self {
+            ii,
+            enc,
+            cegar_rounds: 0,
+        })
     }
 
-    /// Register-pressure refinement rounds the probe has run so far (every
-    /// instalment since [`SatProbeSession::probe`]).
+    /// Register-pressure refinement rounds the probe has run so far, over
+    /// every [`SatProbeSession::solve`] call.
     pub(crate) fn cegar_rounds(&self) -> u64 {
         self.cegar_rounds
     }
 
-    /// Runs one fixed-II probe: certificates first (resource counts,
-    /// positive dependence cycles — shared with the branch-and-bound), then
-    /// CNF encoding, CDCL search and kernel-checked decoding. `steps_used`
-    /// is incremented by the solver steps (decisions + conflicts) the probe
-    /// consumed; the budget contract matches
-    /// [`crate::search::solve_fixed_ii`]. A session runs one probe.
-    pub(crate) fn probe(
-        &mut self,
-        ii: u32,
-        options: &ExactOptions,
-        steps_used: &mut u64,
-    ) -> FixedIiOutcome {
-        debug_assert!(self.enc.is_none(), "a session runs one probe");
-        let p = self.p;
-        if ii == 0 || p.resource_infeasible(ii) {
-            return FixedIiOutcome::Infeasible;
-        }
-        let Some(win) = windows(p, ii, |asap| p.horizon(asap, ii, options)) else {
-            return FixedIiOutcome::Infeasible;
-        };
-        let enc = self.enc.insert(Encoder::new(p, ii, win));
-        mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
-        mvp_trace::counter_handle!("exact.sat.encoded_clauses")
-            .add(enc.solver.num_clauses() as u64);
-        self.solve_formula(ii, options, steps_used)
-    }
-
-    /// Re-enters the budget/CEGAR loop of the probe with a fresh step
-    /// budget, without re-encoding anything: the solver keeps every clause
-    /// it has learnt so far, so an interleaving caller (the dovetailed
+    /// Runs the CDCL search with MaxLive refinement between models until a
+    /// verdict or `options.node_budget` more steps, and decodes a model
+    /// through the kernel. `steps_used` is incremented by the solver steps
+    /// (decisions + conflicts) the call consumed; the budget contract
+    /// matches [`crate::search::solve_fixed_ii`]. A later call picks up
+    /// where a [`FixedIiOutcome::Budget`] left off: the solver keeps every
+    /// clause it has learnt, so an interleaving caller (the dovetailed
     /// portfolio probe) can hand the engine its budget in instalments and
-    /// still pay the total cost of one continuous solve. `ii` must be the
-    /// II the [`SatProbeSession::probe`] call encoded.
-    pub(crate) fn resume(
-        &mut self,
-        ii: u32,
-        options: &ExactOptions,
-        steps_used: &mut u64,
-    ) -> FixedIiOutcome {
-        if self.enc.is_none() {
-            // The probe decided before encoding (structurally infeasible
-            // II); there is nothing to resume.
-            return FixedIiOutcome::Infeasible;
-        }
-        self.solve_formula(ii, options, steps_used)
-    }
-
-    /// The budget/CEGAR loop of the probe: repeated solves, with MaxLive
-    /// refinement between models, until a verdict or the step budget.
-    fn solve_formula(
-        &mut self,
-        ii: u32,
-        options: &ExactOptions,
-        steps_used: &mut u64,
-    ) -> FixedIiOutcome {
-        let p = self.p;
-        let enc = self.enc.as_mut().expect("encoder initialised by probe");
+    /// still pay the total cost of one continuous solve.
+    pub(crate) fn solve(&mut self, options: &ExactOptions, steps_used: &mut u64) -> FixedIiOutcome {
+        let ii = self.ii;
+        let enc = &mut self.enc;
+        let p = enc.p;
         let _span = mvp_trace::span!("exact.sat.probe", ii = ii, vars = enc.solver.num_vars());
         let steps0 = enc.solver.steps();
         let outcome = loop {
@@ -846,7 +813,9 @@ pub(crate) fn solve_fixed_ii_sat(
     options: &ExactOptions,
     steps_used: &mut u64,
 ) -> FixedIiOutcome {
-    SatProbeSession::new(p).probe(ii, options, steps_used)
+    SatProbeSession::new(p, ii, options).map_or(FixedIiOutcome::Infeasible, |mut s| {
+        s.solve(options, steps_used)
+    })
 }
 
 #[cfg(test)]

@@ -166,19 +166,13 @@ fn dovetail_probe(
 ) -> ProbeResult {
     let mut r = ProbeResult::of(FixedIiOutcome::Budget, SolverKind::Portfolio);
     let mut quantum = DOVETAIL_QUANTUM;
-    let mut first = true;
     loop {
         let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
         if remaining == 0 {
             return r;
         }
         let sat_options = options.with_node_budget(quantum.min(remaining));
-        let outcome = if first {
-            first = false;
-            session.probe(ii, &sat_options, &mut r.conflicts)
-        } else {
-            session.resume(ii, &sat_options, &mut r.conflicts)
-        };
+        let outcome = session.solve(&sat_options, &mut r.conflicts);
         if !matches!(outcome, FixedIiOutcome::Budget) {
             r.outcome = outcome;
             r.solver = SolverKind::Sat;
@@ -218,9 +212,11 @@ fn run_probe(
             }
         }
         ExactBackend::Sat => {
-            let mut session = SatProbeSession::new(p);
+            let Some(mut session) = SatProbeSession::new(p, ii, options) else {
+                return ProbeResult::of(FixedIiOutcome::Infeasible, SolverKind::Sat);
+            };
             let mut conflicts = 0u64;
-            let outcome = session.probe(ii, options, &mut conflicts);
+            let outcome = session.solve(options, &mut conflicts);
             ProbeResult {
                 conflicts,
                 cegar_rounds: session.cegar_rounds(),
@@ -228,7 +224,11 @@ fn run_probe(
             }
         }
         ExactBackend::Portfolio => {
-            let mut session = SatProbeSession::new(p);
+            // A certificate that refutes the II decides the probe before
+            // either engine runs; it is the SAT side's certificate check.
+            let Some(mut session) = SatProbeSession::new(p, ii, options) else {
+                return ProbeResult::of(FixedIiOutcome::Infeasible, SolverKind::Sat);
+            };
             let r = dovetail_probe(p, ii, options, &mut session);
             ProbeResult {
                 cegar_rounds: session.cegar_rounds(),
