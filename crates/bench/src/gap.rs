@@ -12,7 +12,7 @@
 
 use crate::report::{opt_cell, Table};
 use mvp_core::{BaselineScheduler, ModuloScheduler, RmcaScheduler};
-use mvp_exact::{solve_with, ExactBackend, ExactOptions, SolverKind};
+use mvp_exact::{solve_with, ExactBackend, ExactOptions};
 use mvp_exec::Executor;
 use mvp_ir::Loop;
 use mvp_machine::{presets, MachineConfig};
@@ -74,8 +74,11 @@ pub struct GapRow {
     pub nodes: u64,
     /// SAT steps (decisions + conflicts) the exact probes consumed.
     pub conflicts: u64,
-    /// The exact engine that priced the row.
-    pub solver: SolverKind,
+    /// The exact engine that decided the row's last probe: the `solver`
+    /// parameter for branch-and-bound and SAT, the winning engine for the
+    /// portfolio (still [`ExactBackend::Portfolio`] if that probe ran out
+    /// of budget).
+    pub solver: ExactBackend,
     /// Baseline scheduler II (`None` = II search exhausted).
     pub baseline_ii: Option<u32>,
     /// RMCA scheduler II (`None` = II search exhausted).
@@ -162,7 +165,7 @@ pub fn machines() -> Vec<MachineConfig> {
 /// `Some` results (`None` marks a point to skip, such as a loop that uses
 /// a unit kind the machine lacks). The order, and so every table built
 /// from the results, is independent of the executor's thread count.
-pub(crate) fn map_points<T, F>(params: &GapParams, executor: &Executor, point: F) -> Vec<T>
+pub fn map_points<T, F>(params: &GapParams, executor: &Executor, point: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&MachineConfig, &Loop) -> Option<T> + Sync,
@@ -213,7 +216,7 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             proved_optimal: outcome.proved_optimal,
             nodes: outcome.nodes,
             conflicts: outcome.conflicts,
-            solver: params.solver.kind(),
+            solver: outcome.probes.last().map_or(outcome.backend, |p| p.solver),
             baseline_ii: heuristics.0,
             rmca_ii: heuristics.1,
             schedule_ms: schedule_ns as f64 / 1e6,
@@ -348,10 +351,22 @@ mod tests {
             .expect("fig3 row present");
         assert_eq!(fig3.exact_ii, Some(3));
         assert!(fig3.proved_optimal);
-        assert_eq!(fig3.solver, SolverKind::Sat);
+        assert_eq!(fig3.solver, ExactBackend::Sat);
         assert_eq!(fig3.nodes, 0, "the SAT engine charges conflicts, not nodes");
         assert!(fig3.conflicts > 0);
         assert!(table(&rows).to_csv().contains(",sat,"));
+    }
+
+    #[test]
+    fn portfolio_rows_name_the_engine_that_decided_them() {
+        let params = GapParams {
+            solver: ExactBackend::Portfolio,
+            ..small()
+        };
+        for r in run(&params, &Executor::global()) {
+            assert!(r.proved_optimal, "{} / {}", r.loop_name, r.machine);
+            assert_ne!(r.solver, ExactBackend::Portfolio);
+        }
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //!   one driver, [`fig5::run`] over a [`fig5::Figure`],
 //! * `gap`   — heuristic II vs the exact scheduler's certified bound
 //!   (optimality-gap tables, `MVP_GAP_CSV` for the CI artifact;
-//!   `--solver` picks the exact engine),
-//! * `portfolio` — SAT-vs-branch-and-bound differential over the gap
-//!   corpus with a dovetailed portfolio per probe (`MVP_PORTFOLIO_CSV` for
-//!   the `portfolio-solvers.csv` artifact),
+//!   `--solver` picks the exact engine, and the `solver` column names the
+//!   engine that decided each row's last probe),
 //! * `trace` — observability showcase: a chrome://tracing JSON export
 //!   covering every instrumented layer plus the deterministic
 //!   counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the
@@ -25,7 +23,7 @@
 //! table's per-point `schedule_ms`/`oracle_ms` wall-clock columns.
 //!
 //! The library part of the crate holds one module per report — [`fig3`],
-//! [`fig5`], [`gap`], [`portfolio`], [`table1`] and [`trace`] — plus
+//! [`fig5`], [`gap`], [`table1`] and [`trace`] — plus
 //! [`report`], the one [`report::Table`] every report builds and prints
 //! as text or CSV, and [`json`], the dependency-free JSON model behind the
 //! chrome-trace export. The drivers call [`multivliw::pipeline::Pipeline`]
@@ -41,7 +39,6 @@ pub mod fig3;
 pub mod fig5;
 pub mod gap;
 pub mod json;
-pub mod portfolio;
 pub mod report;
 pub mod table1;
 pub mod trace;

@@ -1,15 +1,18 @@
-//! The exact engines on the gap corpora, pinned.
+//! The exact engines on the gap corpora, pinned and cross-checked.
 //!
-//! The SAT encoding's counting constraints (cluster and bus capacity) are
-//! implied by its other clauses, so they may change how fast SAT decides,
-//! never what it decides: on the 116-point corpus it proves every point
-//! and never contradicts branch-and-bound. The branch-and-bound search's
-//! node counts and the SAT engine's steps are pinned point by point, so a
-//! kernel or solver change that claims to search the same nodes or steps
-//! does, and one that does not shows where.
+//! Branch-and-bound, SAT and the portfolio solve every point of the
+//! 52-point and the 116-point corpora, and no engine's certificate may
+//! contradict another's: the engines implement one validator rule set, so
+//! a disagreement means one of them is unsound. Neither may a heuristic
+//! (Baseline or RMCA) schedule below any engine's certified bound. SAT and
+//! the portfolio prove every point of both corpora. On the default corpus
+//! the branch-and-bound search's node counts and the SAT engine's steps
+//! are pinned point by point, so a kernel or solver change that claims to
+//! search the same nodes or steps does, and one that does not shows where.
 
-use mvp_bench::gap::{run, GapParams, GapRow};
-use mvp_exact::ExactBackend;
+use mvp_bench::gap::{map_points, GapParams};
+use mvp_core::{validate_schedule, BaselineScheduler, ModuloScheduler, RmcaScheduler};
+use mvp_exact::{solve_with, ExactBackend, ExactOptions, ExactOutcome, IiVerdict};
 use mvp_exec::Executor;
 
 /// Branch-and-bound nodes per point of the default 52-point corpus:
@@ -127,73 +130,139 @@ const SAT_STEPS: [(&str, &str, u64); 52] = [
     ("motivating-2-cluster", "random_8", 62),
 ];
 
-#[test]
-fn branch_and_bound_node_counts_are_pinned_per_point() {
-    let rows = run(&GapParams::default(), &Executor::global());
-    let got: Vec<(&str, &str, u64)> = rows
+/// The engines in the order [`Point::outcomes`] holds their outcomes.
+const ENGINES: [ExactBackend; 3] = [
+    ExactBackend::BranchAndBound,
+    ExactBackend::Sat,
+    ExactBackend::Portfolio,
+];
+
+/// One (machine, loop) point of a corpus as [`three_way`] solved it.
+struct Point {
+    machine: String,
+    loop_name: String,
+    /// One outcome per engine of [`ENGINES`], in that order.
+    outcomes: [ExactOutcome; 3],
+}
+
+/// Solves every point of `params`' corpus with each of [`ENGINES`] and
+/// cross-checks the three outcomes: proved optima are equal, no engine or
+/// heuristic schedules below an engine's certified bound (so no bound lies
+/// above another engine's proved optimum either), every exact schedule
+/// passes the validator, and every decided portfolio probe names the
+/// engine that decided it. Returns the points in the corpus's
+/// machine-major order.
+fn three_way(params: &GapParams) -> Vec<Point> {
+    let options = ExactOptions::new().with_node_budget(params.node_budget);
+    map_points(params, &Executor::global(), |machine, l| {
+        let point = format!("{} on {}", l.name(), machine.name);
+        let solved = ENGINES.map(|backend| solve_with(l, machine, &options, &backend).ok());
+        let [Some(bnb), Some(sat), Some(portfolio)] = solved else {
+            assert!(solved.iter().all(Option::is_none), "{point}");
+            return None;
+        };
+        let outcomes = [bnb, sat, portfolio];
+        let heuristics = [
+            ("baseline", BaselineScheduler::new().schedule(l, machine)),
+            ("rmca", RmcaScheduler::new().schedule(l, machine)),
+        ];
+        for a in &outcomes {
+            for b in &outcomes {
+                if a.proved_optimal && b.proved_optimal {
+                    assert_eq!(a.schedule_ii(), b.schedule_ii(), "{point}");
+                }
+                assert!(
+                    a.schedule_ii().is_none_or(|ii| ii >= b.lower_bound),
+                    "{point}: {} scheduled II={:?} below the {} bound {}",
+                    a.backend,
+                    a.schedule_ii(),
+                    b.backend,
+                    b.lower_bound
+                );
+            }
+            for (name, schedule) in &heuristics {
+                let ii = schedule.as_ref().ok().map(mvp_core::Schedule::ii);
+                assert!(
+                    ii.is_none_or(|ii| ii >= a.lower_bound),
+                    "{point}: {name} scheduled II={ii:?} below the {} bound {}",
+                    a.backend,
+                    a.lower_bound
+                );
+            }
+            if let Some(s) = &a.schedule {
+                let violations = validate_schedule(l, machine, s);
+                assert!(
+                    violations.is_empty(),
+                    "{point}: {} {violations:?}",
+                    a.backend
+                );
+            }
+        }
+        for probe in &outcomes[2].probes {
+            assert!(
+                probe.verdict == IiVerdict::Unknown || probe.solver != ExactBackend::Portfolio,
+                "{point}: II={} decided by no engine",
+                probe.ii
+            );
+        }
+        Some(Point {
+            machine: machine.name.clone(),
+            loop_name: l.name().to_string(),
+            outcomes,
+        })
+    })
+}
+
+/// How many points each of [`ENGINES`] proved optimal.
+fn proved(points: &[Point]) -> [usize; 3] {
+    [0, 1, 2].map(|i| {
+        points
+            .iter()
+            .filter(|p| p.outcomes[i].proved_optimal)
+            .count()
+    })
+}
+
+/// `count` of engine `engine`'s outcome at every point, keyed by machine
+/// and loop name.
+fn per_point(
+    points: &[Point],
+    engine: usize,
+    count: fn(&ExactOutcome) -> u64,
+) -> Vec<(&str, &str, u64)> {
+    points
         .iter()
-        .map(|r| (r.machine.as_str(), r.loop_name.as_str(), r.nodes))
-        .collect();
-    assert_eq!(got, BNB_NODES);
-    assert_eq!(rows.iter().map(|r| r.nodes).sum::<u64>(), 7_880_994);
-    assert_eq!(rows.iter().filter(|r| r.proved_optimal).count(), 45);
+        .map(|p| {
+            let n = count(&p.outcomes[engine]);
+            (p.machine.as_str(), p.loop_name.as_str(), n)
+        })
+        .collect()
 }
 
 #[test]
-fn sat_steps_are_pinned_per_point() {
-    let params = GapParams {
-        solver: ExactBackend::Sat,
-        ..GapParams::default()
-    };
-    let rows = run(&params, &Executor::global());
-    let got: Vec<(&str, &str, u64)> = rows
-        .iter()
-        .map(|r| (r.machine.as_str(), r.loop_name.as_str(), r.conflicts))
-        .collect();
-    assert_eq!(got, SAT_STEPS);
-    assert_eq!(rows.iter().map(|r| r.conflicts).sum::<u64>(), 13_003);
-    assert_eq!(rows.iter().filter(|r| r.proved_optimal).count(), 52);
+fn the_three_engines_agree_and_keep_their_pins_on_the_default_corpus() {
+    let points = three_way(&GapParams::default());
+    assert_eq!(points.len(), 52);
+    assert_eq!(proved(&points), [45, 52, 52]);
+    let nodes = per_point(&points, 0, |o| o.nodes);
+    assert_eq!(nodes, BNB_NODES);
+    assert_eq!(nodes.iter().map(|p| p.2).sum::<u64>(), 7_880_994);
+    let steps = per_point(&points, 1, |o| o.conflicts);
+    assert_eq!(steps, SAT_STEPS);
+    assert_eq!(steps.iter().map(|p| p.2).sum::<u64>(), 13_003);
 }
 
-/// The larger corpus the gap binary prints with
-/// `--loops 24 --max-ops 20 --seed 7`.
-fn wide(solver: ExactBackend) -> Vec<GapRow> {
-    let params = GapParams {
+#[test]
+fn the_three_engines_agree_on_the_116_point_corpus() {
+    // The larger corpus `gap --loops 24 --max-ops 20 --seed 7` prints.
+    let points = three_way(&GapParams {
         generated_loops: 24,
         max_ops: 20,
         seed: 7,
-        solver,
         ..GapParams::default()
-    };
-    run(&params, &Executor::global())
-}
-
-#[test]
-fn sat_and_branch_and_bound_agree_on_the_116_point_corpus() {
-    let sat = wide(ExactBackend::Sat);
-    let bnb = wide(ExactBackend::BranchAndBound);
-    assert_eq!(sat.len(), 116);
-    assert_eq!(bnb.len(), 116);
-    let proved = |rows: &[GapRow]| rows.iter().filter(|r| r.proved_optimal).count();
-    assert_eq!(proved(&sat), 116);
-    assert_eq!(proved(&bnb), 99);
-    assert_eq!(sat.iter().map(|r| r.conflicts).sum::<u64>(), 316_357);
-    for (s, b) in sat.iter().zip(&bnb) {
-        let point = format!("{} on {}", s.loop_name, s.machine);
-        assert_eq!((&s.machine, &s.loop_name), (&b.machine, &b.loop_name));
-        // Each engine's schedule respects the other's certified bound, and
-        // two proofs name the same II.
-        for (x, y) in [(s, b), (b, s)] {
-            assert!(
-                x.exact_ii.is_none_or(|ii| ii >= y.lower_bound),
-                "{point}: {:?} found under {:?}'s bound {}",
-                x.solver,
-                y.solver,
-                y.lower_bound
-            );
-        }
-        if s.proved_optimal && b.proved_optimal {
-            assert_eq!(s.exact_ii, b.exact_ii, "{point}");
-        }
-    }
+    });
+    assert_eq!(points.len(), 116);
+    assert_eq!(proved(&points), [99, 116, 116]);
+    let sat_steps: u64 = points.iter().map(|p| p.outcomes[1].conflicts).sum();
+    assert_eq!(sat_steps, 316_357);
 }

@@ -105,12 +105,6 @@ impl<'l> LocalityAnalysis<'l> {
         }
     }
 
-    /// The loop being analysed.
-    #[must_use]
-    pub fn loop_body(&self) -> &'l Loop {
-        self.l
-    }
-
     /// The evaluation window (iteration points per query).
     #[must_use]
     pub fn window(&self) -> usize {

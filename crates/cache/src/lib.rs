@@ -17,10 +17,9 @@
 //! preserves the ranking of candidate clusters, which is all the scheduler
 //! consumes.
 //!
-//! The crate also provides a closed-form self-reuse classification
-//! ([`reuse`]: self-temporal, self-spatial) and a simple functional
-//! [`sim_cache`] used by both the estimator here and the cycle-level
-//! simulator.
+//! The estimator counts misses with [`sim_cache`], a functional
+//! set-associative LRU tag store. The cycle-level simulator in `mvp-sim`
+//! keeps its own coherent caches and does not use it.
 //!
 //! # Example
 //!
@@ -52,9 +51,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cme;
-pub mod reuse;
 pub mod sim_cache;
 
 pub use cme::{LocalityAnalysis, MissProfile, OpMissStats};
-pub use reuse::{self_reuse, ReuseKind};
 pub use sim_cache::CacheSim;

@@ -1,9 +1,9 @@
 //! A small functional cache model (tag store only).
 //!
-//! Used by the locality estimator in [`crate::cme`] and by the cycle-level
-//! simulator. It models hits and misses of a set-associative cache with LRU
-//! replacement; it does not model timing, coherence or data — those live in
-//! `mvp-sim`.
+//! Used by the locality estimator in [`crate::cme`]. It models hits and
+//! misses of a set-associative cache with LRU replacement; it does not
+//! model timing, coherence or data — the cycle-level simulator in
+//! `mvp-sim` has its own caches for those.
 
 use mvp_machine::CacheGeometry;
 

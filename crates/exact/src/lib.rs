@@ -114,7 +114,7 @@ mod search;
 
 pub use model::Problem;
 pub use options::ExactOptions;
-pub use outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
+pub use outcome::{ExactOutcome, IiProbe, IiVerdict};
 pub use scheduler::{solve, solve_with, ExactBackend, ExactScheduler};
 
 #[cfg(test)]

@@ -1,39 +1,8 @@
 //! Results of the exact II search: schedules, certified bounds, probe logs.
 
+use crate::scheduler::ExactBackend;
 use mvp_core::{Schedule, ScheduleError};
 use std::fmt;
-
-/// The engine that decided a probe (or backed a whole search).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// The branch-and-bound search ([`crate::solve`]'s default engine).
-    BranchAndBound,
-    /// The CDCL SAT backend (CNF encoding per fixed-II probe).
-    Sat,
-    /// Both engines dovetailed per probe. As an outcome-level label it
-    /// names the backend; a decided probe names the engine whose
-    /// certificate decided it, and only an undecided probe carries this
-    /// label.
-    Portfolio,
-}
-
-impl SolverKind {
-    /// Short stable label for CSV columns: `bnb`, `sat` or `portfolio`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverKind::BranchAndBound => "bnb",
-            SolverKind::Sat => "sat",
-            SolverKind::Portfolio => "portfolio",
-        }
-    }
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Verdict of one fixed-II probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +40,10 @@ pub struct IiProbe {
     /// SAT solver steps (decisions + conflicts) the probe consumed (in a
     /// portfolio probe, every dovetail instalment's).
     pub conflicts: u64,
-    /// The engine whose certificate decided the probe. For an undecided
-    /// probe (budget), the backend that was asked.
-    pub solver: SolverKind,
+    /// The engine whose certificate decided the probe: never
+    /// [`ExactBackend::Portfolio`] once decided. For an undecided probe
+    /// (budget), the backend that was asked.
+    pub solver: ExactBackend,
     /// Register-pressure refinement (CEGAR) rounds the probe's SAT engine
     /// ran: models re-priced as overflowing and answered with explanation
     /// lemmas. Zero for pure branch-and-bound probes. The process-wide
@@ -114,7 +84,7 @@ pub struct ExactOutcome {
     /// Total SAT solver steps (decisions + conflicts) across all probes.
     pub conflicts: u64,
     /// The backend the search ran with.
-    pub backend: SolverKind,
+    pub backend: ExactBackend,
     /// Per-II probe log, in probing order.
     pub probes: Vec<IiProbe>,
 }
@@ -205,13 +175,13 @@ mod tests {
             proved_optimal: false,
             nodes: 10,
             conflicts: 7,
-            backend: SolverKind::Portfolio,
+            backend: ExactBackend::Portfolio,
             probes: vec![IiProbe {
                 ii: 3,
                 verdict: IiVerdict::Infeasible,
                 nodes: 10,
                 conflicts: 7,
-                solver: SolverKind::Sat,
+                solver: ExactBackend::Sat,
                 cegar_rounds: 0,
             }],
         };
@@ -221,8 +191,5 @@ mod tests {
         assert_eq!(outcome.search_steps(), 17);
         assert!(outcome.to_string().contains("II >= 4"));
         assert_eq!(IiVerdict::Unknown.to_string(), "unknown");
-        assert_eq!(SolverKind::BranchAndBound.label(), "bnb");
-        assert_eq!(SolverKind::Sat.to_string(), "sat");
-        assert_eq!(SolverKind::Portfolio.label(), "portfolio");
     }
 }

@@ -25,13 +25,14 @@
 
 use crate::model::Problem;
 use crate::options::ExactOptions;
-use crate::outcome::{ExactOutcome, IiProbe, IiVerdict, SolverKind};
+use crate::outcome::{ExactOutcome, IiProbe, IiVerdict};
 use crate::sat_backend::SatProbeSession;
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
 use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule};
 use mvp_ir::{mii, Loop};
 use mvp_machine::MachineConfig;
+use std::fmt;
 
 /// The engine (or engine combination) driving the fixed-II probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,16 +52,6 @@ pub enum ExactBackend {
 }
 
 impl ExactBackend {
-    /// The outcome-level tag for this backend.
-    #[must_use]
-    pub fn kind(self) -> SolverKind {
-        match self {
-            ExactBackend::BranchAndBound => SolverKind::BranchAndBound,
-            ExactBackend::Sat => SolverKind::Sat,
-            ExactBackend::Portfolio => SolverKind::Portfolio,
-        }
-    }
-
     /// The scheduler name stamped on emitted schedules.
     #[must_use]
     pub fn scheduler_name(self) -> &'static str {
@@ -69,6 +60,17 @@ impl ExactBackend {
             ExactBackend::Sat => "exact-sat",
             ExactBackend::Portfolio => "exact-portfolio",
         }
+    }
+}
+
+/// The short stable label of CSV columns: `bnb`, `sat` or `portfolio`.
+impl fmt::Display for ExactBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ExactBackend::BranchAndBound => "bnb",
+            ExactBackend::Sat => "sat",
+            ExactBackend::Portfolio => "portfolio",
+        })
     }
 }
 
@@ -115,7 +117,7 @@ pub fn solve_with(
 /// What one probe brings back to the commit loop.
 struct ProbeResult {
     outcome: FixedIiOutcome,
-    solver: SolverKind,
+    solver: ExactBackend,
     /// Branch-and-bound steps this probe consumed.
     nodes: u64,
     /// SAT steps this probe consumed.
@@ -126,7 +128,7 @@ struct ProbeResult {
 
 impl ProbeResult {
     /// A probe result with no steps or statistics yet.
-    fn of(outcome: FixedIiOutcome, solver: SolverKind) -> Self {
+    fn of(outcome: FixedIiOutcome, solver: ExactBackend) -> Self {
         Self {
             outcome,
             solver,
@@ -164,7 +166,7 @@ fn dovetail_probe(
     options: &ExactOptions,
     session: &mut SatProbeSession<'_, '_, '_>,
 ) -> ProbeResult {
-    let mut r = ProbeResult::of(FixedIiOutcome::Budget, SolverKind::Portfolio);
+    let mut r = ProbeResult::of(FixedIiOutcome::Budget, ExactBackend::Portfolio);
     let mut quantum = DOVETAIL_QUANTUM;
     loop {
         let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
@@ -175,7 +177,7 @@ fn dovetail_probe(
         let outcome = session.solve(&sat_options, &mut r.conflicts);
         if !matches!(outcome, FixedIiOutcome::Budget) {
             r.outcome = outcome;
-            r.solver = SolverKind::Sat;
+            r.solver = ExactBackend::Sat;
             return r;
         }
         let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
@@ -186,7 +188,7 @@ fn dovetail_probe(
         let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut r.nodes);
         if !matches!(outcome, FixedIiOutcome::Budget) {
             r.outcome = outcome;
-            r.solver = SolverKind::BranchAndBound;
+            r.solver = ExactBackend::BranchAndBound;
             return r;
         }
         quantum = quantum.saturating_mul(DOVETAIL_ESCALATION);
@@ -208,26 +210,26 @@ fn run_probe(
             let outcome = solve_fixed_ii(p, ii, options, &mut nodes);
             ProbeResult {
                 nodes,
-                ..ProbeResult::of(outcome, SolverKind::BranchAndBound)
+                ..ProbeResult::of(outcome, ExactBackend::BranchAndBound)
             }
         }
         ExactBackend::Sat => {
             let Some(mut session) = SatProbeSession::new(p, ii, options) else {
-                return ProbeResult::of(FixedIiOutcome::Infeasible, SolverKind::Sat);
+                return ProbeResult::of(FixedIiOutcome::Infeasible, ExactBackend::Sat);
             };
             let mut conflicts = 0u64;
             let outcome = session.solve(options, &mut conflicts);
             ProbeResult {
                 conflicts,
                 cegar_rounds: session.cegar_rounds(),
-                ..ProbeResult::of(outcome, SolverKind::Sat)
+                ..ProbeResult::of(outcome, ExactBackend::Sat)
             }
         }
         ExactBackend::Portfolio => {
             // A certificate that refutes the II decides the probe before
             // either engine runs; it is the SAT side's certificate check.
             let Some(mut session) = SatProbeSession::new(p, ii, options) else {
-                return ProbeResult::of(FixedIiOutcome::Infeasible, SolverKind::Sat);
+                return ProbeResult::of(FixedIiOutcome::Infeasible, ExactBackend::Sat);
             };
             let r = dovetail_probe(p, ii, options, &mut session);
             ProbeResult {
@@ -303,7 +305,7 @@ fn ii_search(
         proved_optimal,
         nodes,
         conflicts,
-        backend: backend.kind(),
+        backend,
         probes,
     }
 }
@@ -450,7 +452,7 @@ mod tests {
             assert_eq!(outcome.exact_ii(), Some(s.ii()));
             assert!(validate_schedule(&l, &machine, s).is_empty());
             assert_eq!(outcome.probes.len(), 1);
-            assert_eq!(outcome.backend, SolverKind::BranchAndBound);
+            assert_eq!(outcome.backend, ExactBackend::BranchAndBound);
             assert_eq!(outcome.conflicts, 0);
         }
     }
@@ -522,6 +524,13 @@ mod tests {
     }
 
     #[test]
+    fn backends_print_their_labels() {
+        assert_eq!(ExactBackend::BranchAndBound.to_string(), "bnb");
+        assert_eq!(ExactBackend::Sat.to_string(), "sat");
+        assert_eq!(ExactBackend::Portfolio.to_string(), "portfolio");
+    }
+
+    #[test]
     fn scheduler_front_end_matches_solve() {
         let l = chain();
         let machine = presets::two_cluster();
@@ -561,7 +570,7 @@ mod tests {
                     machine.name
                 );
                 assert_eq!(sat.schedule_ii(), bnb.schedule_ii());
-                assert_eq!(sat.backend, SolverKind::Sat);
+                assert_eq!(sat.backend, ExactBackend::Sat);
                 assert_eq!(sat.nodes, 0, "the SAT backend charges steps, not nodes");
                 let s = sat.schedule.as_ref().expect("feasible");
                 assert_eq!(s.scheduler_name, "exact-sat");
@@ -579,11 +588,11 @@ mod tests {
         assert_eq!(outcome.min_ii, 2);
         assert_eq!(outcome.schedule_ii(), Some(3));
         assert!(outcome.proved_optimal);
-        assert_eq!(outcome.backend, SolverKind::Portfolio);
+        assert_eq!(outcome.backend, ExactBackend::Portfolio);
         for probe in &outcome.probes {
             assert_ne!(
                 probe.solver,
-                SolverKind::Portfolio,
+                ExactBackend::Portfolio,
                 "decided probes name the winning engine"
             );
         }
@@ -604,7 +613,7 @@ mod tests {
         assert_eq!(a.schedule, b.schedule);
         // SAT takes the first dovetail quantum and decides the probe, so
         // branch-and-bound never gets a turn.
-        assert_eq!(a.probes.last().unwrap().solver, SolverKind::Sat);
+        assert_eq!(a.probes.last().unwrap().solver, ExactBackend::Sat);
         assert_eq!(a.nodes, 0);
         let scheduler = ExactScheduler::new().with_backend(backend);
         assert_eq!(scheduler.name(), "exact-portfolio");

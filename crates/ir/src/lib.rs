@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod array;
-pub mod dot;
 pub mod edge;
 pub mod graph;
 pub mod loop_nest;

@@ -112,7 +112,6 @@ pub fn loops(params: &KernelParams) -> Vec<Loop> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvp_cache::reuse::{self_reuse, ReuseKind};
     use mvp_machine::CacheGeometry;
 
     #[test]
@@ -128,9 +127,10 @@ mod tests {
     #[test]
     fn all_loads_have_unit_stride_spatial_reuse() {
         let l = &loops(&KernelParams::default())[0];
-        let g = CacheGeometry::direct_mapped(2048);
+        let block = CacheGeometry::direct_mapped(2048).block_bytes;
         for op in l.loads() {
-            assert_eq!(self_reuse(l, op, g), ReuseKind::SelfSpatial);
+            let stride = l.memory_ref_of(op).unwrap().inner_stride(l.nest());
+            assert!((1..block).contains(&stride.unsigned_abs()), "{stride}");
         }
     }
 }
