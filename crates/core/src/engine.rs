@@ -382,11 +382,7 @@ mod tests {
         for e in l.edges() {
             let p = s.placement(e.src);
             let d = s.placement(e.dst);
-            let lat = if e.kind == EdgeKind::Data {
-                i64::from(p.assumed_latency)
-            } else {
-                1
-            };
+            let lat = i64::from(e.delay(p.assumed_latency));
             let comm = if e.kind == EdgeKind::Data && p.cluster != d.cluster {
                 i64::from(machine.register_buses.latency)
             } else {

@@ -35,41 +35,6 @@ use mvp_ir::{EdgeKind, Loop, OpId};
 use mvp_machine::{ClusterId, MachineConfig};
 use mvp_resmodel::{AcyclicBusTable, AcyclicFuTable, ResModel};
 
-/// Deterministic topological order of the distance-0 dependence subgraph
-/// (Kahn's algorithm, smallest operation id first). Always exists: loops
-/// validate the distance-0 subgraph to be acyclic at build time.
-fn topological_order(l: &Loop) -> Vec<OpId> {
-    let n = l.num_ops();
-    let mut in_degree = vec![0usize; n];
-    for e in l.edges() {
-        if e.distance == 0 {
-            in_degree[e.dst.index()] += 1;
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| in_degree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while !ready.is_empty() {
-        let pos = ready
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("ready set is non-empty");
-        let next = ready.swap_remove(pos);
-        order.push(OpId::from_index(next));
-        for e in l.succs(OpId::from_index(next)) {
-            if e.distance == 0 {
-                in_degree[e.dst.index()] -= 1;
-                if in_degree[e.dst.index()] == 0 {
-                    ready.push(e.dst.index());
-                }
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "distance-0 subgraph is acyclic");
-    order
-}
-
 fn ceil_div_nonneg(numerator: i64, denominator: i64) -> i64 {
     if numerator <= 0 {
         0
@@ -165,7 +130,7 @@ impl ModuloScheduler for ListScheduler {
         let mut miss_scheduled = vec![false; l.num_ops()];
         let mut comms: Vec<Communication> = Vec::new();
 
-        for op in topological_order(l) {
+        for &op in l.zero_distance_order() {
             let kind = l.op(op).kind.fu_kind();
             let hit_lat = l.op(op).kind.hit_latency(&machine.latencies);
 
@@ -199,10 +164,8 @@ impl ModuloScheduler for ListScheduler {
                             bus: bus_idx,
                         });
                         start + bus_latency
-                    } else if e.kind == EdgeKind::Data {
-                        p_cycle + p_lat
                     } else {
-                        p_cycle + 1
+                        p_cycle + e.delay(p_lat)
                     };
                     ready = ready.max(arrival);
                 }
@@ -276,13 +239,8 @@ impl ModuloScheduler for ListScheduler {
                 let arrival = i64::from(start) + i64::from(bus_latency);
                 min_ii = min_ii.max(ceil_div_nonneg(arrival - i64::from(dst_cycle), d));
             } else {
-                let lat = if e.kind == EdgeKind::Data {
-                    i64::from(src_lat)
-                } else {
-                    1
-                };
                 min_ii = min_ii.max(ceil_div_nonneg(
-                    i64::from(src_cycle) + lat - i64::from(dst_cycle),
+                    i64::from(src_cycle) + i64::from(e.delay(src_lat)) - i64::from(dst_cycle),
                     d,
                 ));
             }

@@ -20,15 +20,19 @@
 //!
 //! # The constraint model is the validator's rule set
 //!
-//! The model deliberately reuses the vocabulary of the independent legality
-//! oracle [`mvp_core::validate::validate_schedule`] rather than any
-//! scheduler's internals — each search constraint maps one-to-one onto the
-//! violation it rules out:
+//! The model is the constraint kernel's [`mvp_resmodel::ResModel`], which
+//! every engine takes as is. It deliberately reuses the vocabulary of the
+//! independent legality oracle [`mvp_core::validate::validate_schedule`]
+//! rather than any scheduler's internals — each search constraint maps
+//! one-to-one onto the violation it rules out. The dependence delay is the
+//! one rule of [`mvp_ir::DepEdge::delay`] that the heuristics, the kernel and
+//! the `RecMII` the II search starts from all use, so the search never
+//! starts above an II the validator accepts:
 //!
 //! | search constraint | validator counterpart |
 //! |---|---|
 //! | at most `fu_count` operations per (cluster, unit kind, `cycle % II`) | `Violation::FuOversubscribed` |
-//! | `cycle(dst) + II·distance ≥ cycle(src) + latency (+ bus latency when clusters differ)` per edge | `Violation::DependenceViolated` |
+//! | `cycle(dst) + II·distance ≥ cycle(src) + delay (+ bus latency when clusters differ)` per edge, with [`mvp_ir::DepEdge::delay`] | `Violation::DependenceViolated` |
 //! | one transfer per cross-cluster data-edge pair, recorded with the real clusters | `Violation::MissingCommunication`, `Violation::SpuriousCommunication` |
 //! | transfer starts inside `[producer completion, consumer start − bus latency]` (intersected over parallel edges) | `Violation::CommunicationOutsideWindow` |
 //! | on finite bus sets: one transfer per (bus, modulo row), each occupying `bus latency` rows; transfers longer than the II are rejected outright | `Violation::BusOverlap`, `Violation::BusOutOfRange` |
@@ -60,9 +64,10 @@
 //! 1. **resource counts** — some unit kind must issue more operations per II
 //!    than the machine provides slots (`ops > units × II`), the counting
 //!    argument behind `ResMII`;
-//! 2. **positive dependence cycles** — Bellman–Ford propagation of the
-//!    difference constraints `t_dst − t_src ≥ latency − II·distance`
-//!    diverges, the argument behind `RecMII`;
+//! 2. **positive dependence cycles** — the longest-path pass over the
+//!    difference constraints `t_dst − t_src ≥ delay − II·distance`
+//!    ([`mvp_ir::recurrence::longest_paths`], the one pass behind
+//!    `mvp_ir`'s `RecMII`) diverges;
 //! 3. **exhausted search** — the branch-and-bound explored every placement
 //!    within the horizon (with conflict-driven backjumping and
 //!    cluster/bus-symmetry breaking; see the `search` module's docs).
@@ -104,7 +109,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod model;
 pub mod options;
 pub mod outcome;
 pub mod propagate;
@@ -112,7 +116,6 @@ mod sat_backend;
 pub mod scheduler;
 mod search;
 
-pub use model::Problem;
 pub use options::ExactOptions;
 pub use outcome::{ExactOutcome, IiProbe, IiVerdict};
 pub use scheduler::{solve, solve_with, ExactBackend, ExactScheduler};

@@ -1,10 +1,11 @@
 //! Constraint propagation: static start-cycle windows per operation.
 //!
 //! For a fixed II the dependence edges form a system of difference
-//! constraints `t_dst − t_src ≥ w(e)` with `w(e) = latency − II·distance`
+//! constraints `t_dst − t_src ≥ w(e)` with `w(e) = delay − II·distance`
 //! (the bus-free relaxation of the validator's `DependenceViolated` rule).
-//! Longest paths over this system give each operation an earliest (ASAP) and,
-//! against the search horizon, a latest (ALAP) start cycle. Two outcomes
+//! [`mvp_ir::recurrence::longest_paths`], the pass that also gives `RecMII`,
+//! yields each operation's earliest (ASAP) start cycle forwards and, against
+//! the search horizon, its latest (ALAP) start cycle backwards. Two outcomes
 //! matter beyond the windows themselves:
 //!
 //! * a **positive cycle** in the constraint graph proves the II infeasible
@@ -13,7 +14,8 @@
 //! * tight windows shrink the branching factor of the search and order the
 //!   operations most-constrained-first.
 
-use crate::model::Problem;
+use mvp_ir::recurrence::longest_paths;
+use mvp_resmodel::ResModel;
 
 /// Static per-operation start-cycle windows for one candidate II.
 #[derive(Debug, Clone)]
@@ -38,65 +40,30 @@ impl Windows {
     }
 }
 
-/// Computes the static windows for `ii`, or `None` when the difference
-/// constraints contain a positive cycle (the II is certified infeasible, no
-/// horizon involved).
+/// Computes the static windows for `ii` at the hit latencies, or `None`
+/// when the difference constraints contain a positive cycle (the II is
+/// certified infeasible, no horizon involved).
 ///
-/// `horizon_of` receives the maximum ASAP cycle and returns the horizon to
-/// compute ALAP against (see [`Problem::horizon`]).
+/// The horizon is the latest ASAP cycle plus `horizon_stages` (at least 1)
+/// pipeline stages: see [`crate::ExactOptions::horizon_stages`] for the
+/// completeness caveat this bound carries.
 #[must_use]
-pub fn windows(
-    p: &Problem<'_, '_>,
-    ii: u32,
-    horizon_of: impl FnOnce(i64) -> i64,
-) -> Option<Windows> {
-    let n = p.num_ops();
-    // ASAP: longest paths from a virtual source (t ≥ 0 for every op),
-    // Bellman–Ford style. n rounds reach a fixpoint unless a positive cycle
-    // keeps relaxing.
-    let mut earliest = vec![0i64; n];
-    for round in 0..=n {
-        let mut changed = false;
-        for e in p.l.edges() {
-            let bound = earliest[e.src.index()] + p.edge_weight(e, ii);
-            if bound > earliest[e.dst.index()] {
-                earliest[e.dst.index()] = bound;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        if round == n {
-            return None; // positive cycle: II < RecMII
-        }
+pub fn windows(model: &ResModel<'_, '_>, ii: u32, horizon_stages: u32) -> Option<Windows> {
+    let n = model.num_ops();
+    // ASAP: every op may start at cycle 0, then longest paths forwards.
+    let mut asap = vec![Some(0); n];
+    if !longest_paths(model.l, ii, &model.latency, false, &mut asap) {
+        return None; // positive cycle: II < RecMII
     }
-
+    let earliest: Vec<i64> = asap.into_iter().flatten().collect();
     let asap_max = earliest.iter().copied().max().unwrap_or(0);
-    let horizon = horizon_of(asap_max).max(asap_max);
+    let horizon = asap_max + i64::from(horizon_stages.max(1)) * i64::from(ii);
 
-    // ALAP against the horizon: latest[src] ≤ latest[dst] − w(e). The graph
-    // has no positive cycles here, so n rounds converge.
-    let mut latest = vec![horizon; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for e in p.l.edges() {
-            let bound = latest[e.dst.index()] - p.edge_weight(e, ii);
-            if bound < latest[e.src.index()] {
-                latest[e.src.index()] = bound;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // The ASAP assignment satisfies every constraint and fits under the
-    // horizon, so earliest ≤ latest always holds; keep a guard anyway.
-    if earliest.iter().zip(&latest).any(|(e, l)| e > l) {
-        return None;
-    }
+    // ALAP: the longest path from each op to any op, taken off the horizon.
+    // Every such path ends at or before `asap_max`, so earliest ≤ latest.
+    let mut tail = vec![Some(0); n];
+    longest_paths(model.l, ii, &model.latency, true, &mut tail);
+    let latest = tail.into_iter().flatten().map(|t| horizon - t).collect();
     Some(Windows {
         earliest,
         latest,
@@ -111,8 +78,8 @@ mod tests {
     use mvp_ir::Loop;
     use mvp_machine::presets;
 
-    fn opts() -> ExactOptions {
-        ExactOptions::new()
+    fn stages() -> u32 {
+        ExactOptions::new().horizon_stages
     }
 
     #[test]
@@ -123,12 +90,11 @@ mod tests {
         b.data_edge(x, y, 0);
         let l = b.build().unwrap();
         let machine = presets::two_cluster();
-        let p = Problem::new(&l, &machine).unwrap();
-        let o = opts();
-        let w = windows(&p, 1, |asap| p.horizon(asap, 1, &o)).unwrap();
+        let m = ResModel::new(&l, &machine).unwrap();
+        let w = windows(&m, 1, stages()).unwrap();
         assert_eq!(w.earliest, vec![0, 2]);
         assert_eq!(w.latest[0], w.latest[1] - 2);
-        assert_eq!(w.horizon, 2 + i64::from(o.horizon_stages));
+        assert_eq!(w.horizon, 2 + i64::from(stages()));
         assert!(w.widths().iter().all(|&x| x >= 1));
     }
 
@@ -143,15 +109,11 @@ mod tests {
         b.data_edge(y, x, 1);
         let l = b.build().unwrap();
         let machine = presets::unified();
-        let p = Problem::new(&l, &machine).unwrap();
-        let o = opts();
+        let m = ResModel::new(&l, &machine).unwrap();
         for ii in 1..4 {
-            assert!(
-                windows(&p, ii, |a| p.horizon(a, ii, &o)).is_none(),
-                "II={ii}"
-            );
+            assert!(windows(&m, ii, stages()).is_none(), "II={ii}");
         }
-        assert!(windows(&p, 4, |a| p.horizon(a, 4, &o)).is_some());
+        assert!(windows(&m, 4, stages()).is_some());
     }
 
     #[test]
@@ -162,13 +124,12 @@ mod tests {
         b.data_edge(x, y, 2);
         let l = b.build().unwrap();
         let machine = presets::unified();
-        let p = Problem::new(&l, &machine).unwrap();
-        let o = opts();
+        let m = ResModel::new(&l, &machine).unwrap();
         // At II=1 the carried edge still forces Y no earlier than cycle 0.
-        let w = windows(&p, 1, |a| p.horizon(a, 1, &o)).unwrap();
+        let w = windows(&m, 1, stages()).unwrap();
         assert_eq!(w.earliest, vec![0, 0]);
         // At II=2 the edge weight is negative; both ops are unconstrained.
-        let w = windows(&p, 2, |a| p.horizon(a, 2, &o)).unwrap();
+        let w = windows(&m, 2, stages()).unwrap();
         assert_eq!(w.earliest, vec![0, 0]);
     }
 }

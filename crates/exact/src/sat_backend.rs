@@ -80,13 +80,12 @@
 //! Budget accounting mirrors the branch-and-bound: one *step* is one solver
 //! decision or conflict, drawn from the same shared pool as search nodes.
 
-use crate::model::Problem;
 use crate::options::ExactOptions;
 use crate::propagate::{windows, Windows};
 use crate::search::FixedIiOutcome;
 use mvp_core::{lifetime, PlacedOp};
 use mvp_ir::{EdgeKind, OpId};
-use mvp_resmodel::PartialSchedule;
+use mvp_resmodel::{PartialSchedule, ResModel};
 use mvp_sat::{Lit, SolveResult, Solver, Var};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -121,7 +120,7 @@ impl Bound {
 }
 
 struct Encoder<'a, 'l, 'm> {
-    p: &'a Problem<'l, 'm>,
+    p: &'a ResModel<'l, 'm>,
     solver: Solver,
     /// One-hot cluster choice per operation (empty on single-cluster
     /// machines, where the choice is void).
@@ -148,7 +147,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     /// Encodes the whole fixed-II formula: start variables first, so that
     /// the conflict-free branch order (variable index) picks start cycles
     /// before clusterings.
-    fn new(p: &'a Problem<'l, 'm>, ii: u32, win: Windows) -> Self {
+    fn new(p: &'a ResModel<'l, 'm>, ii: u32, win: Windows) -> Self {
         let mut enc = Self {
             p,
             solver: Solver::new(),
@@ -235,7 +234,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     }
 
     /// One-hot cluster choice over the clusters owning a unit of the
-    /// operation's kind ([`Problem::new`] guarantees at least one exists).
+    /// operation's kind ([`ResModel::new`] guarantees at least one exists).
     fn encode_clusters(&mut self) {
         let nc = self.p.machine.num_clusters();
         if nc <= 1 {
@@ -552,7 +551,7 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     /// re-checking every placement and transfer against the same rules the
     /// branch-and-bound enforces incrementally.
     fn decode(&self) -> PartialSchedule<'a, 'l, 'm> {
-        let mut ps = PartialSchedule::new(self.p.model(), self.ii as u32);
+        let mut ps = PartialSchedule::new(self.p, self.ii as u32);
         for op in self.p.l.op_ids() {
             let t = self.decoded_start(op);
             let cluster = self.decoded_cluster(op);
@@ -717,11 +716,11 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     /// positive dependence cycles — shared with the branch-and-bound),
     /// then the CNF encoding. `None` means a certificate refuted the II,
     /// so there is nothing to solve.
-    pub(crate) fn new(p: &'a Problem<'l, 'm>, ii: u32, options: &ExactOptions) -> Option<Self> {
+    pub(crate) fn new(p: &'a ResModel<'l, 'm>, ii: u32, options: &ExactOptions) -> Option<Self> {
         if ii == 0 || p.resource_infeasible(ii) {
             return None;
         }
-        let win = windows(p, ii, |asap| p.horizon(asap, ii, options))?;
+        let win = windows(p, ii, options.horizon_stages)?;
         let enc = Encoder::new(p, ii, win);
         mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
         mvp_trace::counter_handle!("exact.sat.encoded_clauses")
@@ -808,7 +807,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
 /// [`SatProbeSession`], for the unit tests below.
 #[cfg(test)]
 pub(crate) fn solve_fixed_ii_sat(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     steps_used: &mut u64,
@@ -825,7 +824,7 @@ mod tests {
     use mvp_machine::presets;
 
     fn probe(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
-        let p = Problem::new(l, machine).unwrap();
+        let p = ResModel::new(l, machine).unwrap();
         let mut steps = 0;
         solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut steps)
     }
@@ -915,7 +914,7 @@ mod tests {
         // real windows, so a 1-step budget trips before any verdict.
         let l = chain();
         let machine = presets::two_cluster();
-        let p = Problem::new(&l, &machine).unwrap();
+        let p = ResModel::new(&l, &machine).unwrap();
         let mut steps = 0;
         let out = solve_fixed_ii_sat(&p, 2, &ExactOptions::new().with_node_budget(1), &mut steps);
         assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");
@@ -962,7 +961,7 @@ mod tests {
 
     /// Every (start, cluster) assignment inside the windows, one entry per
     /// operation, over the clusters owning a unit of its kind.
-    fn assignments(p: &Problem<'_, '_>, win: &Windows) -> Vec<Vec<(i64, usize)>> {
+    fn assignments(p: &ResModel<'_, '_>, win: &Windows) -> Vec<Vec<(i64, usize)>> {
         let mut all: Vec<Vec<(i64, usize)>> = vec![Vec::new()];
         for i in 0..p.num_ops() {
             let kind = p.fu_kind[i].index();
@@ -1037,10 +1036,10 @@ mod tests {
         for regs in [1, 2] {
             let machine = starved(regs);
             for l in &tiny_loops() {
-                let p = Problem::new(l, &machine).unwrap();
+                let p = ResModel::new(l, &machine).unwrap();
                 let min_ii = mvp_ir::mii::minimum_ii(l, &machine);
                 for ii in min_ii..=min_ii + 1 {
-                    let Some(win) = windows(&p, ii, |asap| p.horizon(asap, ii, &options)) else {
+                    let Some(win) = windows(&p, ii, options.horizon_stages) else {
                         continue;
                     };
                     let enc = Encoder::new(&p, ii, win.clone());
@@ -1158,9 +1157,9 @@ mod tests {
     /// (cycle, cluster per operation) to a schedule the independent
     /// validator accepts. Every (start row, bus) of every cross pair is
     /// tried; the kernel only prunes what the validator rejects too.
-    fn admits_legal_schedule(p: &Problem<'_, '_>, ii: u32, ops: &[(i64, usize)]) -> bool {
+    fn admits_legal_schedule(p: &ResModel<'_, '_>, ii: u32, ops: &[(i64, usize)]) -> bool {
         fn book(
-            p: &Problem<'_, '_>,
+            p: &ResModel<'_, '_>,
             ps: &mut PartialSchedule<'_, '_, '_>,
             pairs: &[mvp_resmodel::TransferPair],
         ) -> bool {
@@ -1195,7 +1194,7 @@ mod tests {
             }
             false
         }
-        let mut ps = PartialSchedule::new(p.model(), ii);
+        let mut ps = PartialSchedule::new(p, ii);
         for (i, &(t, c)) in ops.iter().enumerate() {
             let op = OpId::from_index(i);
             if ps.try_reserve_op(op, c, t, p.latency[i], false, 0).is_err() {
@@ -1224,12 +1223,12 @@ mod tests {
             presets::motivating_example_machine(),
         ] {
             for l in &counting_loops() {
-                let p = Problem::new(l, &machine).unwrap();
+                let p = ResModel::new(l, &machine).unwrap();
                 let n = p.num_ops();
                 let nc = machine.num_clusters();
                 let kind = |i: usize| p.fu_kind[i].index();
                 for ii in 1..=3u32 {
-                    let Some(win) = windows(&p, ii, |asap| p.horizon(asap, ii, &options)) else {
+                    let Some(win) = windows(&p, ii, options.horizon_stages) else {
                         continue;
                     };
                     let mut enc = Encoder::new(&p, ii, win.clone());

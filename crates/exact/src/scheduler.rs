@@ -23,7 +23,6 @@
 //! engines draw from one shared budget pool measured in *search steps*
 //! (branch-and-bound nodes plus SAT decisions/conflicts).
 
-use crate::model::Problem;
 use crate::options::ExactOptions;
 use crate::outcome::{ExactOutcome, IiProbe, IiVerdict};
 use crate::sat_backend::SatProbeSession;
@@ -32,6 +31,7 @@ use mvp_core::error::ScheduleError;
 use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule};
 use mvp_ir::{mii, Loop};
 use mvp_machine::MachineConfig;
+use mvp_resmodel::ResModel;
 use std::fmt;
 
 /// The engine (or engine combination) driving the fixed-II probes.
@@ -103,7 +103,7 @@ pub fn solve_with(
     options: &ExactOptions,
     backend: &ExactBackend,
 ) -> Result<ExactOutcome, ScheduleError> {
-    let p = Problem::new(l, machine)?;
+    let p = ResModel::new(l, machine)?;
     let min_ii = mii::minimum_ii(l, machine);
     if min_ii == u32::MAX {
         return Err(ScheduleError::MissingResources {
@@ -161,7 +161,7 @@ const DOVETAIL_ESCALATION: u64 = 4;
 /// refutation SAT grinds on but branch-and-bound dispatches) cannot sink
 /// the search.
 fn dovetail_probe(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     session: &mut SatProbeSession<'_, '_, '_>,
@@ -198,7 +198,7 @@ fn dovetail_probe(
 /// Runs one probe on `backend`. A SAT or portfolio probe encodes its own
 /// formula in a fresh session, dropped when the probe returns.
 fn run_probe(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     backend: ExactBackend,
@@ -248,7 +248,7 @@ fn run_probe(
 /// probe commits [`IiVerdict::Unknown`] and ends the search; once the
 /// budget is spent no further II is probed or logged.
 fn ii_search(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     min_ii: u32,
     max_ii: u32,
     options: &ExactOptions,
@@ -313,7 +313,7 @@ fn ii_search(
 /// Assembles the search solution into a public [`Schedule`], computing the
 /// same MaxLive register pressure the validator recomputes.
 fn assemble(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     ii: u32,
     ops: Vec<mvp_core::PlacedOp>,
     comms: Vec<Communication>,

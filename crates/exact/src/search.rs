@@ -51,13 +51,12 @@
 //! Exceeding the shared node budget aborts the probe with
 //! [`FixedIiOutcome::Budget`] (an *unknown*, never an infeasibility claim).
 
-use crate::model::Problem;
 use crate::options::ExactOptions;
 use crate::propagate::{windows, Windows};
 use mvp_core::lifetime;
 use mvp_core::schedule::{Communication, PlacedOp};
 use mvp_ir::OpId;
-use mvp_resmodel::{NeighbourBounds, PartialSchedule, PlaceError, Token, TransferPair};
+use mvp_resmodel::{NeighbourBounds, PartialSchedule, PlaceError, ResModel, Token, TransferPair};
 
 /// Result of one fixed-II probe.
 #[derive(Debug)]
@@ -103,8 +102,29 @@ enum TransferStep {
 /// A complete solution: per-operation placements plus the transfer records.
 type RawSolution = (Vec<PlacedOp>, Vec<Communication>);
 
+/// Operation order the search branches in: tightest static window first
+/// (fail-first), breaking ties towards higher-degree and lower-id
+/// operations. The order is fixed per probe — conflict-driven backjumping
+/// relies on stable decision levels.
+fn branch_order(p: &ResModel<'_, '_>, window_width: &[i64]) -> Vec<OpId> {
+    let mut degree = vec![0usize; p.num_ops()];
+    for e in p.l.edges() {
+        degree[e.src.index()] += 1;
+        degree[e.dst.index()] += 1;
+    }
+    let mut order: Vec<OpId> = p.l.op_ids().collect();
+    order.sort_by_key(|op| {
+        (
+            window_width[op.index()],
+            -(degree[op.index()] as i64),
+            op.index(),
+        )
+    });
+    order
+}
+
 struct Searcher<'p, 'l, 'm> {
-    p: &'p Problem<'l, 'm>,
+    p: &'p ResModel<'l, 'm>,
     ii: u32,
     win: &'p Windows,
     /// Operations in branch order; position = decision level.
@@ -141,14 +161,14 @@ struct Searcher<'p, 'l, 'm> {
 }
 
 impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
-    fn new(p: &'p Problem<'l, 'm>, ii: u32, win: &'p Windows, options: &ExactOptions) -> Self {
-        let order = p.branch_order(&win.widths());
+    fn new(p: &'p ResModel<'l, 'm>, ii: u32, win: &'p Windows, options: &ExactOptions) -> Self {
+        let order = branch_order(p, &win.widths());
         Self {
             p,
             ii,
             win,
             order,
-            ps: PartialSchedule::new(p.model(), ii),
+            ps: PartialSchedule::new(p, ii),
             bounds: vec![NeighbourBounds::default(); p.num_ops() * p.machine.num_clusters()],
             pairs: vec![Vec::new(); p.num_ops()],
             stage0_placed: 0,
@@ -407,7 +427,7 @@ impl<'p, 'l, 'm> Searcher<'p, 'l, 'm> {
 /// dependence cycles), then the exhaustive search. `nodes_used` is
 /// incremented by the nodes this probe consumed.
 pub(crate) fn solve_fixed_ii(
-    p: &Problem<'_, '_>,
+    p: &ResModel<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     nodes_used: &mut u64,
@@ -415,7 +435,7 @@ pub(crate) fn solve_fixed_ii(
     if ii == 0 || p.resource_infeasible(ii) {
         return FixedIiOutcome::Infeasible;
     }
-    let Some(win) = windows(p, ii, |asap| p.horizon(asap, ii, options)) else {
+    let Some(win) = windows(p, ii, options.horizon_stages) else {
         return FixedIiOutcome::Infeasible;
     };
     let mut searcher = Searcher::new(p, ii, &win, options);
@@ -445,7 +465,7 @@ mod tests {
     use mvp_machine::presets;
 
     fn probe(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
-        let p = Problem::new(l, machine).unwrap();
+        let p = ResModel::new(l, machine).unwrap();
         let mut nodes = 0;
         solve_fixed_ii(&p, ii, &ExactOptions::new(), &mut nodes)
     }
@@ -513,7 +533,7 @@ mod tests {
     fn tiny_budget_reports_budget_not_infeasible() {
         let l = chain();
         let machine = presets::two_cluster();
-        let p = Problem::new(&l, &machine).unwrap();
+        let p = ResModel::new(&l, &machine).unwrap();
         let mut nodes = 0;
         let out = solve_fixed_ii(&p, 1, &ExactOptions::new().with_node_budget(1), &mut nodes);
         assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");

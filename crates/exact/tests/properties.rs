@@ -1,7 +1,9 @@
 //! Integration tests of the exact scheduler: known optima, certified
 //! infeasibility, budget behaviour, and the Figure-3 pinned regression.
 
-use mvp_core::{validate_schedule, BaselineScheduler, ModuloScheduler, RmcaScheduler};
+use mvp_core::{
+    validate_schedule, BaselineScheduler, ListScheduler, ModuloScheduler, RmcaScheduler,
+};
 use mvp_exact::{solve, solve_with, ExactBackend, ExactOptions, ExactScheduler, IiVerdict};
 use mvp_ir::{mii, Loop};
 use mvp_machine::{presets, BusConfig, CacheGeometry, ClusterConfig, MachineConfig};
@@ -98,6 +100,49 @@ fn infeasibility_below_mii_is_certified() {
     assert_eq!(outcome.min_ii, 4);
     assert!(outcome.proved_optimal);
     assert_eq!(outcome.schedule_ii(), Some(4));
+}
+
+/// A memory-ordering recurrence costs what the validator charges: a load
+/// of `A(I)` before the store of `A(I)` (distance 0), and the store before
+/// the next iteration's load (distance 1). Each memory edge orders two
+/// accesses one cycle apart, whatever the load latency, so the cycle needs
+/// II ≥ 2 and every engine proves II = 2. Charging the load latency on the
+/// memory edge would claim an optimum of 3 that the list scheduler beats.
+#[test]
+fn memory_recurrences_cost_one_cycle_per_edge_in_every_engine() {
+    let mut b = Loop::builder("memory-recurrence");
+    let i = b.dimension("I", 64);
+    let a = b.auto_array("A", 4096);
+    let ld = b.load("LD", b.array_ref(a).stride(i, 8).build());
+    let f = b.fp_op("F");
+    let st = b.store("ST", b.array_ref(a).stride(i, 8).build());
+    b.data_edge(ld, f, 0);
+    b.memory_edge(ld, st, 0);
+    b.memory_edge(st, ld, 1);
+    let l = b.build().unwrap();
+
+    for machine in [presets::unified(), presets::two_cluster()] {
+        assert_eq!(mii::minimum_ii(&l, &machine), 2, "{}", machine.name);
+        let list = ListScheduler::new().schedule(&l, &machine).unwrap();
+        assert!(validate_schedule(&l, &machine, &list).is_empty());
+        for backend in [
+            ExactBackend::BranchAndBound,
+            ExactBackend::Sat,
+            ExactBackend::Portfolio,
+        ] {
+            let outcome = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
+            let s = outcome.schedule.as_ref().expect("feasible");
+            assert!(outcome.proved_optimal, "{backend} on {}", machine.name);
+            assert_eq!(s.ii(), 2, "{backend} on {}", machine.name);
+            assert!(
+                list.ii() >= outcome.lower_bound,
+                "{backend} on {}",
+                machine.name
+            );
+            let v = validate_schedule(&l, &machine, s);
+            assert!(v.is_empty(), "{backend} on {}: {v:?}", machine.name);
+        }
+    }
 }
 
 /// A starved budget must yield a lower bound — never a panic, never a

@@ -109,13 +109,6 @@ impl ArrayRef {
         debug_assert!(addr >= 0, "affine reference computed a negative address");
         addr.max(0) as u64
     }
-
-    /// Whether the reference touches a different address on consecutive
-    /// iterations of the innermost loop of `nest`.
-    #[must_use]
-    pub fn varies_with_inner(&self, nest: &LoopNest) -> bool {
-        self.inner_stride(nest) != 0
-    }
 }
 
 impl fmt::Display for ArrayRef {
@@ -236,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn inner_stride_and_variation() {
+    fn inner_stride_is_the_innermost_dimension_stride() {
         let (nest, j, i) = nest_2d();
         let varies = ArrayRef::builder(ArrayId::from_index(0))
             .stride(i, 8)
@@ -245,9 +238,7 @@ mod tests {
             .stride(j, 8)
             .build();
         assert_eq!(varies.inner_stride(&nest), 8);
-        assert!(varies.varies_with_inner(&nest));
         assert_eq!(constant.inner_stride(&nest), 0);
-        assert!(!constant.varies_with_inner(&nest));
     }
 
     #[test]

@@ -65,17 +65,17 @@ impl DepEdge {
         }
     }
 
-    /// Whether the edge is loop-carried.
+    /// The dependence delay: the fewest cycles from the start of `src` to
+    /// the start of `dst` (before the iteration distance and any register-bus
+    /// hop). A data edge waits for the value, so it costs the source's
+    /// `src_latency`; a memory-ordering edge only orders the two accesses,
+    /// so it costs 1 cycle.
     #[must_use]
-    pub fn is_loop_carried(&self) -> bool {
-        self.distance > 0
-    }
-
-    /// Whether a register value flows along this edge (and therefore needs a
-    /// register-bus transfer if the endpoints live in different clusters).
-    #[must_use]
-    pub fn carries_value(&self) -> bool {
-        self.kind == EdgeKind::Data
+    pub fn delay(&self, src_latency: u32) -> u32 {
+        match self.kind {
+            EdgeKind::Data => src_latency,
+            EdgeKind::Memory => 1,
+        }
     }
 }
 
@@ -99,12 +99,15 @@ mod tests {
         let b = OpId::from_index(1);
         let d = DepEdge::data(a, b, 0);
         assert_eq!(d.kind, EdgeKind::Data);
-        assert!(d.carries_value());
-        assert!(!d.is_loop_carried());
         let m = DepEdge::memory(b, a, 2);
         assert_eq!(m.kind, EdgeKind::Memory);
-        assert!(!m.carries_value());
-        assert!(m.is_loop_carried());
+    }
+
+    #[test]
+    fn data_edges_wait_for_the_value_and_memory_edges_for_one_cycle() {
+        let (a, b) = (OpId::from_index(0), OpId::from_index(1));
+        assert_eq!(DepEdge::data(a, b, 0).delay(13), 13);
+        assert_eq!(DepEdge::memory(a, b, 1).delay(13), 1);
     }
 
     #[test]

@@ -4,6 +4,8 @@ use crate::array::{Array, ArrayId, ArrayRef, ArrayRefBuilder};
 use crate::edge::DepEdge;
 use crate::loop_nest::{DimId, LoopNest};
 use crate::op::{OpId, OpKind, Operation};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -75,6 +77,7 @@ pub struct Loop {
     edges: Vec<DepEdge>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
+    zero_distance_order: Vec<OpId>,
     nest: LoopNest,
     arrays: Vec<Array>,
     memory_refs: Vec<ArrayRef>,
@@ -134,6 +137,14 @@ impl Loop {
     /// Edges whose source is `id` (dependences `id → succ`).
     pub fn succs(&self, id: OpId) -> impl Iterator<Item = &DepEdge> + '_ {
         self.succs[id.index()].iter().map(move |&e| &self.edges[e])
+    }
+
+    /// Every operation in a topological order of the distance-0 dependence
+    /// subgraph: Kahn's algorithm, smallest ready id first. It always exists,
+    /// because [`LoopBuilder::build`] rejects distance-0 cycles.
+    #[must_use]
+    pub fn zero_distance_order(&self) -> &[OpId] {
+        &self.zero_distance_order
     }
 
     /// The loop nest the body belongs to.
@@ -216,7 +227,8 @@ impl Loop {
         self.nest.outer_trip_count()
     }
 
-    fn validate(&self) -> Result<(), IrError> {
+    /// Checks the loop; `in_degree` is what [`Loop::kahn_order`] left.
+    fn validate(&self, in_degree: &[usize]) -> Result<(), IrError> {
         if self.ops.is_empty() {
             return Err(IrError::EmptyLoop);
         }
@@ -241,53 +253,49 @@ impl Loop {
                 }
             }
         }
-        self.check_zero_distance_acyclic()
+        match (0..self.ops.len()).find(|&i| in_degree[i] > 0) {
+            Some(left_out) => Err(IrError::ZeroDistanceCycle {
+                op: self.walk_back_onto_cycle(OpId::from_index(left_out), in_degree),
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// Detects cycles in the distance-0 subgraph with an iterative
-    /// three-colour DFS.
-    fn check_zero_distance_acyclic(&self) -> Result<(), IrError> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
+    /// Kahn's algorithm over the distance-0 edges, smallest ready id first.
+    /// Leaves out exactly the operations on or after a distance-0 cycle;
+    /// `in_degree` ends positive on those.
+    fn kahn_order(&self, in_degree: &mut [usize]) -> Vec<OpId> {
+        for e in self.edges.iter().filter(|e| e.distance == 0) {
+            in_degree[e.dst.index()] += 1;
         }
-        let n = self.ops.len();
-        let mut colour = vec![Colour::White; n];
-        for start in 0..n {
-            if colour[start] != Colour::White {
-                continue;
-            }
-            // Stack of (node, next-successor-index).
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = Colour::Grey;
-            while let Some(&(node, next)) = stack.last() {
-                let succ_edges = &self.succs[node];
-                if next < succ_edges.len() {
-                    stack.last_mut().expect("stack is non-empty").1 += 1;
-                    let edge = &self.edges[succ_edges[next]];
-                    if edge.distance != 0 {
-                        continue;
-                    }
-                    let target = edge.dst.index();
-                    match colour[target] {
-                        Colour::Grey => {
-                            return Err(IrError::ZeroDistanceCycle { op: edge.dst });
-                        }
-                        Colour::White => {
-                            colour[target] = Colour::Grey;
-                            stack.push((target, 0));
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour[node] = Colour::Black;
-                    stack.pop();
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..self.ops.len())
+            .filter(|&i| in_degree[i] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order = Vec::with_capacity(self.ops.len());
+        while let Some(Reverse(i)) = ready.pop() {
+            order.push(OpId::from_index(i));
+            for e in self.succs(OpId::from_index(i)).filter(|e| e.distance == 0) {
+                in_degree[e.dst.index()] -= 1;
+                if in_degree[e.dst.index()] == 0 {
+                    ready.push(Reverse(e.dst.index()));
                 }
             }
         }
-        Ok(())
+        order
+    }
+
+    /// An operation on a distance-0 cycle, from `op`, one the Kahn order
+    /// left out. Each left-out op has a left-out distance-0 predecessor, so
+    /// walking back `n` such steps ends on a cycle.
+    fn walk_back_onto_cycle(&self, mut op: OpId, in_degree: &[usize]) -> OpId {
+        for _ in 0..self.ops.len() {
+            op = self
+                .preds(op)
+                .find(|e| e.distance == 0 && in_degree[e.src.index()] > 0)
+                .map_or(op, |e| e.src);
+        }
+        op
     }
 }
 
@@ -449,17 +457,20 @@ impl LoopBuilder {
             succs[edge.src.index()].push(i);
             preds[edge.dst.index()].push(i);
         }
-        let l = Loop {
+        let mut l = Loop {
             name: self.name,
             ops: self.ops,
             edges: self.edges,
             preds,
             succs,
+            zero_distance_order: Vec::new(),
             nest: self.nest,
             arrays: self.arrays,
             memory_refs: self.memory_refs,
         };
-        l.validate()?;
+        let mut in_degree = vec![0; n];
+        l.zero_distance_order = l.kahn_order(&mut in_degree);
+        l.validate(&in_degree)?;
         Ok(l)
     }
 }
@@ -496,7 +507,7 @@ mod tests {
         assert_eq!(l.succs(ld).count(), 2);
         assert_eq!(l.preds(st).count(), 2);
         assert_eq!(l.preds(ld).count(), 1);
-        assert!(l.preds(ld).next().unwrap().is_loop_carried());
+        assert_eq!(l.preds(ld).next().unwrap().distance, 1);
         assert_eq!(l.memory_ops().count(), 2);
         assert_eq!(l.loads().count(), 1);
         assert_eq!(l.iterations(), 16);
@@ -530,16 +541,34 @@ mod tests {
     }
 
     #[test]
-    fn zero_distance_cycle_is_rejected() {
+    fn zero_distance_cycle_is_rejected_naming_an_op_on_it() {
+        // W -> X -> Y -> X, with Y also feeding Z: only X and Y are on it.
         let mut b = Loop::builder("cycle");
+        let w = b.int_op("W");
         let x = b.int_op("X");
         let y = b.int_op("Y");
+        let z = b.int_op("Z");
+        b.data_edge(w, x, 0);
         b.data_edge(x, y, 0);
         b.data_edge(y, x, 0);
-        assert!(matches!(
-            b.build().unwrap_err(),
-            IrError::ZeroDistanceCycle { .. }
-        ));
+        b.data_edge(y, z, 0);
+        let IrError::ZeroDistanceCycle { op } = b.build().unwrap_err() else {
+            panic!("expected a distance-0 cycle");
+        };
+        assert!(op == x || op == y, "{op} is not on the cycle");
+    }
+
+    #[test]
+    fn zero_distance_order_takes_the_smallest_ready_id_first() {
+        // 3 -> 0 and 2 -> 1 at distance 0, 0 -> 3 loop-carried.
+        let mut b = Loop::builder("kahn");
+        let ops: Vec<OpId> = (0..4).map(|k| b.fp_op(format!("F{k}"))).collect();
+        b.data_edge(ops[3], ops[0], 0);
+        b.data_edge(ops[2], ops[1], 0);
+        b.data_edge(ops[0], ops[3], 1);
+        let l = b.build().unwrap();
+        let order: Vec<usize> = l.zero_distance_order().iter().map(|o| o.index()).collect();
+        assert_eq!(order, vec![2, 1, 3, 0]);
     }
 
     #[test]

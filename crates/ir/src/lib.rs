@@ -10,7 +10,9 @@
 //! * a [`LoopNest`] describing the iteration space (the innermost dimension
 //!   is the one that is software-pipelined),
 //! * a data-dependence graph ([`Loop`]) whose edges carry an iteration
-//!   [`distance`](DepEdge::distance) for loop-carried dependences,
+//!   [`distance`](DepEdge::distance) for loop-carried dependences and one
+//!   [`delay`](DepEdge::delay) rule that every scheduler, the exact engines
+//!   and the recurrence analysis share,
 //! * the lower bounds on the initiation interval ([`mii`]), the recurrence
 //!   analysis ([`recurrence`]) and the node [`ordering`] used by the
 //!   schedulers.

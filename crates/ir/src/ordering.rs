@@ -38,74 +38,41 @@ impl NodePriorities {
     pub fn compute(l: &Loop, mut latency_of: impl FnMut(OpId) -> u32) -> Self {
         let n = l.num_ops();
         let latencies: Vec<u64> = l.op_ids().map(|op| u64::from(latency_of(op))).collect();
-        let order = topological_order_zero_distance(l);
+        let order = l.zero_distance_order();
 
         let mut depth = vec![0u64; n];
-        for &node in &order {
-            for edge in l.preds(OpId::from_index(node)) {
+        for &node in order {
+            for edge in l.preds(node) {
                 if edge.distance != 0 {
                     continue;
                 }
                 let cand = depth[edge.src.index()] + latencies[edge.src.index()];
-                if cand > depth[node] {
-                    depth[node] = cand;
+                if cand > depth[node.index()] {
+                    depth[node.index()] = cand;
                 }
             }
         }
         let mut height = vec![0u64; n];
         for &node in order.iter().rev() {
-            height[node] = latencies[node];
-            for edge in l.succs(OpId::from_index(node)) {
+            let i = node.index();
+            height[i] = latencies[i];
+            for edge in l.succs(node) {
                 if edge.distance != 0 {
                     continue;
                 }
-                let cand = latencies[node] + height[edge.dst.index()];
-                if cand > height[node] {
-                    height[node] = cand;
+                let cand = latencies[i] + height[edge.dst.index()];
+                if cand > height[i] {
+                    height[i] = cand;
                 }
             }
         }
-
-        let rec_ops = recurrence::ops_in_recurrences(l);
-        let in_recurrence = (0..n)
-            .map(|i| rec_ops.contains(&OpId::from_index(i)))
-            .collect();
 
         Self {
             depth,
             height,
-            in_recurrence,
+            in_recurrence: recurrence::ops_in_recurrences(l),
         }
     }
-}
-
-/// Topological order of the distance-0 subgraph (valid for any [`Loop`],
-/// whose construction rejects distance-0 cycles).
-fn topological_order_zero_distance(l: &Loop) -> Vec<usize> {
-    let n = l.num_ops();
-    let mut indegree = vec![0usize; n];
-    for edge in l.edges() {
-        if edge.distance == 0 {
-            indegree[edge.dst.index()] += 1;
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(node) = ready.pop() {
-        order.push(node);
-        for edge in l.succs(OpId::from_index(node)) {
-            if edge.distance != 0 {
-                continue;
-            }
-            let d = edge.dst.index();
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                ready.push(d);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "distance-0 subgraph must be acyclic");
-    order
 }
 
 /// Computes the scheduling order of the loop's operations.

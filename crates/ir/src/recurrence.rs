@@ -1,206 +1,143 @@
-//! Recurrence (elementary-circuit) analysis of the dependence graph.
+//! Recurrence analysis of the dependence graph: one longest-path pass.
 //!
-//! Loop-carried dependence cycles bound the initiation interval from below:
-//! for every elementary circuit `c`, `II >= ceil(latency(c) / distance(c))`.
-//! The maximum over all circuits is the *recurrence-constrained minimum II*
-//! (RecMII). The RMCA scheduler additionally needs to know, for a given load,
-//! how much its latency can grow before some recurrence through it starts
-//! constraining the II (Section 4.3: a load is only scheduled with the miss
-//! latency "provided that this latency does not increase the II if the
-//! operation is in a recurrence").
+//! At a candidate initiation interval `II`, every dependence edge `e` is a
+//! difference constraint `t_dst − t_src ≥ w(e)` with
+//! `w(e) = delay(e) − II·distance(e)`, where [`DepEdge::delay`] is the one
+//! delay rule (the source latency on data edges, 1 cycle on memory edges),
+//! the same rule the legality oracle applies. A cycle of positive weight
+//! means the loop-carried dependences cannot fit in `II` cycles.
+//! [`longest_paths`] is the one Bellman–Ford pass over these weights, and
+//! everything else here is built on it:
+//!
+//! * [`rec_mii`], the *recurrence-constrained minimum II*: the smallest II
+//!   without a positive cycle;
+//! * [`latency_slack`], how many cycles a load's latency can grow before a
+//!   recurrence through it forces the II up (Section 4.3: a load is only
+//!   scheduled with the miss latency "provided that this latency does not
+//!   increase the II if the operation is in a recurrence");
+//! * [`ops_in_recurrences`], the operations that lie on some cycle.
+//!
+//! The exact schedulers' static windows (`mvp_exact::propagate`) are the
+//! same pass run forwards and backwards from every operation.
 
+use crate::edge::{DepEdge, EdgeKind};
 use crate::graph::Loop;
 use crate::op::OpId;
-use std::collections::HashSet;
 
-/// An elementary circuit of the dependence graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Circuit {
-    /// Operations on the circuit, in traversal order.
-    pub ops: Vec<OpId>,
-    /// Sum of the iteration distances of the edges on the circuit (always
-    /// at least 1 for a valid loop).
-    pub distance: u32,
+/// Weight of `e` at `ii`: `t_dst − t_src ≥ weight`.
+fn weight(e: &DepEdge, latency: &[u32], ii: u32) -> i64 {
+    i64::from(e.delay(latency[e.src.index()])) - i64::from(ii) * i64::from(e.distance)
 }
 
-impl Circuit {
-    /// Sum of the latencies of the operations on the circuit, using the
-    /// supplied per-operation latency function.
-    pub fn latency(&self, mut latency_of: impl FnMut(OpId) -> u32) -> u64 {
-        self.ops.iter().map(|&op| u64::from(latency_of(op))).sum()
-    }
-
-    /// Minimum initiation interval imposed by this circuit alone:
-    /// `ceil(latency / distance)`.
-    pub fn min_ii(&self, latency_of: impl FnMut(OpId) -> u32) -> u32 {
-        let lat = self.latency(latency_of);
-        let dist = u64::from(self.distance.max(1));
-        lat.div_ceil(dist) as u32
-    }
-}
-
-/// Upper bound on the number of circuits enumerated before giving up on exact
-/// enumeration (pathological graphs); the RecMII computed from the circuits
-/// found so far is still a valid lower bound and the positive-cycle check in
-/// [`rec_mii`] remains exact.
-const MAX_CIRCUITS: usize = 100_000;
-
-/// Enumerates the elementary circuits of the dependence graph.
+/// Longest paths over the dependence graph at initiation interval `ii`,
+/// with edge weights `delay − ii·distance` and per-operation `latency`.
 ///
-/// Uses a Johnson-style search: circuits are only reported from their
-/// smallest operation id, which guarantees each elementary circuit is found
-/// exactly once. The search stops after `MAX_CIRCUITS` circuits.
-#[must_use]
-pub fn elementary_circuits(l: &Loop) -> Vec<Circuit> {
-    let n = l.num_ops();
-    let mut circuits = Vec::new();
-    let mut on_path = vec![false; n];
-    let mut path: Vec<usize> = Vec::new();
-
-    // Depth-first search restricted to nodes >= root so that each circuit is
-    // discovered exactly once, rooted at its minimum node.
-    fn dfs(
-        l: &Loop,
-        root: usize,
-        node: usize,
-        on_path: &mut Vec<bool>,
-        path: &mut Vec<usize>,
-        circuits: &mut Vec<Circuit>,
-    ) {
-        if circuits.len() >= MAX_CIRCUITS {
-            return;
-        }
-        on_path[node] = true;
-        path.push(node);
-        for edge in l.succs(OpId::from_index(node)) {
-            let next = edge.dst.index();
-            if next < root {
+/// `dist` holds the start values: `Some(x)` for an operation the paths may
+/// start from at `x`, `None` for one not reached yet. On return, `dist[v]`
+/// is the longest path from a start to `v`, or, with `reverse` set, the
+/// longest path from `v` to a start (edges are followed backwards).
+///
+/// Returns `false` when a positive cycle is reachable: relaxation still
+/// changes something after `n` rounds, and `dist` is then meaningless.
+pub fn longest_paths(
+    l: &Loop,
+    ii: u32,
+    latency: &[u32],
+    reverse: bool,
+    dist: &mut [Option<i64>],
+) -> bool {
+    for _ in 0..l.num_ops() {
+        let mut changed = false;
+        for e in l.edges() {
+            let (from, to) = if reverse {
+                (e.dst.index(), e.src.index())
+            } else {
+                (e.src.index(), e.dst.index())
+            };
+            let Some(d) = dist[from] else {
                 continue;
-            }
-            if next == root {
-                // Found a circuit: path + closing edge.
-                let ops: Vec<OpId> = path.iter().map(|&i| OpId::from_index(i)).collect();
-                let mut distance = 0u32;
-                for w in 0..path.len() {
-                    let from = OpId::from_index(path[w]);
-                    let to = OpId::from_index(path[(w + 1) % path.len()]);
-                    // Take the minimum distance among parallel edges from→to.
-                    let d = l
-                        .succs(from)
-                        .filter(|e| e.dst == to)
-                        .map(|e| e.distance)
-                        .min()
-                        .unwrap_or(0);
-                    distance += d;
-                }
-                circuits.push(Circuit { ops, distance });
-                if circuits.len() >= MAX_CIRCUITS {
-                    break;
-                }
-            } else if !on_path[next] {
-                dfs(l, root, next, on_path, path, circuits);
+            };
+            let cand = d + weight(e, latency, ii);
+            if dist[to].is_none_or(|x| cand > x) {
+                dist[to] = Some(cand);
+                changed = true;
             }
         }
-        path.pop();
-        on_path[node] = false;
+        if !changed {
+            return true;
+        }
     }
-
-    for root in 0..n {
-        dfs(l, root, root, &mut on_path, &mut path, &mut circuits);
-    }
-    circuits
+    false
 }
 
-/// Identifiers of all operations that belong to at least one recurrence.
-#[must_use]
-pub fn ops_in_recurrences(l: &Loop) -> HashSet<OpId> {
-    let mut set = HashSet::new();
-    for c in elementary_circuits(l) {
-        set.extend(c.ops.iter().copied());
-    }
-    set
-}
-
-/// Recurrence-constrained minimum initiation interval.
-///
-/// Computed exactly with a positive-cycle feasibility check (Floyd–Warshall
-/// longest paths on edge weights `latency(src) − II·distance`), searching the
-/// smallest II for which no positive cycle exists. Returns 1 for acyclic
-/// graphs.
-pub fn rec_mii(l: &Loop, mut latency_of: impl FnMut(OpId) -> u32) -> u32 {
-    let latencies: Vec<u32> = l.op_ids().map(&mut latency_of).collect();
-    // Upper bound: sum of all latencies is always a feasible II.
-    let upper: u64 = latencies.iter().map(|&x| u64::from(x)).sum::<u64>().max(1);
-    let mut lo = 1u64;
-    let mut hi = upper;
+/// Recurrence-constrained minimum initiation interval: the smallest II at
+/// which no dependence cycle has positive weight, found by binary search
+/// over [`longest_paths`]. Returns 1 for acyclic graphs.
+pub fn rec_mii(l: &Loop, latency_of: impl FnMut(OpId) -> u32) -> u32 {
+    let latency: Vec<u32> = l.op_ids().map(latency_of).collect();
+    // Every cycle has distance ≥ 1, so the sum of all delays is feasible.
+    let upper: u64 = l
+        .edges()
+        .iter()
+        .map(|e| u64::from(e.delay(latency[e.src.index()])))
+        .sum::<u64>()
+        .clamp(1, u64::from(u32::MAX));
+    let (mut lo, mut hi) = (1, upper as u32);
     while lo < hi {
-        let mid = (lo + hi) / 2;
-        if has_positive_cycle(l, &latencies, mid) {
-            lo = mid + 1;
-        } else {
+        let mid = lo + (hi - lo) / 2;
+        // Paths from every op at once: any positive cycle is reachable.
+        if longest_paths(l, mid, &latency, false, &mut vec![Some(0); l.num_ops()]) {
             hi = mid;
+        } else {
+            lo = mid + 1;
         }
     }
-    lo as u32
+    lo
 }
 
-/// Whether the constraint graph has a positive-weight cycle for candidate
-/// initiation interval `ii` (meaning `ii` is infeasible).
-fn has_positive_cycle(l: &Loop, latencies: &[u32], ii: u64) -> bool {
-    let n = l.num_ops();
-    const NEG_INF: i64 = i64::MIN / 4;
-    let mut dist = vec![vec![NEG_INF; n]; n];
-    for edge in l.edges() {
-        let w = i64::from(latencies[edge.src.index()]) - (ii as i64) * i64::from(edge.distance);
-        let (s, d) = (edge.src.index(), edge.dst.index());
-        if w > dist[s][d] {
-            dist[s][d] = w;
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            if dist[i][k] == NEG_INF {
-                continue;
-            }
-            for j in 0..n {
-                if dist[k][j] == NEG_INF {
-                    continue;
-                }
-                let via = dist[i][k] + dist[k][j];
-                if via > dist[i][j] {
-                    dist[i][j] = via;
-                }
-            }
-        }
-    }
-    (0..n).any(|i| dist[i][i] > 0)
-}
-
-/// How many extra cycles of latency operation `op` can absorb before some
-/// recurrence through it would force the initiation interval above `ii`.
+/// How many extra cycles of latency `op` can absorb before some recurrence
+/// through it would force the initiation interval above `ii`.
 ///
-/// Returns `u32::MAX` when `op` does not belong to any recurrence (its
-/// latency can grow freely without affecting the II; only the schedule length
-/// / stage count grows).
-pub fn latency_slack(l: &Loop, op: OpId, ii: u32, mut latency_of: impl FnMut(OpId) -> u32) -> u32 {
-    let circuits = elementary_circuits(l);
-    let mut slack = u64::from(u32::MAX);
-    let mut found = false;
-    for c in &circuits {
-        if !c.ops.contains(&op) {
-            continue;
-        }
-        found = true;
-        let lat = c.latency(&mut latency_of);
-        let budget = u64::from(ii) * u64::from(c.distance.max(1));
-        let s = budget.saturating_sub(lat);
-        slack = slack.min(s);
+/// A latency only enters the delay of the op's outgoing *data* edges, so
+/// the slack is `−W` for the heaviest cycle `W` that leaves `op` through a
+/// data edge: one backward [`longest_paths`] pass from `op` gives every
+/// such cycle. Returns `u32::MAX` when no such cycle exists (the latency
+/// can grow freely; only the stage count grows) and 0 when a positive
+/// cycle leads into `op` (`ii` is then below the RecMII of these
+/// latencies).
+pub fn latency_slack(l: &Loop, op: OpId, ii: u32, latency_of: impl FnMut(OpId) -> u32) -> u32 {
+    let latency: Vec<u32> = l.op_ids().map(latency_of).collect();
+    let mut to_op = vec![None; l.num_ops()];
+    to_op[op.index()] = Some(0);
+    if !longest_paths(l, ii, &latency, true, &mut to_op) {
+        return 0;
     }
-    if found {
-        slack.min(u64::from(u32::MAX)) as u32
-    } else {
-        u32::MAX
-    }
+    l.succs(op)
+        .filter(|e| e.kind == EdgeKind::Data)
+        .filter_map(|e| Some(to_op[e.dst.index()]? + weight(e, &latency, ii)))
+        .max()
+        .map_or(u32::MAX, |heaviest| {
+            (-heaviest).clamp(0, i64::from(u32::MAX)) as u32
+        })
+}
+
+/// Per operation, whether it lies on some dependence cycle.
+///
+/// Op `v` is on a cycle when a predecessor of `v` is reachable from `v`.
+/// Reachability is one forward [`longest_paths`] pass from `v`, run with
+/// unit latencies at `II = n`, where no cycle can be positive.
+#[must_use]
+pub fn ops_in_recurrences(l: &Loop) -> Vec<bool> {
+    let n = l.num_ops();
+    let unit = vec![1; n];
+    l.op_ids()
+        .map(|v| {
+            let mut from_v = vec![None; n];
+            from_v[v.index()] = Some(0);
+            longest_paths(l, n as u32, &unit, false, &mut from_v);
+            l.preds(v).any(|e| from_v[e.src.index()].is_some())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -225,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn acyclic_graph_has_rec_mii_one_and_no_circuits() {
+    fn acyclic_graph_has_rec_mii_one_and_no_recurrences() {
         let mut b = Loop::builder("chain");
         let x = b.fp_op("X");
         let y = b.fp_op("Y");
@@ -233,8 +170,7 @@ mod tests {
         b.data_edge(x, y, 0);
         b.data_edge(y, z, 0);
         let l = b.build().unwrap();
-        assert!(elementary_circuits(&l).is_empty());
-        assert!(ops_in_recurrences(&l).is_empty());
+        assert_eq!(ops_in_recurrences(&l), vec![false; 3]);
         assert_eq!(rec_mii(&l, hit(&l)), 1);
         assert_eq!(latency_slack(&l, x, 3, hit(&l)), u32::MAX);
     }
@@ -242,13 +178,8 @@ mod tests {
     #[test]
     fn two_node_recurrence_has_rec_mii_four() {
         let l = simple_recurrence();
-        let circuits = elementary_circuits(&l);
-        assert_eq!(circuits.len(), 1);
-        assert_eq!(circuits[0].distance, 1);
-        assert_eq!(circuits[0].latency(hit(&l)), 4);
-        assert_eq!(circuits[0].min_ii(hit(&l)), 4);
         assert_eq!(rec_mii(&l, hit(&l)), 4);
-        assert_eq!(ops_in_recurrences(&l).len(), 2);
+        assert_eq!(ops_in_recurrences(&l), vec![true, true]);
     }
 
     #[test]
@@ -263,14 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_is_a_circuit() {
+    fn self_loop_is_a_recurrence() {
         let mut b = Loop::builder("self");
         let x = b.fp_op("X");
+        let y = b.fp_op("Y");
         b.data_edge(x, x, 1);
+        b.data_edge(x, y, 0);
         let l = b.build().unwrap();
-        let circuits = elementary_circuits(&l);
-        assert_eq!(circuits.len(), 1);
-        assert_eq!(circuits[0].ops, vec![x]);
+        assert_eq!(ops_in_recurrences(&l), vec![true, false]);
         assert_eq!(rec_mii(&l, hit(&l)), 2);
     }
 
@@ -284,6 +215,8 @@ mod tests {
         assert_eq!(latency_slack(&l, x, 6, hit(&l)), 2);
         // With II = 10 there are 6 spare cycles.
         assert_eq!(latency_slack(&l, x, 10, hit(&l)), 6);
+        // Below the RecMII there is none.
+        assert_eq!(latency_slack(&l, x, 3, hit(&l)), 0);
     }
 
     #[test]
@@ -296,14 +229,32 @@ mod tests {
         b.data_edge(c, d, 0);
         b.data_edge(d, c, 1); // circuit of latency 4, distance 1 -> II 4
         let l = b.build().unwrap();
-        assert_eq!(elementary_circuits(&l).len(), 2);
         assert_eq!(rec_mii(&l, hit(&l)), 4);
+        // Each op's slack is set by its own circuit only.
+        assert_eq!(latency_slack(&l, a, 4, hit(&l)), 2);
+        assert_eq!(latency_slack(&l, c, 4, hit(&l)), 0);
     }
 
     #[test]
-    fn rec_mii_matches_circuit_bound_on_random_small_graphs() {
-        // Cross-check the feasibility-based RecMII against the circuit
-        // enumeration on a handful of structured graphs.
+    fn memory_edges_cost_one_cycle_on_a_recurrence() {
+        // LD -> ST (memory, distance 0), ST -> LD (memory, distance 1): the
+        // cycle costs 1 + 1 cycles whatever the load latency, so RecMII = 2,
+        // and the load has no data edge on the cycle to raise.
+        let mut b = Loop::builder("memory-recurrence");
+        let i = b.dimension("I", 16);
+        let a = b.auto_array("A", 1024);
+        let ld = b.load("LD", b.array_ref(a).stride(i, 8).build());
+        let st = b.store("ST", b.array_ref(a).stride(i, 8).build());
+        b.memory_edge(ld, st, 0);
+        b.memory_edge(st, ld, 1);
+        let l = b.build().unwrap();
+        assert_eq!(rec_mii(&l, hit(&l)), 2);
+        assert_eq!(ops_in_recurrences(&l), vec![true, true]);
+        assert_eq!(latency_slack(&l, ld, 2, hit(&l)), u32::MAX);
+    }
+
+    #[test]
+    fn rings_bound_the_ii_by_latency_over_distance() {
         for &(dist, n_ops) in &[(1u32, 3usize), (2, 4), (3, 5)] {
             let mut b = Loop::builder("ring");
             let ops: Vec<_> = (0..n_ops).map(|i| b.fp_op(format!("F{i}"))).collect();
@@ -312,13 +263,8 @@ mod tests {
             }
             b.data_edge(ops[n_ops - 1], ops[0], dist);
             let l = b.build().unwrap();
-            let circuits = elementary_circuits(&l);
-            let from_circuits = circuits
-                .iter()
-                .map(|c| c.min_ii(hit(&l)))
-                .max()
-                .unwrap_or(1);
-            assert_eq!(rec_mii(&l, hit(&l)), from_circuits);
+            let latency = 2 * n_ops as u32;
+            assert_eq!(rec_mii(&l, hit(&l)), latency.div_ceil(dist));
         }
     }
 }

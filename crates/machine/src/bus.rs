@@ -46,12 +46,6 @@ impl BusCount {
             BusCount::Unbounded => None,
         }
     }
-
-    /// Whether the count is unbounded.
-    #[must_use]
-    pub fn is_unbounded(self) -> bool {
-        matches!(self, BusCount::Unbounded)
-    }
 }
 
 impl fmt::Display for BusCount {
@@ -129,12 +123,10 @@ mod tests {
     fn finite_and_unbounded_constructors() {
         let b = BusConfig::finite(2, 1);
         assert_eq!(b.count.finite(), Some(2));
-        assert!(!b.count.is_unbounded());
         assert!(b.validate().is_ok());
 
         let u = BusConfig::unbounded(4);
         assert_eq!(u.count.finite(), None);
-        assert!(u.count.is_unbounded());
         assert!(u.validate().is_ok());
     }
 

@@ -38,12 +38,6 @@ impl CacheGeometry {
         self.capacity_bytes / (self.block_bytes * self.associativity)
     }
 
-    /// Number of cache blocks.
-    #[must_use]
-    pub fn num_blocks(&self) -> u64 {
-        self.capacity_bytes / self.block_bytes
-    }
-
     /// Cache set index of a byte address.
     #[must_use]
     pub fn set_of(&self, address: u64) -> u64 {
@@ -108,7 +102,6 @@ mod tests {
         assert_eq!(g.associativity, 1);
         assert_eq!(g.block_bytes, 32);
         assert_eq!(g.num_sets(), 128);
-        assert_eq!(g.num_blocks(), 128);
         assert_eq!(g.mshr_entries, 10);
         assert!(g.validate().is_ok());
     }
@@ -171,6 +164,5 @@ mod tests {
         };
         assert!(g.validate().is_ok());
         assert_eq!(g.num_sets(), 64);
-        assert_eq!(g.num_blocks(), 128);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::cache_geom::CacheGeometry;
 use crate::error::MachineError;
-use crate::fu::{FuKind, FunctionalUnit};
+use crate::fu::FuKind;
 
 /// Configuration of one cluster of the multiVLIWprocessor.
 ///
@@ -50,13 +50,6 @@ impl ClusterConfig {
         self.fu_counts.iter().sum()
     }
 
-    /// Iterator over all functional units of the cluster.
-    pub fn functional_units(&self) -> impl Iterator<Item = FunctionalUnit> + '_ {
-        FuKind::ALL.into_iter().flat_map(move |kind| {
-            (0..self.fu_count(kind)).map(move |i| FunctionalUnit::new(kind, i))
-        })
-    }
-
     /// Validates the cluster: it must contain at least one functional unit, a
     /// non-empty register file and a valid cache geometry.
     ///
@@ -95,17 +88,6 @@ mod tests {
         assert_eq!(c.fu_count(FuKind::Memory), 2);
         assert_eq!(c.issue_width(), 6);
         assert!(c.validate(0).is_ok());
-    }
-
-    #[test]
-    fn functional_units_enumeration() {
-        let c = ClusterConfig::new(1, 2, 1, 16, cache());
-        let units: Vec<_> = c.functional_units().collect();
-        assert_eq!(units.len(), 4);
-        assert_eq!(units[0], FunctionalUnit::new(FuKind::Integer, 0));
-        assert_eq!(units[1], FunctionalUnit::new(FuKind::Float, 0));
-        assert_eq!(units[2], FunctionalUnit::new(FuKind::Float, 1));
-        assert_eq!(units[3], FunctionalUnit::new(FuKind::Memory, 0));
     }
 
     #[test]

@@ -55,33 +55,6 @@ impl fmt::Display for FuKind {
     }
 }
 
-/// A single functional unit instance inside a cluster.
-///
-/// Units are fully pipelined: a new operation can be issued every cycle and
-/// the only resource conflict is on the issue slot itself, which matches the
-/// resource model used by modulo scheduling reservation tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FunctionalUnit {
-    /// Kind of operations this unit executes.
-    pub kind: FuKind,
-    /// Index of the unit among the units of the same kind in its cluster.
-    pub index: usize,
-}
-
-impl FunctionalUnit {
-    /// Creates a functional unit descriptor.
-    #[must_use]
-    pub fn new(kind: FuKind, index: usize) -> Self {
-        Self { kind, index }
-    }
-}
-
-impl fmt::Display for FunctionalUnit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]", self.kind, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,10 +81,6 @@ mod tests {
         assert_eq!(FuKind::Integer.to_string(), "integer");
         assert_eq!(FuKind::Float.to_string(), "float");
         assert_eq!(FuKind::Memory.to_string(), "memory");
-        assert_eq!(
-            FunctionalUnit::new(FuKind::Memory, 1).to_string(),
-            "memory[1]"
-        );
     }
 
     #[test]

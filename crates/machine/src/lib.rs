@@ -46,6 +46,6 @@ pub use bus::{BusConfig, BusCount, BusKind};
 pub use cache_geom::CacheGeometry;
 pub use cluster::ClusterConfig;
 pub use error::MachineError;
-pub use fu::{FuKind, FunctionalUnit};
+pub use fu::FuKind;
 pub use latency::OperationLatencies;
 pub use machine::{ClusterId, MachineBuilder, MachineConfig};

@@ -1,6 +1,6 @@
 //! Whole-machine configuration and builder.
 
-use crate::bus::{BusConfig, BusCount};
+use crate::bus::BusConfig;
 use crate::cache_geom::CacheGeometry;
 use crate::cluster::ClusterConfig;
 use crate::error::MachineError;
@@ -41,12 +41,6 @@ impl MachineConfig {
     #[must_use]
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Whether this is a single-cluster (unified) machine.
-    #[must_use]
-    pub fn is_unified(&self) -> bool {
-        self.clusters.len() == 1
     }
 
     /// The configuration of cluster `id`.
@@ -287,16 +281,6 @@ pub fn split_cache(total: CacheGeometry, num_clusters: usize) -> CacheGeometry {
     }
 }
 
-/// Convenience alias used by schedulers when a bus count is needed as a
-/// number: unbounded bus sets are represented as `usize::MAX`.
-#[must_use]
-pub fn effective_bus_count(count: BusCount) -> usize {
-    match count {
-        BusCount::Finite(n) => n,
-        BusCount::Unbounded => usize::MAX,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,7 +302,6 @@ mod tests {
         assert_eq!(m.total_registers(), 64);
         assert_eq!(m.total_cache_bytes(), 8192);
         assert_eq!(m.total_fu_count(FuKind::Memory), 4);
-        assert!(!m.is_unified());
     }
 
     #[test]
@@ -360,7 +343,7 @@ mod tests {
             .build()
             .unwrap();
         let m2 = m.with_memory_buses(BusConfig::unbounded(4));
-        assert!(m2.memory_buses.count.is_unbounded());
+        assert_eq!(m2.memory_buses.count.finite(), None);
         assert_eq!(m2.memory_buses.latency, 4);
         let m3 = m.with_register_buses(BusConfig::finite(3, 2));
         assert_eq!(m3.register_buses.count.finite(), Some(3));
@@ -378,12 +361,6 @@ mod tests {
         assert_eq!(unified.capacity_bytes, 8192);
         // Degenerate zero-cluster input behaves as one cluster.
         assert_eq!(split_cache(total, 0).capacity_bytes, 8192);
-    }
-
-    #[test]
-    fn effective_bus_count_maps_unbounded_to_max() {
-        assert_eq!(effective_bus_count(BusCount::Finite(2)), 2);
-        assert_eq!(effective_bus_count(BusCount::Unbounded), usize::MAX);
     }
 
     #[test]

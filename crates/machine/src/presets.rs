@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn unified_has_one_cluster_with_four_of_each() {
         let m = unified();
-        assert!(m.is_unified());
+        assert_eq!(m.num_clusters(), 1);
         for kind in FuKind::ALL {
             assert_eq!(m.cluster(0).fu_count(kind), 4);
         }

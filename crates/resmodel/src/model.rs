@@ -9,7 +9,7 @@
 //! [`PartialSchedule`](crate::PartialSchedule).
 
 use crate::error::ModelError;
-use mvp_ir::{DepEdge, EdgeKind, Loop, OpId};
+use mvp_ir::{DepEdge, Loop, OpId};
 use mvp_machine::{BusCount, FuKind, MachineConfig};
 
 /// Precomputed constraint-model facts for one (loop, machine) pair, shared
@@ -132,12 +132,7 @@ impl<'l, 'm> ResModel<'l, 'm> {
     /// `DependenceViolated` rule.
     #[must_use]
     pub fn edge_weight(&self, e: &DepEdge, ii: u32) -> i64 {
-        let lat = if e.kind == EdgeKind::Data {
-            i64::from(self.latency[e.src.index()])
-        } else {
-            1
-        };
-        lat - i64::from(ii) * i64::from(e.distance)
+        i64::from(e.delay(self.latency[e.src.index()])) - i64::from(ii) * i64::from(e.distance)
     }
 
     /// The resource-count certificate (the `ResMII` bound, per unit kind):

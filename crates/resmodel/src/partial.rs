@@ -356,10 +356,10 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
 
     /// Start-cycle bounds imposed on `op` in `cluster` by its already-placed
     /// neighbours, tightened from the caller's initial window. Predecessors
-    /// raise the lower bound by `cycle + latency (+ bus latency when
-    /// clusters differ) − II·distance`; successors lower the upper bound
-    /// symmetrically (the validator's `DependenceViolated` rule, solved for
-    /// the free endpoint). `culprit` accumulates the maximum token among
+    /// raise the lower bound by `cycle + delay (+ bus latency when clusters
+    /// differ) − II·distance`, with [`mvp_ir::DepEdge::delay`]; successors
+    /// lower the upper bound symmetrically (the validator's
+    /// `DependenceViolated` rule, solved for the free endpoint). `culprit` accumulates the maximum token among
     /// every neighbour that strictly tightened a bound.
     ///
     /// Self-loop edges are excluded: both endpoints shift together, so they
@@ -422,12 +422,8 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             let Some(p) = self.placements[e.src.index()] else {
                 continue;
             };
-            let (lat, comm) = if e.kind == EdgeKind::Data {
-                (i64::from(p.latency), bus_lat)
-            } else {
-                (1, 0)
-            };
-            let same = p.cycle + lat - ii * i64::from(e.distance);
+            let comm = if e.kind == EdgeKind::Data { bus_lat } else { 0 };
+            let same = p.cycle + i64::from(e.delay(p.latency)) - ii * i64::from(e.distance);
             for (c, b) in (first_cluster..).zip(out.iter_mut()) {
                 let bound = if c == p.cluster { same } else { same + comm };
                 if b.lo.is_none_or(|x| bound > x) {
@@ -443,12 +439,8 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
             let Some(s) = self.placements[e.dst.index()] else {
                 continue;
             };
-            let (lat, comm) = if e.kind == EdgeKind::Data {
-                (i64::from(assumed_latency), bus_lat)
-            } else {
-                (1, 0)
-            };
-            let same = s.cycle + ii * i64::from(e.distance) - lat;
+            let comm = if e.kind == EdgeKind::Data { bus_lat } else { 0 };
+            let same = s.cycle + ii * i64::from(e.distance) - i64::from(e.delay(assumed_latency));
             for (c, b) in (first_cluster..).zip(out.iter_mut()) {
                 let bound = if c == s.cluster { same } else { same - comm };
                 if b.hi.is_none_or(|x| bound < x) {
@@ -462,22 +454,19 @@ impl<'r, 'l, 'm> PartialSchedule<'r, 'l, 'm> {
     /// Whether every self-loop edge of `op` is satisfied at this II with
     /// the given assumed latency. A self-loop shifts with its own
     /// placement, so the validator's `DependenceViolated` rule degenerates
-    /// to a pure II constraint: `II · distance ≥ latency` (1 for
-    /// memory-ordering edges; the bus term never applies — one operation
-    /// occupies one cluster). The builders discharge this rule up front via
+    /// to a pure II constraint: `II · distance ≥ delay`, with
+    /// [`mvp_ir::DepEdge::delay`] of the assumed latency (the bus term never
+    /// applies — one operation occupies one cluster). The builders discharge this rule up front via
     /// `RecMII` / window propagation, so it is primarily a replay/oracle
     /// query.
     #[must_use]
     pub fn self_edges_admit(&self, op: OpId, assumed_latency: u32) -> bool {
         let ii = i64::from(self.ii);
-        self.model.l.preds(op).filter(|e| e.src == op).all(|e| {
-            let lat = if e.kind == EdgeKind::Data {
-                i64::from(assumed_latency)
-            } else {
-                1
-            };
-            ii * i64::from(e.distance) >= lat
-        })
+        self.model
+            .l
+            .preds(op)
+            .filter(|e| e.src == op)
+            .all(|e| ii * i64::from(e.distance) >= i64::from(e.delay(assumed_latency)))
     }
 
     /// Reserves the functional-unit slot for `op` in `cluster` at `cycle`

@@ -82,8 +82,14 @@ mod tests {
     #[test]
     fn the_smoothing_recurrence_is_short() {
         let l = &loops(&KernelParams::default())[0];
-        let circuits = recurrence::elementary_circuits(l);
-        assert_eq!(circuits.len(), 1);
+        let in_recurrence = recurrence::ops_in_recurrences(l);
+        let on_cycle: Vec<&str> = l
+            .ops()
+            .iter()
+            .filter(|o| in_recurrence[o.id.index()])
+            .map(|o| o.name.as_str())
+            .collect();
+        assert_eq!(on_cycle, ["SMOOTH"]);
         // A 2-cycle FP self-recurrence: RecMII = 2.
         assert_eq!(mii::rec_mii(l, &presets::unified()), 2);
     }

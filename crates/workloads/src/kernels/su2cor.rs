@@ -94,10 +94,17 @@ mod tests {
     #[test]
     fn the_accumulators_form_recurrences() {
         let l = &loops(&KernelParams::default())[0];
-        let circuits = recurrence::elementary_circuits(l);
-        assert_eq!(circuits.len(), 2);
+        let in_recurrence = recurrence::ops_in_recurrences(l);
+        let on_cycle: Vec<&str> = l
+            .ops()
+            .iter()
+            .filter(|o| in_recurrence[o.id.index()])
+            .map(|o| o.name.as_str())
+            .collect();
+        assert_eq!(on_cycle, ["ACC_re", "ACC_im"]);
         // The 2-cycle FP accumulator bounds the II at 2 even on the widest
         // machine.
+        assert_eq!(mii::rec_mii(l, &presets::unified()), 2);
         assert!(mii::minimum_ii(l, &presets::unified()) >= 2);
     }
 }

@@ -26,7 +26,11 @@
 //! * `SimStats` invariants agree across scheduler choices on the same
 //!   machine: identical memory-access counts, iteration counts, and a
 //!   compute-cycle floor of `II × iterations`
-//!   (`simulation_invariants_agree_across_schedulers`).
+//!   (`simulation_invariants_agree_across_schedulers`),
+//! * on small loops given a memory-ordering recurrence (the generator emits
+//!   no memory edges), the list schedule never beats the minimum II and no
+//!   exact engine certifies a bound above it
+//!   (`memory_recurrences_never_lift_a_bound_above_a_legal_schedule`).
 //!
 //! The seeded case loops run as jobs on the shared batch executor
 //! of [`multivliw::exec`]: per-case generator seeds are drawn up front from
@@ -45,13 +49,17 @@
 //!   parallelism; results are identical regardless).
 
 use multivliw::core::{validate_schedule, ListScheduler, ModuloScheduler, ScheduleError};
-use multivliw::exact::{solve, ExactOptions};
+use multivliw::exact::{solve, solve_with, ExactBackend, ExactOptions};
 use multivliw::exec::Executor;
 use multivliw::ir::mii;
+use multivliw::machine::presets;
 use multivliw::pipeline::{LoopReport, Pipeline, SchedulerChoice};
 use multivliw::workloads::generator::{GeneratorConfig, LoopGenerator};
 use multivliw::workloads::rng::SplitMix64;
 use multivliw::Error;
+
+#[path = "support/memory_recurrence.rs"]
+mod memory_recurrence;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -425,5 +433,76 @@ fn simulation_invariants_agree_across_schedulers() {
     );
     println!(
         "simulation differential: {compared}/{cases} loops compared (base seed {base_seed:#x})"
+    );
+}
+
+#[test]
+fn memory_recurrences_never_lift_a_bound_above_a_legal_schedule() {
+    // Small generated loops, each given a memory recurrence: a distance-0
+    // chain of memory edges from a load to a later store, closed by a
+    // store→load edge at distance ≥ 1. Memory edges cost 1 cycle in the
+    // validator, so the list scheduler's validator-clean II is a witness:
+    // the minimum II must not exceed it, and neither may any engine's
+    // certified lower bound.
+    let cases = fuzz_cases();
+    let base_seed = fuzz_seed() ^ 0x3E3_0C1E;
+    // Memory-heavy bodies, so that most loops have a store after a load.
+    let cfg = GeneratorConfig {
+        min_ops: 3,
+        max_ops: 10,
+        memory_fraction: 0.6,
+        store_fraction: 0.5,
+        ..GeneratorConfig::default()
+    };
+    let machines = [presets::unified(), presets::two_cluster()];
+    let list = ListScheduler::new();
+    let mut meta = SplitMix64::seed_from_u64(base_seed);
+    let seeds: Vec<u64> = (0..cases).map(|_| meta.next_u64()).collect();
+    let checked = Executor::global().map_indexed(&seeds, |case, &seed| {
+        let plain = LoopGenerator::new(cfg, seed).generate();
+        let Some(l) = memory_recurrence::with_memory_recurrence(&plain, seed) else {
+            return false;
+        };
+        for machine in &machines {
+            let s = list
+                .schedule(&l, machine)
+                .expect("list scheduling always succeeds on the Table-1 machines");
+            let violations = validate_schedule(&l, machine, &s);
+            assert!(
+                violations.is_empty(),
+                "case {case} seed {seed:#x}: list schedule illegal on {}: {violations:?}",
+                machine.name
+            );
+            assert!(
+                s.ii() >= mii::minimum_ii(&l, machine),
+                "case {case} seed {seed:#x}: legal list II {} below the minimum II {} on {}",
+                s.ii(),
+                mii::minimum_ii(&l, machine),
+                machine.name
+            );
+            for backend in [
+                ExactBackend::BranchAndBound,
+                ExactBackend::Sat,
+                ExactBackend::Portfolio,
+            ] {
+                let outcome = solve_with(&l, machine, &ExactOptions::new(), &backend)
+                    .expect("well-formed loops build a valid exact model");
+                assert!(
+                    outcome.lower_bound <= s.ii(),
+                    "case {case} seed {seed:#x}: {backend} certifies {} above the legal \
+                     list II {} on {}",
+                    outcome.lower_bound,
+                    s.ii(),
+                    machine.name
+                );
+            }
+        }
+        true
+    });
+    let checked = checked.iter().filter(|&&c| c).count();
+    assert!(checked > 0, "no generated loop had a store after a load");
+    println!(
+        "memory recurrences: {checked}/{cases} loops checked on {} machines (base seed {base_seed:#x})",
+        machines.len()
     );
 }

@@ -29,11 +29,7 @@ fn check_schedule(l: &Loop, machine: &MachineConfig, schedule: &Schedule) {
     for e in l.edges() {
         let p = schedule.placement(e.src);
         let d = schedule.placement(e.dst);
-        let lat = if e.kind == EdgeKind::Data {
-            i64::from(p.assumed_latency)
-        } else {
-            1
-        };
+        let lat = i64::from(e.delay(p.assumed_latency));
         let comm = if e.kind == EdgeKind::Data && p.cluster != d.cluster {
             bus
         } else {
