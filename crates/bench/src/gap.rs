@@ -89,6 +89,9 @@ pub struct GapRow {
     pub schedule_ms: f64,
     /// Wall-clock of the exact solve pricing the row, in milliseconds.
     pub oracle_ms: f64,
+    /// Pipeline stages of the SAT encoding that decided the row's last
+    /// probe (`IiProbe::sat_stages`): `None` when no SAT encoding did.
+    pub sat_stages: Option<u32>,
 }
 
 impl GapRow {
@@ -206,6 +209,7 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
                 heuristic_ii(RmcaScheduler::new().schedule(l, machine)),
             )
         });
+        let last = outcome.probes.last();
         let row = GapRow {
             machine: machine.name.clone(),
             loop_name: l.name().to_string(),
@@ -216,11 +220,12 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             proved_optimal: outcome.proved_optimal,
             nodes: outcome.nodes,
             conflicts: outcome.conflicts,
-            solver: outcome.probes.last().map_or(outcome.backend, |p| p.solver),
+            solver: last.map_or(outcome.backend, |p| p.solver),
             baseline_ii: heuristics.0,
             rmca_ii: heuristics.1,
             schedule_ms: schedule_ns as f64 / 1e6,
             oracle_ms: oracle_ns as f64 / 1e6,
+            sat_stages: last.and_then(|p| p.sat_stages),
         };
         // A hard assert, not a debug_assert: the gap bin runs in release
         // mode in CI, and a heuristic beating a "certified" bound means
@@ -261,6 +266,7 @@ pub fn table(rows: &[GapRow]) -> Table {
         "conflicts",
         "schedule_ms",
         "oracle_ms",
+        "sat_stages",
     ]);
     let gap_cell = |g: Option<f64>| g.map_or_else(String::new, |g| format!("{g:.4}"));
     for r in rows {
@@ -281,6 +287,7 @@ pub fn table(rows: &[GapRow]) -> Table {
             r.conflicts.to_string(),
             format!("{:.3}", r.schedule_ms),
             format!("{:.3}", r.oracle_ms),
+            opt_cell(r.sat_stages),
         ]);
     }
     t
@@ -382,7 +389,7 @@ mod tests {
             header,
             "machine,loop,ops,min_ii,lower_bound,exact_ii,proved_optimal,nodes,\
              baseline_ii,rmca_ii,baseline_gap,rmca_gap,solver,conflicts,\
-             schedule_ms,oracle_ms"
+             schedule_ms,oracle_ms,sat_stages"
         );
         // CI's node-count artifact is `cut -d, -f1-3,8` of this CSV.
         let cut: Vec<&str> = header.split(',').collect();

@@ -76,58 +76,58 @@ const BNB_NODES: [(&str, &str, u64); 52] = [
 /// corpus, as `gap --solver sat` prints them in its `conflicts` column:
 /// (machine, loop, steps), in the corpus's machine-major order.
 const SAT_STEPS: [(&str, &str, u64); 52] = [
-    ("unified", "motivating", 55),
-    ("unified", "tomcatv_xx_small", 8),
-    ("unified", "tomcatv_relax_small", 16),
-    ("unified", "swim_flux_small", 16),
-    ("unified", "mgrid_dot_small", 16),
-    ("unified", "random_1", 10),
-    ("unified", "random_2", 8),
-    ("unified", "random_3", 101),
-    ("unified", "random_4", 17),
-    ("unified", "random_5", 78),
-    ("unified", "random_6", 148),
-    ("unified", "random_7", 45),
-    ("unified", "random_8", 16),
-    ("2-cluster", "motivating", 173),
-    ("2-cluster", "tomcatv_xx_small", 19),
-    ("2-cluster", "tomcatv_relax_small", 37),
-    ("2-cluster", "swim_flux_small", 28),
-    ("2-cluster", "mgrid_dot_small", 37),
-    ("2-cluster", "random_1", 24),
-    ("2-cluster", "random_2", 15),
-    ("2-cluster", "random_3", 306),
-    ("2-cluster", "random_4", 27),
-    ("2-cluster", "random_5", 150),
-    ("2-cluster", "random_6", 510),
-    ("2-cluster", "random_7", 168),
-    ("2-cluster", "random_8", 21),
-    ("4-cluster", "motivating", 217),
-    ("4-cluster", "tomcatv_xx_small", 42),
-    ("4-cluster", "tomcatv_relax_small", 76),
-    ("4-cluster", "swim_flux_small", 218),
-    ("4-cluster", "mgrid_dot_small", 76),
-    ("4-cluster", "random_1", 174),
-    ("4-cluster", "random_2", 22),
-    ("4-cluster", "random_3", 422),
-    ("4-cluster", "random_4", 118),
-    ("4-cluster", "random_5", 1_757),
-    ("4-cluster", "random_6", 1_174),
-    ("4-cluster", "random_7", 3_638),
-    ("4-cluster", "random_8", 34),
-    ("motivating-2-cluster", "motivating", 141),
-    ("motivating-2-cluster", "tomcatv_xx_small", 32),
-    ("motivating-2-cluster", "tomcatv_relax_small", 32),
-    ("motivating-2-cluster", "swim_flux_small", 70),
-    ("motivating-2-cluster", "mgrid_dot_small", 32),
-    ("motivating-2-cluster", "random_1", 90),
-    ("motivating-2-cluster", "random_2", 42),
-    ("motivating-2-cluster", "random_3", 321),
-    ("motivating-2-cluster", "random_4", 89),
-    ("motivating-2-cluster", "random_5", 505),
-    ("motivating-2-cluster", "random_6", 1_058),
-    ("motivating-2-cluster", "random_7", 512),
-    ("motivating-2-cluster", "random_8", 62),
+    ("unified", "motivating", 25),
+    ("unified", "tomcatv_xx_small", 2),
+    ("unified", "tomcatv_relax_small", 4),
+    ("unified", "swim_flux_small", 4),
+    ("unified", "mgrid_dot_small", 4),
+    ("unified", "random_1", 4),
+    ("unified", "random_2", 2),
+    ("unified", "random_3", 65),
+    ("unified", "random_4", 5),
+    ("unified", "random_5", 30),
+    ("unified", "random_6", 106),
+    ("unified", "random_7", 21),
+    ("unified", "random_8", 4),
+    ("2-cluster", "motivating", 101),
+    ("2-cluster", "tomcatv_xx_small", 13),
+    ("2-cluster", "tomcatv_relax_small", 25),
+    ("2-cluster", "swim_flux_small", 10),
+    ("2-cluster", "mgrid_dot_small", 25),
+    ("2-cluster", "random_1", 18),
+    ("2-cluster", "random_2", 9),
+    ("2-cluster", "random_3", 270),
+    ("2-cluster", "random_4", 15),
+    ("2-cluster", "random_5", 102),
+    ("2-cluster", "random_6", 408),
+    ("2-cluster", "random_7", 108),
+    ("2-cluster", "random_8", 9),
+    ("4-cluster", "motivating", 121),
+    ("4-cluster", "tomcatv_xx_small", 30),
+    ("4-cluster", "tomcatv_relax_small", 64),
+    ("4-cluster", "swim_flux_small", 225),
+    ("4-cluster", "mgrid_dot_small", 64),
+    ("4-cluster", "random_1", 218),
+    ("4-cluster", "random_2", 16),
+    ("4-cluster", "random_3", 386),
+    ("4-cluster", "random_4", 70),
+    ("4-cluster", "random_5", 230),
+    ("4-cluster", "random_6", 1_231),
+    ("4-cluster", "random_7", 990),
+    ("4-cluster", "random_8", 22),
+    ("motivating-2-cluster", "motivating", 69),
+    ("motivating-2-cluster", "tomcatv_xx_small", 20),
+    ("motivating-2-cluster", "tomcatv_relax_small", 20),
+    ("motivating-2-cluster", "swim_flux_small", 39),
+    ("motivating-2-cluster", "mgrid_dot_small", 20),
+    ("motivating-2-cluster", "random_1", 88),
+    ("motivating-2-cluster", "random_2", 35),
+    ("motivating-2-cluster", "random_3", 336),
+    ("motivating-2-cluster", "random_4", 73),
+    ("motivating-2-cluster", "random_5", 472),
+    ("motivating-2-cluster", "random_6", 1_301),
+    ("motivating-2-cluster", "random_7", 473),
+    ("motivating-2-cluster", "random_8", 45),
 ];
 
 /// The engines in the order [`Point::outcomes`] holds their outcomes.
@@ -249,7 +249,7 @@ fn the_three_engines_agree_and_keep_their_pins_on_the_default_corpus() {
     assert_eq!(nodes.iter().map(|p| p.2).sum::<u64>(), 7_880_994);
     let steps = per_point(&points, 1, |o| o.conflicts);
     assert_eq!(steps, SAT_STEPS);
-    assert_eq!(steps.iter().map(|p| p.2).sum::<u64>(), 13_003);
+    assert_eq!(steps.iter().map(|p| p.2).sum::<u64>(), 8_047);
 }
 
 #[test]
@@ -264,5 +264,5 @@ fn the_three_engines_agree_on_the_116_point_corpus() {
     assert_eq!(points.len(), 116);
     assert_eq!(proved(&points), [99, 116, 116]);
     let sat_steps: u64 = points.iter().map(|p| p.outcomes[1].conflicts).sum();
-    assert_eq!(sat_steps, 316_357);
+    assert_eq!(sat_steps, 40_721);
 }

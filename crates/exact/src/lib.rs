@@ -44,9 +44,10 @@
 //! means *no schedule the validator would accept exists at that II* — with
 //! two documented model caveats:
 //!
-//! * the search is exhaustive over schedules spanning at most
+//! * every refutation is exhaustive over schedules spanning at most
 //!   [`ExactOptions::horizon_stages`] pipeline stages beyond the ASAP bound
-//!   (default 8, far beyond anything the heuristics produce);
+//!   (default 8, far beyond anything the heuristics produce; the SAT
+//!   engine looks for schedules within two stages first);
 //! * parallel data edges between the same (producer, consumer) pair share
 //!   one transfer whose start window is *intersected* over the edges — the
 //!   one-copy-per-iteration reading, under which the value reaches the

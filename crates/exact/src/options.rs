@@ -16,13 +16,17 @@ pub struct ExactOptions {
     /// outer search stops and reports the certified lower bound accumulated
     /// so far instead of an answer for the undecided IIs.
     pub node_budget: u64,
-    /// Search horizon in pipeline stages: operations may start no later than
-    /// `max(ASAP) + horizon_stages · II`. The search is exhaustive over
-    /// schedules within this span — a hypothetical legal schedule stretched
-    /// over more stages than this is outside the model, so "infeasible"
-    /// verdicts are relative to the horizon. The default of 8 stages is far
-    /// beyond anything the heuristic schedulers produce on the paper's loops
-    /// or the fuzz corpus (stage counts there stay in the low single digits).
+    /// Refutation horizon in pipeline stages: every "infeasible" verdict is
+    /// exhaustive over the schedules whose operations start no later than
+    /// `max(ASAP) + horizon_stages · II`. A hypothetical legal schedule
+    /// stretched over more stages than this is outside the model, so
+    /// refutations are relative to the horizon. Schedules found need not
+    /// span it: the SAT engine searches two stages first and encodes the
+    /// full horizon only to refute an II (see its module docs), while the
+    /// branch-and-bound searches the full horizon throughout. The default
+    /// of 8 stages is far beyond anything the heuristic schedulers produce
+    /// on the paper's loops or the fuzz corpus (stage counts there stay in
+    /// the low single digits).
     pub horizon_stages: u32,
 }
 

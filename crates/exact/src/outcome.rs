@@ -50,6 +50,12 @@ pub struct IiProbe {
     /// `exact.sat.cegar_rounds` counter only sums these over committed
     /// probes.
     pub cegar_rounds: u64,
+    /// Pipeline stages of the SAT encoding that decided the probe: the
+    /// short first encoding's, or [`crate::ExactOptions::horizon_stages`]
+    /// when that one was refuted and the probe re-encoded. `None` when no
+    /// SAT encoding decided it: a branch-and-bound verdict, a certificate
+    /// that refuted the II before any encoding, or an exhausted budget.
+    pub sat_stages: Option<u32>,
 }
 
 /// Outcome of the exact II search for one loop on one machine.
@@ -183,6 +189,7 @@ mod tests {
                 conflicts: 7,
                 solver: ExactBackend::Sat,
                 cegar_rounds: 0,
+                sat_stages: Some(8),
             }],
         };
         assert!((outcome.optimality_gap_of(4)).abs() < 1e-12);

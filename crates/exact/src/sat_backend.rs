@@ -50,23 +50,34 @@
 //!   cluster past its file — their cluster literals and the start bounds
 //!   that make their lifetimes long — and the solver re-runs on its learnt
 //!   state. One lemma removes every model sharing that overlap, not just
-//!   the one found. On the gap corpus two points refine, in 28 rounds
-//!   all told; a model free of overflow pays only the re-price.
+//!   the one found. With two-stage first encodings (below) no point of the
+//!   52-point gap corpus refines and one point of the 116-point corpus
+//!   does, in one round; a model free of overflow pays only the re-price.
 //!
 //! The **time-shift dominance rule** of the branch-and-bound search carries
 //! over as a single clause: some operation with `earliest == 0` starts at
 //! cycle 0 (any legal schedule shifts down to such a normalized one).
 //!
-//! # One formula per probe
+//! # One formula per probe, two horizons
 //!
 //! Each fixed-II probe encodes one self-contained formula in a fresh
 //! [`Solver`], as SAT-MapIt and Tirelli et al. do: the start windows, the
 //! cluster choices and every rule above, for that II alone. Nothing
 //! carries over from one II to the next; the probe's
 //! [`SatProbeSession`] is dropped once the probe is decided. Within one
-//! probe the solver persists: register-pressure lemmas and the portfolio's
-//! budget instalments (repeated [`SatProbeSession::solve`] calls) re-run
-//! it on its learnt state.
+//! encoding the solver persists: register-pressure lemmas and the
+//! portfolio's budget instalments (repeated [`SatProbeSession::solve`]
+//! calls) re-run it on its learnt state.
+//!
+//! The first encoding of every probe spans [`FIRST_STAGES`] pipeline
+//! stages (or the whole horizon when that is shorter). A model decodes to a
+//! legal schedule at any horizon, so a satisfiable first encoding decides
+//! the probe. Only a refutation needs every schedule the horizon allows:
+//! when the first encoding is unsatisfiable, the session drops it, encodes
+//! the same II over the full [`ExactOptions::horizon_stages`] and goes on
+//! with what is left of the step budget. An "infeasible" verdict therefore
+//! always comes from the full-horizon formula. Steps and refinement rounds
+//! are summed over both encodings.
 //!
 //! # Decoding and trust
 //!
@@ -167,6 +178,16 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
         enc.encode_transfers();
         enc.encode_anchor();
         enc
+    }
+
+    /// Encodes `ii` with windows of `stages` pipeline stages, or `None`
+    /// when a positive dependence cycle refutes the II (at any horizon).
+    fn with_stages(p: &'a ResModel<'l, 'm>, ii: u32, stages: u32) -> Option<Self> {
+        let enc = Self::new(p, ii, windows(p, ii, stages)?);
+        mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
+        mvp_trace::counter_handle!("exact.sat.encoded_clauses")
+            .add(enc.solver.num_clauses() as u64);
+        Some(enc)
     }
 
     fn width(&self, op: OpId) -> usize {
@@ -700,70 +721,111 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
     }
 }
 
-/// The SAT backend's state for one fixed-II probe: the probe's encoder,
-/// kept across the portfolio's budget instalments (each a
+/// Pipeline stages of every probe's first encoding. Two stages find every
+/// proved optimum of both gap corpora; one stage refutes feasible IIs on
+/// some of their points, so those probes would all pay the re-encoding.
+const FIRST_STAGES: u32 = 2;
+
+/// The SAT backend's state for one fixed-II probe: the probe's current
+/// encoder, kept across the portfolio's budget instalments (each a
 /// [`SatProbeSession::solve`] call) and dropped with the session.
 pub(crate) struct SatProbeSession<'a, 'l, 'm> {
     ii: u32,
+    /// Stages of `enc`'s windows: the first encoding's until it is
+    /// refuted, then `options.horizon_stages`.
+    stages: u32,
     enc: Encoder<'a, 'l, 'm>,
     /// Register-pressure refinement rounds of the probe, summed over its
-    /// [`SatProbeSession::solve`] calls.
+    /// encodings and [`SatProbeSession::solve`] calls.
     cegar_rounds: u64,
 }
 
 impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
     /// Opens the probe of `ii`: certificates first (resource counts,
     /// positive dependence cycles — shared with the branch-and-bound),
-    /// then the CNF encoding. `None` means a certificate refuted the II,
-    /// so there is nothing to solve.
+    /// then the first CNF encoding, over [`FIRST_STAGES`] stages. `None`
+    /// means a certificate refuted the II, so there is nothing to solve.
     pub(crate) fn new(p: &'a ResModel<'l, 'm>, ii: u32, options: &ExactOptions) -> Option<Self> {
+        Self::staged(p, ii, options, FIRST_STAGES)
+    }
+
+    /// [`SatProbeSession::new`] with a first encoding of `first_stages`
+    /// stages (capped by `options.horizon_stages`).
+    fn staged(
+        p: &'a ResModel<'l, 'm>,
+        ii: u32,
+        options: &ExactOptions,
+        first_stages: u32,
+    ) -> Option<Self> {
         if ii == 0 || p.resource_infeasible(ii) {
             return None;
         }
-        let win = windows(p, ii, options.horizon_stages)?;
-        let enc = Encoder::new(p, ii, win);
-        mvp_trace::counter_handle!("exact.sat.encoded_vars").add(enc.solver.num_vars() as u64);
-        mvp_trace::counter_handle!("exact.sat.encoded_clauses")
-            .add(enc.solver.num_clauses() as u64);
+        let stages = first_stages.min(options.horizon_stages);
         Some(Self {
             ii,
-            enc,
+            stages,
+            enc: Encoder::with_stages(p, ii, stages)?,
             cegar_rounds: 0,
         })
     }
 
     /// Register-pressure refinement rounds the probe has run so far, over
-    /// every [`SatProbeSession::solve`] call.
+    /// every encoding and [`SatProbeSession::solve`] call.
     pub(crate) fn cegar_rounds(&self) -> u64 {
         self.cegar_rounds
     }
 
+    /// Pipeline stages of the current encoding: the one that decided the
+    /// probe once [`SatProbeSession::solve`] has returned a verdict.
+    pub(crate) fn stages(&self) -> u32 {
+        self.stages
+    }
+
     /// Runs the CDCL search with MaxLive refinement between models until a
     /// verdict or `options.node_budget` more steps, and decodes a model
-    /// through the kernel. `steps_used` is incremented by the solver steps
-    /// (decisions + conflicts) the call consumed; the budget contract
-    /// matches [`crate::search::solve_fixed_ii`]. A later call picks up
-    /// where a [`FixedIiOutcome::Budget`] left off: the solver keeps every
-    /// clause it has learnt, so an interleaving caller (the dovetailed
-    /// portfolio probe) can hand the engine its budget in instalments and
-    /// still pay the total cost of one continuous solve.
+    /// through the kernel. `options` are the ones the session was opened
+    /// with. A refuted first encoding is replaced by the full-horizon one
+    /// within the same call, which spends what is left of the budget. `steps_used` is incremented by the solver steps
+    /// (decisions + conflicts) the call consumed in either encoding; the
+    /// budget contract matches [`crate::search::solve_fixed_ii`]. A later
+    /// call picks up where a [`FixedIiOutcome::Budget`] left off: the
+    /// solver keeps every clause it has learnt, so an interleaving caller
+    /// (the dovetailed portfolio probe) can hand the engine its budget in
+    /// instalments and still pay the total cost of one continuous solve.
     pub(crate) fn solve(&mut self, options: &ExactOptions, steps_used: &mut u64) -> FixedIiOutcome {
         let ii = self.ii;
-        let enc = &mut self.enc;
-        let p = enc.p;
-        let _span = mvp_trace::span!("exact.sat.probe", ii = ii, vars = enc.solver.num_vars());
-        let steps0 = enc.solver.steps();
+        let p = self.enc.p;
+        let _span = mvp_trace::span!(
+            "exact.sat.probe",
+            ii = ii,
+            vars = self.enc.solver.num_vars()
+        );
+        let mut spent = 0u64;
         let outcome = loop {
-            let spent = enc.solver.steps() - steps0;
             let remaining = options.node_budget.saturating_sub(spent);
             if remaining == 0 {
                 break FixedIiOutcome::Budget;
             }
-            match enc.solver.solve(Some(remaining)) {
+            let steps0 = self.enc.solver.steps();
+            let result = self.enc.solver.solve(Some(remaining));
+            spent += self.enc.solver.steps() - steps0;
+            match result {
+                SolveResult::Unsat if self.stages < options.horizon_stages => {
+                    // Refuted within the short horizon only: a legal
+                    // schedule may still need more stages. The refuted
+                    // formula is freed before the full one is built, so
+                    // the two never add up in the peak memory.
+                    self.enc.solver = Solver::new();
+                    self.stages = options.horizon_stages;
+                    self.enc = Encoder::with_stages(p, ii, self.stages)
+                        .expect("the first encoding's windows found no positive cycle");
+                    continue;
+                }
                 SolveResult::Unsat => break FixedIiOutcome::Infeasible,
                 SolveResult::Budget => break FixedIiOutcome::Budget,
                 SolveResult::Sat => {}
             }
+            let enc = &mut self.enc;
             let ps = enc.decode();
             let ops = ps.placed_ops();
             let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
@@ -798,7 +860,7 @@ impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
             );
             break FixedIiOutcome::Feasible { ops, comms };
         };
-        *steps_used += enc.solver.steps() - steps0;
+        *steps_used += spent;
         outcome
     }
 }
@@ -919,6 +981,55 @@ mod tests {
         let out = solve_fixed_ii_sat(&p, 2, &ExactOptions::new().with_node_budget(1), &mut steps);
         assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");
         assert!(steps >= 1);
+    }
+
+    #[test]
+    fn a_refuted_first_encoding_falls_back_to_the_full_horizon() {
+        // `tomcatv_xx_small` on four clusters is feasible at II=1, but not
+        // within one stage. A one-stage first encoding is refuted, so the
+        // probe must find the schedule in the full-horizon encoding and
+        // charge the steps of both.
+        let l = mvp_workloads::kernels::specfp_small::gap_subset()
+            .into_iter()
+            .find(|l| l.name() == "tomcatv_xx_small")
+            .expect("the gap subset has tomcatv_xx_small");
+        let machine = presets::four_cluster();
+        let p = ResModel::new(&l, &machine).unwrap();
+        let options = ExactOptions::new();
+        let full_stages = options.horizon_stages;
+        let solve = |first_stages: u32, options: &ExactOptions| {
+            let mut session = SatProbeSession::staged(&p, 1, options, first_stages).unwrap();
+            let mut steps = 0;
+            let outcome = session.solve(options, &mut steps);
+            (outcome, steps, session.stages())
+        };
+        let (outcome, one, _) = solve(1, &options.with_horizon_stages(1));
+        assert!(matches!(outcome, FixedIiOutcome::Infeasible), "{outcome:?}");
+        let (outcome, full, stages) = solve(full_stages, &options);
+        assert!(
+            matches!(outcome, FixedIiOutcome::Feasible { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(stages, full_stages);
+        let (outcome, both, stages) = solve(1, &options);
+        assert!(
+            matches!(outcome, FixedIiOutcome::Feasible { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(stages, full_stages, "the full-horizon encoding decided");
+        assert_eq!(both, one + full, "both encodings' steps are charged");
+        // The fallback spends what the first encoding left of the budget.
+        let (outcome, _, stages) = solve(1, &options.with_node_budget(both - 1));
+        assert!(matches!(outcome, FixedIiOutcome::Budget), "{outcome:?}");
+        assert_eq!(stages, full_stages);
+        // Production's first encoding already has room for the schedule.
+        let mut session = SatProbeSession::new(&p, 1, &options).unwrap();
+        let outcome = session.solve(&options, &mut 0);
+        assert!(
+            matches!(outcome, FixedIiOutcome::Feasible { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(session.stages(), FIRST_STAGES);
     }
 
     #[test]

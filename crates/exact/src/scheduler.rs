@@ -124,6 +124,8 @@ struct ProbeResult {
     conflicts: u64,
     /// Register-pressure refinement rounds of this probe's SAT engine.
     cegar_rounds: u64,
+    /// Stages of the SAT encoding that decided the probe, if one did.
+    sat_stages: Option<u32>,
 }
 
 impl ProbeResult {
@@ -135,6 +137,19 @@ impl ProbeResult {
             nodes: 0,
             conflicts: 0,
             cegar_rounds: 0,
+            sat_stages: None,
+        }
+    }
+
+    /// Takes the SAT session's refinement rounds, and its encoding's
+    /// stages when SAT decided the probe.
+    fn with_session(self, session: &SatProbeSession<'_, '_, '_>) -> Self {
+        let decided =
+            self.solver == ExactBackend::Sat && !matches!(self.outcome, FixedIiOutcome::Budget);
+        Self {
+            cegar_rounds: session.cegar_rounds(),
+            sat_stages: decided.then(|| session.stages()),
+            ..self
         }
     }
 }
@@ -221,9 +236,9 @@ fn run_probe(
             let outcome = session.solve(options, &mut conflicts);
             ProbeResult {
                 conflicts,
-                cegar_rounds: session.cegar_rounds(),
                 ..ProbeResult::of(outcome, ExactBackend::Sat)
             }
+            .with_session(&session)
         }
         ExactBackend::Portfolio => {
             // A certificate that refutes the II decides the probe before
@@ -231,11 +246,7 @@ fn run_probe(
             let Some(mut session) = SatProbeSession::new(p, ii, options) else {
                 return ProbeResult::of(FixedIiOutcome::Infeasible, ExactBackend::Sat);
             };
-            let r = dovetail_probe(p, ii, options, &mut session);
-            ProbeResult {
-                cegar_rounds: session.cegar_rounds(),
-                ..r
-            }
+            dovetail_probe(p, ii, options, &mut session).with_session(&session)
         }
     }
 }
@@ -284,6 +295,7 @@ fn ii_search(
             conflicts: r.conflicts,
             solver: r.solver,
             cegar_rounds: r.cegar_rounds,
+            sat_stages: r.sat_stages,
         });
         mvp_trace::counter_handle!("exact.sat.cegar_rounds").add(r.cegar_rounds);
         match verdict {
@@ -577,6 +589,36 @@ mod tests {
                 assert!(validate_schedule(l, &machine, s).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn probes_record_the_stages_of_the_deciding_sat_encoding() {
+        // II=2 is refuted by search alone, so the two-stage encoding's
+        // refutation is redone over the full horizon; II=3 fits in two
+        // stages. Undecided and branch-and-bound probes name no encoding.
+        let l = search_refuted_recurrence();
+        let machine = presets::motivating_example_machine();
+        let stages = |options: ExactOptions, backend| {
+            let outcome = solve_with(&l, &machine, &options, &backend).unwrap();
+            outcome
+                .probes
+                .iter()
+                .map(|p| (p.ii, p.sat_stages))
+                .collect::<Vec<_>>()
+        };
+        let full = Some(ExactOptions::new().horizon_stages);
+        assert_eq!(
+            stages(ExactOptions::new(), ExactBackend::Sat),
+            [(2, full), (3, Some(2))]
+        );
+        assert_eq!(
+            stages(ExactOptions::new(), ExactBackend::BranchAndBound),
+            [(2, None), (3, None)]
+        );
+        assert_eq!(
+            stages(ExactOptions::new().with_node_budget(1), ExactBackend::Sat),
+            [(2, None)]
+        );
     }
 
     #[test]

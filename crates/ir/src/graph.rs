@@ -232,13 +232,6 @@ impl Loop {
         if self.ops.is_empty() {
             return Err(IrError::EmptyLoop);
         }
-        for edge in &self.edges {
-            for id in [edge.src, edge.dst] {
-                if id.index() >= self.ops.len() {
-                    return Err(IrError::UnknownOp { op: id });
-                }
-            }
-        }
         for op in &self.ops {
             if let Some(r) = op.mem_ref.map(|i| &self.memory_refs[i]) {
                 if r.array.index() >= self.arrays.len() {
@@ -534,10 +527,17 @@ mod tests {
 
     #[test]
     fn unknown_op_in_edge_is_rejected() {
-        let mut b = Loop::builder("bad");
-        let x = b.int_op("X");
-        b.data_edge(x, OpId::from_index(9), 0);
-        assert!(matches!(b.build().unwrap_err(), IrError::UnknownOp { .. }));
+        let unknown = OpId::from_index(9);
+        for outgoing in [true, false] {
+            let mut b = Loop::builder("bad");
+            let x = b.int_op("X");
+            if outgoing {
+                b.data_edge(x, unknown, 0);
+            } else {
+                b.data_edge(unknown, x, 1);
+            }
+            assert_eq!(b.build().unwrap_err(), IrError::UnknownOp { op: unknown });
+        }
     }
 
     #[test]

@@ -125,16 +125,10 @@ impl LoopNest {
         }
     }
 
-    /// Total number of points in the iteration space.
-    #[must_use]
-    pub fn total_iterations(&self) -> u64 {
-        self.dims.iter().map(|d| d.trip_count).product()
-    }
-
     /// Iterates over the iteration space in lexicographic order (outermost
     /// dimension slowest), yielding the full iteration vector.
     ///
-    /// The iterator visits `total_iterations()` points; callers that only
+    /// The iterator visits the product of the trip counts; callers that only
     /// need a window should `take(..)` it.
     #[must_use]
     pub fn iteration_vectors(&self) -> IterationVectors {
@@ -220,7 +214,7 @@ mod tests {
         assert_eq!(nest.innermost(), Some(i));
         assert_eq!(nest.inner_trip_count(), 20);
         assert_eq!(nest.outer_trip_count(), 10);
-        assert_eq!(nest.total_iterations(), 200);
+        assert_eq!(nest.iteration_vectors().count(), 200);
     }
 
     #[test]
@@ -254,7 +248,6 @@ mod tests {
         let mut nest = LoopNest::new();
         nest.push_dimension("I", 0);
         assert_eq!(nest.iteration_vectors().count(), 0);
-        assert_eq!(nest.total_iterations(), 0);
     }
 
     #[test]

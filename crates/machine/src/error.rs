@@ -14,13 +14,6 @@ pub enum MachineError {
         /// Index of the offending cluster.
         cluster: usize,
     },
-    /// A cluster index was out of range.
-    InvalidCluster {
-        /// The requested cluster index.
-        cluster: usize,
-        /// Number of clusters in the machine.
-        num_clusters: usize,
-    },
     /// A cache geometry was invalid (zero capacity, non-power-of-two block
     /// size, block larger than capacity, ...).
     InvalidCacheGeometry {
@@ -50,13 +43,6 @@ impl fmt::Display for MachineError {
             MachineError::EmptyCluster { cluster } => {
                 write!(f, "cluster {cluster} has no functional units")
             }
-            MachineError::InvalidCluster {
-                cluster,
-                num_clusters,
-            } => write!(
-                f,
-                "cluster index {cluster} out of range for machine with {num_clusters} clusters"
-            ),
             MachineError::InvalidCacheGeometry { reason } => {
                 write!(f, "invalid cache geometry: {reason}")
             }
@@ -82,10 +68,6 @@ mod tests {
         let errs = [
             MachineError::NoClusters,
             MachineError::EmptyCluster { cluster: 3 },
-            MachineError::InvalidCluster {
-                cluster: 7,
-                num_clusters: 2,
-            },
             MachineError::InvalidCacheGeometry {
                 reason: "capacity is zero".into(),
             },

@@ -47,23 +47,10 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range; use [`MachineConfig::try_cluster`] for
-    /// a fallible accessor.
+    /// Panics if `id` is out of range.
     #[must_use]
     pub fn cluster(&self, id: ClusterId) -> &ClusterConfig {
         &self.clusters[id]
-    }
-
-    /// Fallible accessor for the configuration of cluster `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::InvalidCluster`] when `id` is out of range.
-    pub fn try_cluster(&self, id: ClusterId) -> Result<&ClusterConfig, MachineError> {
-        self.clusters.get(id).ok_or(MachineError::InvalidCluster {
-            cluster: id,
-            num_clusters: self.clusters.len(),
-        })
     }
 
     /// Iterator over `(ClusterId, &ClusterConfig)`.
@@ -318,22 +305,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, MachineError::EmptyCluster { cluster: 0 });
-    }
-
-    #[test]
-    fn try_cluster_bounds_check() {
-        let m = MachineConfig::builder("test")
-            .homogeneous_clusters(2, cluster(32))
-            .build()
-            .unwrap();
-        assert!(m.try_cluster(1).is_ok());
-        assert_eq!(
-            m.try_cluster(2),
-            Err(MachineError::InvalidCluster {
-                cluster: 2,
-                num_clusters: 2
-            })
-        );
     }
 
     #[test]
