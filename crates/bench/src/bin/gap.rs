@@ -2,11 +2,10 @@
 //! bound on every machine preset.
 //!
 //! Usage: `gap [--loops N] [--max-ops N] [--seed S] [--budget NODES]
-//! [--solver bnb|sat|portfolio]`
+//! [--solver bnb|sat]`
 //!
 //! The exact engine pricing the rows defaults to branch-and-bound; pass
-//! `--solver` to price with the CDCL SAT backend or the dovetailed
-//! portfolio instead.
+//! `--solver sat` to price with the CDCL SAT backend instead.
 //!
 //! Every (loop, machine) point of the table is one job on the shared
 //! batch executor (`MVP_THREADS` to override the width); rows are
@@ -26,9 +25,8 @@ fn parse_solver(value: &str) -> ExactBackend {
     match value {
         "bnb" => ExactBackend::BranchAndBound,
         "sat" => ExactBackend::Sat,
-        "portfolio" => ExactBackend::Portfolio,
         other => {
-            eprintln!("invalid solver {other:?}: expected bnb, sat or portfolio");
+            eprintln!("invalid solver {other:?}: expected bnb or sat");
             std::process::exit(2);
         }
     }

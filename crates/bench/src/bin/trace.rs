@@ -5,7 +5,7 @@
 //!
 //! The run makes two passes (see [`mvp_bench::trace`]): a deterministic
 //! pass whose counter snapshot is byte-identical at any `MVP_THREADS`,
-//! then a traced showcase pass over the portfolio pipeline with a shared
+//! then a traced showcase pass over the SAT-exact pipeline with a shared
 //! schedule cache, whose hits, misses and evictions the summary prints.
 //! With `MVP_TRACE_JSON=<path>` the drained events are written in the
 //! chrome trace event format (open in `chrome://tracing` or Perfetto);

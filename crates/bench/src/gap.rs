@@ -34,7 +34,7 @@ pub struct GapParams {
     pub node_budget: u64,
     /// The exact engine pricing the rows (default: branch-and-bound, which
     /// keeps the historical tables and the Figure-3 node-count pins
-    /// byte-identical). [`ExactBackend::Portfolio`] dovetails both engines.
+    /// byte-identical).
     pub solver: ExactBackend,
 }
 
@@ -74,10 +74,7 @@ pub struct GapRow {
     pub nodes: u64,
     /// SAT steps (decisions + conflicts) the exact probes consumed.
     pub conflicts: u64,
-    /// The exact engine that decided the row's last probe: the `solver`
-    /// parameter for branch-and-bound and SAT, the winning engine for the
-    /// portfolio (still [`ExactBackend::Portfolio`] if that probe ran out
-    /// of budget).
+    /// The exact engine that priced the row: the `solver` parameter.
     pub solver: ExactBackend,
     /// Baseline scheduler II (`None` = II search exhausted).
     pub baseline_ii: Option<u32>,
@@ -209,7 +206,6 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
                 heuristic_ii(RmcaScheduler::new().schedule(l, machine)),
             )
         });
-        let last = outcome.probes.last();
         let row = GapRow {
             machine: machine.name.clone(),
             loop_name: l.name().to_string(),
@@ -220,12 +216,12 @@ pub fn run(params: &GapParams, executor: &Executor) -> Vec<GapRow> {
             proved_optimal: outcome.proved_optimal,
             nodes: outcome.nodes,
             conflicts: outcome.conflicts,
-            solver: last.map_or(outcome.backend, |p| p.solver),
+            solver: outcome.backend,
             baseline_ii: heuristics.0,
             rmca_ii: heuristics.1,
             schedule_ms: schedule_ns as f64 / 1e6,
             oracle_ms: oracle_ns as f64 / 1e6,
-            sat_stages: last.and_then(|p| p.sat_stages),
+            sat_stages: outcome.probes.last().and_then(|p| p.sat_stages),
         };
         // A hard assert, not a debug_assert: the gap bin runs in release
         // mode in CI, and a heuristic beating a "certified" bound means
@@ -362,18 +358,6 @@ mod tests {
         assert_eq!(fig3.nodes, 0, "the SAT engine charges conflicts, not nodes");
         assert!(fig3.conflicts > 0);
         assert!(table(&rows).to_csv().contains(",sat,"));
-    }
-
-    #[test]
-    fn portfolio_rows_name_the_engine_that_decided_them() {
-        let params = GapParams {
-            solver: ExactBackend::Portfolio,
-            ..small()
-        };
-        for r in run(&params, &Executor::global()) {
-            assert!(r.proved_optimal, "{} / {}", r.loop_name, r.machine);
-            assert_ne!(r.solver, ExactBackend::Portfolio);
-        }
     }
 
     #[test]

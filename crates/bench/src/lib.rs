@@ -9,8 +9,8 @@
 //!   one driver, [`fig5::run`] over a [`fig5::Figure`],
 //! * `gap`   — heuristic II vs the exact scheduler's certified bound
 //!   (optimality-gap tables, `MVP_GAP_CSV` for the CI artifact;
-//!   `--solver` picks the exact engine, and the `solver` column names the
-//!   engine that decided each row's last probe),
+//!   `--solver` picks the exact engine, and the `solver` column names
+//!   it),
 //! * `trace` — observability showcase: a chrome://tracing JSON export
 //!   covering every instrumented layer plus the deterministic
 //!   counter snapshot (`MVP_TRACE_JSON` / `MVP_METRICS_CSV` for the

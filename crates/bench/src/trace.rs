@@ -12,7 +12,7 @@
 //!    the [`mvp_trace::snapshot_csv`] taken afterwards is a byte-identical
 //!    artifact at any `MVP_THREADS`.
 //! 2. **Showcase pass** — tracing [enabled](mvp_trace::set_enabled): the
-//!    portfolio pipeline runs the corpus twice against a shared schedule
+//!    SAT-exact pipeline runs the corpus twice against a shared schedule
 //!    cache, so the drained event stream carries spans and instants from
 //!    all five layers at once — `pipeline.*` phases, `exec.*` batches and
 //!    jobs, `schedcache.*` hits/misses, `exact.probe` and `sat.solve`. The
@@ -151,7 +151,7 @@ pub fn deterministic_pass(params: &TraceParams, executor: &Arc<Executor>) {
     }
 }
 
-/// Runs the showcase pass with tracing enabled: the portfolio pipeline
+/// Runs the showcase pass with tracing enabled: the SAT-exact pipeline
 /// over the corpus twice against a shared schedule cache, so the second
 /// sweep replays hits. Returns the drained event stream and the cache's
 /// traffic.
@@ -163,7 +163,7 @@ fn showcase_pass(params: &TraceParams, executor: &Arc<Executor>) -> (Vec<Event>,
         executor.threads(),
     ));
     let pipeline = Pipeline::builder()
-        .scheduler(SchedulerChoice::Portfolio)
+        .scheduler(SchedulerChoice::ExactSat)
         .executor(Arc::clone(executor))
         .schedule_cache(Arc::clone(&cache))
         .exact_options(ExactOptions::new().with_node_budget(params.node_budget))

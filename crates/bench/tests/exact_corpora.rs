@@ -1,18 +1,18 @@
 //! The exact engines on the gap corpora, pinned and cross-checked.
 //!
-//! Branch-and-bound, SAT and the portfolio solve every point of the
-//! 52-point and the 116-point corpora, and no engine's certificate may
-//! contradict another's: the engines implement one validator rule set, so
-//! a disagreement means one of them is unsound. Neither may a heuristic
-//! (Baseline or RMCA) schedule below any engine's certified bound. SAT and
-//! the portfolio prove every point of both corpora. On the default corpus
+//! Branch-and-bound and SAT solve every point of the 52-point and the
+//! 116-point corpora, and neither engine's certificate may contradict the
+//! other's: the engines implement one validator rule set, so a
+//! disagreement means one of them is unsound. Neither may a heuristic
+//! (Baseline or RMCA) schedule below either engine's certified bound. SAT
+//! proves every point of both corpora. On the default corpus
 //! the branch-and-bound search's node counts and the SAT engine's steps
 //! are pinned point by point, so a kernel or solver change that claims to
 //! search the same nodes or steps does, and one that does not shows where.
 
 use mvp_bench::gap::{map_points, GapParams};
 use mvp_core::{validate_schedule, BaselineScheduler, ModuloScheduler, RmcaScheduler};
-use mvp_exact::{solve_with, ExactBackend, ExactOptions, ExactOutcome, IiVerdict};
+use mvp_exact::{solve_with, ExactBackend, ExactOptions, ExactOutcome};
 use mvp_exec::Executor;
 
 /// Branch-and-bound nodes per point of the default 52-point corpus:
@@ -131,37 +131,32 @@ const SAT_STEPS: [(&str, &str, u64); 52] = [
 ];
 
 /// The engines in the order [`Point::outcomes`] holds their outcomes.
-const ENGINES: [ExactBackend; 3] = [
-    ExactBackend::BranchAndBound,
-    ExactBackend::Sat,
-    ExactBackend::Portfolio,
-];
+const ENGINES: [ExactBackend; 2] = [ExactBackend::BranchAndBound, ExactBackend::Sat];
 
-/// One (machine, loop) point of a corpus as [`three_way`] solved it.
+/// One (machine, loop) point of a corpus as [`two_way`] solved it.
 struct Point {
     machine: String,
     loop_name: String,
     /// One outcome per engine of [`ENGINES`], in that order.
-    outcomes: [ExactOutcome; 3],
+    outcomes: [ExactOutcome; 2],
 }
 
 /// Solves every point of `params`' corpus with each of [`ENGINES`] and
-/// cross-checks the three outcomes: proved optima are equal, no engine or
+/// cross-checks the two outcomes: proved optima are equal, no engine or
 /// heuristic schedules below an engine's certified bound (so no bound lies
-/// above another engine's proved optimum either), every exact schedule
-/// passes the validator, and every decided portfolio probe names the
-/// engine that decided it. Returns the points in the corpus's
+/// above the other engine's proved optimum either), and every exact
+/// schedule passes the validator. Returns the points in the corpus's
 /// machine-major order.
-fn three_way(params: &GapParams) -> Vec<Point> {
+fn two_way(params: &GapParams) -> Vec<Point> {
     let options = ExactOptions::new().with_node_budget(params.node_budget);
     map_points(params, &Executor::global(), |machine, l| {
         let point = format!("{} on {}", l.name(), machine.name);
         let solved = ENGINES.map(|backend| solve_with(l, machine, &options, &backend).ok());
-        let [Some(bnb), Some(sat), Some(portfolio)] = solved else {
+        let [Some(bnb), Some(sat)] = solved else {
             assert!(solved.iter().all(Option::is_none), "{point}");
             return None;
         };
-        let outcomes = [bnb, sat, portfolio];
+        let outcomes = [bnb, sat];
         let heuristics = [
             ("baseline", BaselineScheduler::new().schedule(l, machine)),
             ("rmca", RmcaScheduler::new().schedule(l, machine)),
@@ -198,13 +193,6 @@ fn three_way(params: &GapParams) -> Vec<Point> {
                 );
             }
         }
-        for probe in &outcomes[2].probes {
-            assert!(
-                probe.verdict == IiVerdict::Unknown || probe.solver != ExactBackend::Portfolio,
-                "{point}: II={} decided by no engine",
-                probe.ii
-            );
-        }
         Some(Point {
             machine: machine.name.clone(),
             loop_name: l.name().to_string(),
@@ -214,8 +202,8 @@ fn three_way(params: &GapParams) -> Vec<Point> {
 }
 
 /// How many points each of [`ENGINES`] proved optimal.
-fn proved(points: &[Point]) -> [usize; 3] {
-    [0, 1, 2].map(|i| {
+fn proved(points: &[Point]) -> [usize; 2] {
+    [0, 1].map(|i| {
         points
             .iter()
             .filter(|p| p.outcomes[i].proved_optimal)
@@ -240,10 +228,10 @@ fn per_point(
 }
 
 #[test]
-fn the_three_engines_agree_and_keep_their_pins_on_the_default_corpus() {
-    let points = three_way(&GapParams::default());
+fn the_two_engines_agree_and_keep_their_pins_on_the_default_corpus() {
+    let points = two_way(&GapParams::default());
     assert_eq!(points.len(), 52);
-    assert_eq!(proved(&points), [45, 52, 52]);
+    assert_eq!(proved(&points), [45, 52]);
     let nodes = per_point(&points, 0, |o| o.nodes);
     assert_eq!(nodes, BNB_NODES);
     assert_eq!(nodes.iter().map(|p| p.2).sum::<u64>(), 7_880_994);
@@ -253,16 +241,16 @@ fn the_three_engines_agree_and_keep_their_pins_on_the_default_corpus() {
 }
 
 #[test]
-fn the_three_engines_agree_on_the_116_point_corpus() {
+fn the_two_engines_agree_on_the_116_point_corpus() {
     // The larger corpus `gap --loops 24 --max-ops 20 --seed 7` prints.
-    let points = three_way(&GapParams {
+    let points = two_way(&GapParams {
         generated_loops: 24,
         max_ops: 20,
         seed: 7,
         ..GapParams::default()
     });
     assert_eq!(points.len(), 116);
-    assert_eq!(proved(&points), [99, 116, 116]);
+    assert_eq!(proved(&points), [99, 116]);
     let sat_steps: u64 = points.iter().map(|p| p.outcomes[1].conflicts).sum();
     assert_eq!(sat_steps, 40_721);
 }

@@ -40,15 +40,6 @@ fn random_14_on_four_clusters_is_proved_in_few_refinement_rounds() {
         (1..100).contains(&rounds),
         "{rounds} refinement rounds (expected a few, and at least one)"
     );
-    // The dovetailed portfolio's SAT half refines too, and its probes
-    // report the rounds of every instalment.
-    let o = solve_with(l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio).unwrap();
-    assert!(o.proved_optimal, "{o}");
-    assert!(
-        o.probes.iter().any(|p| p.cegar_rounds > 0),
-        "{:?}",
-        o.probes
-    );
 }
 
 /// SAT alone proves every point of the larger corpus optimal.

@@ -14,9 +14,9 @@
 //!
 //! A second, fully independent engine lowers the same rule set to CNF and
 //! hands it to the in-workspace CDCL solver of `mvp-sat`
-//! ([`ExactBackend::Sat`]); [`ExactBackend::Portfolio`] dovetails both
-//! engines per probe in escalating step quanta until one decides. Every
-//! backend runs the same sequential upward II loop, one probe at a time.
+//! ([`ExactBackend::Sat`]); the branch-and-bound search stays its
+//! independent cross-check. Either backend runs the same sequential
+//! upward II loop, one probe at a time, one engine per probe.
 //!
 //! # The constraint model is the validator's rule set
 //!

@@ -34,16 +34,10 @@ pub struct IiProbe {
     pub ii: u32,
     /// How the probe ended.
     pub verdict: IiVerdict,
-    /// Branch-and-bound search nodes the probe consumed (in a portfolio
-    /// probe, every dovetail instalment's, whichever engine decided).
+    /// Branch-and-bound search nodes the probe consumed.
     pub nodes: u64,
-    /// SAT solver steps (decisions + conflicts) the probe consumed (in a
-    /// portfolio probe, every dovetail instalment's).
+    /// SAT solver steps (decisions + conflicts) the probe consumed.
     pub conflicts: u64,
-    /// The engine whose certificate decided the probe: never
-    /// [`ExactBackend::Portfolio`] once decided. For an undecided probe
-    /// (budget), the backend that was asked.
-    pub solver: ExactBackend,
     /// Register-pressure refinement (CEGAR) rounds the probe's SAT engine
     /// ran: models re-priced as overflowing and answered with explanation
     /// lemmas. Zero for pure branch-and-bound probes. The process-wide
@@ -139,9 +133,9 @@ impl ExactOutcome {
         })
     }
 
-    /// Total search steps across engines: branch-and-bound nodes plus SAT
-    /// decisions/conflicts. The portfolio's "strictly fewer total steps"
-    /// claims are measured in this unit.
+    /// Total search steps: branch-and-bound nodes plus SAT
+    /// decisions/conflicts, the one unit both engines' budgets and costs
+    /// are compared in.
     #[must_use]
     pub fn search_steps(&self) -> u64 {
         self.nodes + self.conflicts
@@ -151,18 +145,19 @@ impl ExactOutcome {
 impl fmt::Display for ExactOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (&self.schedule, self.proved_optimal) {
-            (Some(s), true) => write!(f, "optimal II={} ({} nodes)", s.ii(), self.nodes),
+            (Some(s), true) => write!(f, "optimal II={} ({} steps)", s.ii(), self.search_steps()),
             (Some(s), false) => write!(
                 f,
-                "II={} (lower bound {}, {} nodes)",
+                "II={} (lower bound {}, {} steps)",
                 s.ii(),
                 self.lower_bound,
-                self.nodes
+                self.search_steps()
             ),
             (None, _) => write!(
                 f,
-                "no schedule found; II >= {} ({} nodes)",
-                self.lower_bound, self.nodes
+                "no schedule found; II >= {} ({} steps)",
+                self.lower_bound,
+                self.search_steps()
             ),
         }
     }
@@ -179,15 +174,14 @@ mod tests {
             schedule: None,
             lower_bound: 4,
             proved_optimal: false,
-            nodes: 10,
-            conflicts: 7,
-            backend: ExactBackend::Portfolio,
+            nodes: 0,
+            conflicts: 17,
+            backend: ExactBackend::Sat,
             probes: vec![IiProbe {
                 ii: 3,
                 verdict: IiVerdict::Infeasible,
-                nodes: 10,
-                conflicts: 7,
-                solver: ExactBackend::Sat,
+                nodes: 0,
+                conflicts: 17,
                 cegar_rounds: 0,
                 sat_stages: Some(8),
             }],
@@ -196,7 +190,7 @@ mod tests {
         assert!((outcome.optimality_gap_of(6) - 0.5).abs() < 1e-12);
         assert_eq!(outcome.exact_ii(), None);
         assert_eq!(outcome.search_steps(), 17);
-        assert!(outcome.to_string().contains("II >= 4"));
+        assert_eq!(outcome.to_string(), "no schedule found; II >= 4 (17 steps)");
         assert_eq!(IiVerdict::Unknown.to_string(), "unknown");
     }
 }

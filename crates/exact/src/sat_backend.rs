@@ -63,17 +63,15 @@
 //! Each fixed-II probe encodes one self-contained formula in a fresh
 //! [`Solver`], as SAT-MapIt and Tirelli et al. do: the start windows, the
 //! cluster choices and every rule above, for that II alone. Nothing
-//! carries over from one II to the next; the probe's
-//! [`SatProbeSession`] is dropped once the probe is decided. Within one
-//! encoding the solver persists: register-pressure lemmas and the
-//! portfolio's budget instalments (repeated [`SatProbeSession::solve`]
-//! calls) re-run it on its learnt state.
+//! carries over from one II to the next; [`solve_fixed_ii_sat`] drops
+//! the formula once the probe is decided. Within one encoding the solver
+//! persists: register-pressure lemmas re-run it on its learnt state.
 //!
 //! The first encoding of every probe spans [`FIRST_STAGES`] pipeline
 //! stages (or the whole horizon when that is shorter). A model decodes to a
 //! legal schedule at any horizon, so a satisfiable first encoding decides
 //! the probe. Only a refutation needs every schedule the horizon allows:
-//! when the first encoding is unsatisfiable, the session drops it, encodes
+//! when the first encoding is unsatisfiable, the probe drops it, encodes
 //! the same II over the full [`ExactOptions::horizon_stages`] and goes on
 //! with what is left of the step budget. An "infeasible" verdict therefore
 //! always comes from the full-horizon formula. Steps and refinement rounds
@@ -726,157 +724,125 @@ impl<'a, 'l, 'm> Encoder<'a, 'l, 'm> {
 /// some of their points, so those probes would all pay the re-encoding.
 const FIRST_STAGES: u32 = 2;
 
-/// The SAT backend's state for one fixed-II probe: the probe's current
-/// encoder, kept across the portfolio's budget instalments (each a
-/// [`SatProbeSession::solve`] call) and dropped with the session.
-pub(crate) struct SatProbeSession<'a, 'l, 'm> {
-    ii: u32,
-    /// Stages of `enc`'s windows: the first encoding's until it is
-    /// refuted, then `options.horizon_stages`.
-    stages: u32,
-    enc: Encoder<'a, 'l, 'm>,
-    /// Register-pressure refinement rounds of the probe, summed over its
-    /// encodings and [`SatProbeSession::solve`] calls.
-    cegar_rounds: u64,
+/// What one SAT probe brings back besides its steps.
+#[derive(Debug)]
+pub(crate) struct SatProbe {
+    pub(crate) outcome: FixedIiOutcome,
+    /// Register-pressure refinement rounds, summed over both encodings.
+    pub(crate) cegar_rounds: u64,
+    /// Stages of the encoding that decided the probe: `None` when a
+    /// certificate refuted the II before any encoding, or the budget ran
+    /// out.
+    pub(crate) stages: Option<u32>,
 }
 
-impl<'a, 'l, 'm> SatProbeSession<'a, 'l, 'm> {
-    /// Opens the probe of `ii`: certificates first (resource counts,
-    /// positive dependence cycles — shared with the branch-and-bound),
-    /// then the first CNF encoding, over [`FIRST_STAGES`] stages. `None`
-    /// means a certificate refuted the II, so there is nothing to solve.
-    pub(crate) fn new(p: &'a ResModel<'l, 'm>, ii: u32, options: &ExactOptions) -> Option<Self> {
-        Self::staged(p, ii, options, FIRST_STAGES)
-    }
-
-    /// [`SatProbeSession::new`] with a first encoding of `first_stages`
-    /// stages (capped by `options.horizon_stages`).
-    fn staged(
-        p: &'a ResModel<'l, 'm>,
-        ii: u32,
-        options: &ExactOptions,
-        first_stages: u32,
-    ) -> Option<Self> {
-        if ii == 0 || p.resource_infeasible(ii) {
-            return None;
-        }
-        let stages = first_stages.min(options.horizon_stages);
-        Some(Self {
-            ii,
-            stages,
-            enc: Encoder::with_stages(p, ii, stages)?,
-            cegar_rounds: 0,
-        })
-    }
-
-    /// Register-pressure refinement rounds the probe has run so far, over
-    /// every encoding and [`SatProbeSession::solve`] call.
-    pub(crate) fn cegar_rounds(&self) -> u64 {
-        self.cegar_rounds
-    }
-
-    /// Pipeline stages of the current encoding: the one that decided the
-    /// probe once [`SatProbeSession::solve`] has returned a verdict.
-    pub(crate) fn stages(&self) -> u32 {
-        self.stages
-    }
-
-    /// Runs the CDCL search with MaxLive refinement between models until a
-    /// verdict or `options.node_budget` more steps, and decodes a model
-    /// through the kernel. `options` are the ones the session was opened
-    /// with. A refuted first encoding is replaced by the full-horizon one
-    /// within the same call, which spends what is left of the budget. `steps_used` is incremented by the solver steps
-    /// (decisions + conflicts) the call consumed in either encoding; the
-    /// budget contract matches [`crate::search::solve_fixed_ii`]. A later
-    /// call picks up where a [`FixedIiOutcome::Budget`] left off: the
-    /// solver keeps every clause it has learnt, so an interleaving caller
-    /// (the dovetailed portfolio probe) can hand the engine its budget in
-    /// instalments and still pay the total cost of one continuous solve.
-    pub(crate) fn solve(&mut self, options: &ExactOptions, steps_used: &mut u64) -> FixedIiOutcome {
-        let ii = self.ii;
-        let p = self.enc.p;
-        let _span = mvp_trace::span!(
-            "exact.sat.probe",
-            ii = ii,
-            vars = self.enc.solver.num_vars()
-        );
-        let mut spent = 0u64;
-        let outcome = loop {
-            let remaining = options.node_budget.saturating_sub(spent);
-            if remaining == 0 {
-                break FixedIiOutcome::Budget;
-            }
-            let steps0 = self.enc.solver.steps();
-            let result = self.enc.solver.solve(Some(remaining));
-            spent += self.enc.solver.steps() - steps0;
-            match result {
-                SolveResult::Unsat if self.stages < options.horizon_stages => {
-                    // Refuted within the short horizon only: a legal
-                    // schedule may still need more stages. The refuted
-                    // formula is freed before the full one is built, so
-                    // the two never add up in the peak memory.
-                    self.enc.solver = Solver::new();
-                    self.stages = options.horizon_stages;
-                    self.enc = Encoder::with_stages(p, ii, self.stages)
-                        .expect("the first encoding's windows found no positive cycle");
-                    continue;
-                }
-                SolveResult::Unsat => break FixedIiOutcome::Infeasible,
-                SolveResult::Budget => break FixedIiOutcome::Budget,
-                SolveResult::Sat => {}
-            }
-            let enc = &mut self.enc;
-            let ps = enc.decode();
-            let ops = ps.placed_ops();
-            let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
-            let overflowing: Vec<usize> = (0..pressure.len())
-                .filter(|&c| pressure[c] > p.register_file[c])
-                .collect();
-            if !overflowing.is_empty() {
-                for c in overflowing {
-                    let lemma = enc.pressure_lemma(&ops, c);
-                    enc.solver.add_clause(&lemma);
-                }
-                self.cegar_rounds += 1;
-                mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
-                continue;
-            }
-            let comms = ps.communications();
-            // A SAT certificate is only as good as the schedule it decodes
-            // to: re-validate with the independent oracle in every build.
-            let schedule = mvp_core::Schedule::new(
-                p.machine.name.clone(),
-                "exact-sat",
-                ii,
-                ops.clone(),
-                comms.clone(),
-                pressure,
-            );
-            let violations = mvp_core::validate_schedule(p.l, p.machine, &schedule);
-            assert!(
-                violations.is_empty(),
-                "the SAT backend decoded an illegal schedule for {}: {violations:?}",
-                p.l.name(),
-            );
-            break FixedIiOutcome::Feasible { ops, comms };
-        };
-        *steps_used += spent;
-        outcome
-    }
-}
-
-/// One-shot convenience wrapper: a single probe on a fresh
-/// [`SatProbeSession`], for the unit tests below.
-#[cfg(test)]
+/// One fixed-II probe on the SAT backend: certificates first (resource
+/// counts, positive dependence cycles — shared with the
+/// branch-and-bound), then the CDCL search over a [`FIRST_STAGES`]-stage
+/// encoding, with MaxLive refinement between models, until a verdict or
+/// `options.node_budget` steps. A refuted first encoding is replaced by
+/// the full-horizon one, which spends what is left of the budget.
+/// `steps_used` is incremented by the solver steps (decisions + conflicts)
+/// of both encodings; the budget contract matches
+/// [`crate::search::solve_fixed_ii`].
 pub(crate) fn solve_fixed_ii_sat(
     p: &ResModel<'_, '_>,
     ii: u32,
     options: &ExactOptions,
     steps_used: &mut u64,
-) -> FixedIiOutcome {
-    SatProbeSession::new(p, ii, options).map_or(FixedIiOutcome::Infeasible, |mut s| {
-        s.solve(options, steps_used)
-    })
+) -> SatProbe {
+    solve_staged(p, ii, options, FIRST_STAGES, steps_used)
+}
+
+/// [`solve_fixed_ii_sat`] with a first encoding of `first_stages` stages
+/// (capped by `options.horizon_stages`).
+fn solve_staged(
+    p: &ResModel<'_, '_>,
+    ii: u32,
+    options: &ExactOptions,
+    first_stages: u32,
+    steps_used: &mut u64,
+) -> SatProbe {
+    let certified = || SatProbe {
+        outcome: FixedIiOutcome::Infeasible,
+        cegar_rounds: 0,
+        stages: None,
+    };
+    if ii == 0 || p.resource_infeasible(ii) {
+        return certified();
+    }
+    let mut stages = first_stages.min(options.horizon_stages);
+    let Some(mut enc) = Encoder::with_stages(p, ii, stages) else {
+        return certified();
+    };
+    let _span = mvp_trace::span!("exact.sat.probe", ii = ii, vars = enc.solver.num_vars());
+    let mut cegar_rounds = 0u64;
+    let mut spent = 0u64;
+    let outcome = loop {
+        let remaining = options.node_budget.saturating_sub(spent);
+        if remaining == 0 {
+            break FixedIiOutcome::Budget;
+        }
+        let steps0 = enc.solver.steps();
+        let result = enc.solver.solve(Some(remaining));
+        spent += enc.solver.steps() - steps0;
+        match result {
+            SolveResult::Unsat if stages < options.horizon_stages => {
+                // Refuted within the short horizon only: a legal
+                // schedule may still need more stages. The refuted
+                // formula is freed before the full one is built, so
+                // the two never add up in the peak memory.
+                enc.solver = Solver::new();
+                stages = options.horizon_stages;
+                enc = Encoder::with_stages(p, ii, stages)
+                    .expect("the first encoding's windows found no positive cycle");
+                continue;
+            }
+            SolveResult::Unsat => break FixedIiOutcome::Infeasible,
+            SolveResult::Budget => break FixedIiOutcome::Budget,
+            SolveResult::Sat => {}
+        }
+        let ps = enc.decode();
+        let ops = ps.placed_ops();
+        let pressure = lifetime::register_pressure(p.l, &ops, ii, p.machine.num_clusters());
+        let overflowing: Vec<usize> = (0..pressure.len())
+            .filter(|&c| pressure[c] > p.register_file[c])
+            .collect();
+        if !overflowing.is_empty() {
+            for c in overflowing {
+                let lemma = enc.pressure_lemma(&ops, c);
+                enc.solver.add_clause(&lemma);
+            }
+            cegar_rounds += 1;
+            mvp_trace::instant!("exact.sat.cegar_round", ii = ii);
+            continue;
+        }
+        let comms = ps.communications();
+        // A SAT certificate is only as good as the schedule it decodes
+        // to: re-validate with the independent oracle in every build.
+        let schedule = mvp_core::Schedule::new(
+            p.machine.name.clone(),
+            "exact-sat",
+            ii,
+            ops.clone(),
+            comms.clone(),
+            pressure,
+        );
+        let violations = mvp_core::validate_schedule(p.l, p.machine, &schedule);
+        assert!(
+            violations.is_empty(),
+            "the SAT backend decoded an illegal schedule for {}: {violations:?}",
+            p.l.name(),
+        );
+        break FixedIiOutcome::Feasible { ops, comms };
+    };
+    *steps_used += spent;
+    let decided = !matches!(outcome, FixedIiOutcome::Budget);
+    SatProbe {
+        outcome,
+        cegar_rounds,
+        stages: decided.then_some(stages),
+    }
 }
 
 #[cfg(test)]
@@ -887,8 +853,7 @@ mod tests {
 
     fn probe(l: &Loop, machine: &mvp_machine::MachineConfig, ii: u32) -> FixedIiOutcome {
         let p = ResModel::new(l, machine).unwrap();
-        let mut steps = 0;
-        solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut steps)
+        solve_fixed_ii_sat(&p, ii, &ExactOptions::new(), &mut 0).outcome
     }
 
     fn chain() -> Loop {
@@ -979,7 +944,8 @@ mod tests {
         let p = ResModel::new(&l, &machine).unwrap();
         let mut steps = 0;
         let out = solve_fixed_ii_sat(&p, 2, &ExactOptions::new().with_node_budget(1), &mut steps);
-        assert!(matches!(out, FixedIiOutcome::Budget), "{out:?}");
+        assert!(matches!(out.outcome, FixedIiOutcome::Budget), "{out:?}");
+        assert_eq!(out.stages, None, "no encoding decided the probe");
         assert!(steps >= 1);
     }
 
@@ -998,10 +964,9 @@ mod tests {
         let options = ExactOptions::new();
         let full_stages = options.horizon_stages;
         let solve = |first_stages: u32, options: &ExactOptions| {
-            let mut session = SatProbeSession::staged(&p, 1, options, first_stages).unwrap();
             let mut steps = 0;
-            let outcome = session.solve(options, &mut steps);
-            (outcome, steps, session.stages())
+            let probe = solve_staged(&p, 1, options, first_stages, &mut steps);
+            (probe.outcome, steps, probe.stages)
         };
         let (outcome, one, _) = solve(1, &options.with_horizon_stages(1));
         assert!(matches!(outcome, FixedIiOutcome::Infeasible), "{outcome:?}");
@@ -1010,26 +975,30 @@ mod tests {
             matches!(outcome, FixedIiOutcome::Feasible { .. }),
             "{outcome:?}"
         );
-        assert_eq!(stages, full_stages);
+        assert_eq!(stages, Some(full_stages));
         let (outcome, both, stages) = solve(1, &options);
         assert!(
             matches!(outcome, FixedIiOutcome::Feasible { .. }),
             "{outcome:?}"
         );
-        assert_eq!(stages, full_stages, "the full-horizon encoding decided");
+        assert_eq!(
+            stages,
+            Some(full_stages),
+            "the full-horizon encoding decided"
+        );
         assert_eq!(both, one + full, "both encodings' steps are charged");
         // The fallback spends what the first encoding left of the budget.
-        let (outcome, _, stages) = solve(1, &options.with_node_budget(both - 1));
+        let (outcome, spent, stages) = solve(1, &options.with_node_budget(both - 1));
         assert!(matches!(outcome, FixedIiOutcome::Budget), "{outcome:?}");
-        assert_eq!(stages, full_stages);
+        assert!(spent > one, "the full-horizon encoding ran");
+        assert_eq!(stages, None);
         // Production's first encoding already has room for the schedule.
-        let mut session = SatProbeSession::new(&p, 1, &options).unwrap();
-        let outcome = session.solve(&options, &mut 0);
+        let probe = solve_fixed_ii_sat(&p, 1, &options, &mut 0);
         assert!(
-            matches!(outcome, FixedIiOutcome::Feasible { .. }),
-            "{outcome:?}"
+            matches!(probe.outcome, FixedIiOutcome::Feasible { .. }),
+            "{probe:?}"
         );
-        assert_eq!(session.stages(), FIRST_STAGES);
+        assert_eq!(probe.stages, Some(FIRST_STAGES));
     }
 
     #[test]

@@ -17,15 +17,14 @@
 //! # Backends
 //!
 //! The probe engine is pluggable ([`ExactBackend`]): the branch-and-bound
-//! search of the `search` module, the CDCL SAT encoder of the `sat_backend`
-//! module, or a **portfolio** that dovetails both engines per probe in
-//! geometrically escalating step quanta until one of them decides. All
-//! engines draw from one shared budget pool measured in *search steps*
-//! (branch-and-bound nodes plus SAT decisions/conflicts).
+//! search of the `search` module or the CDCL SAT encoder of the
+//! `sat_backend` module, one engine for every probe of a search. Either
+//! draws from one budget pool measured in *search steps* (branch-and-bound
+//! nodes or SAT decisions/conflicts).
 
 use crate::options::ExactOptions;
 use crate::outcome::{ExactOutcome, IiProbe, IiVerdict};
-use crate::sat_backend::SatProbeSession;
+use crate::sat_backend::solve_fixed_ii_sat;
 use crate::search::{solve_fixed_ii, FixedIiOutcome};
 use mvp_core::error::ScheduleError;
 use mvp_core::{lifetime, Communication, ModuloScheduler, Schedule};
@@ -34,7 +33,7 @@ use mvp_machine::MachineConfig;
 use mvp_resmodel::ResModel;
 use std::fmt;
 
-/// The engine (or engine combination) driving the fixed-II probes.
+/// The engine driving the fixed-II probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExactBackend {
     /// The branch-and-bound search (the default; every certificate is an
@@ -45,10 +44,6 @@ pub enum ExactBackend {
     /// schedule is decoded back through the constraint kernel and
     /// re-validated by the independent oracle).
     Sat,
-    /// Both engines dovetailed per probe: SAT and branch-and-bound take
-    /// turns in escalating step quanta until one decides. The verdict and
-    /// the step counts are deterministic.
-    Portfolio,
 }
 
 impl ExactBackend {
@@ -58,18 +53,16 @@ impl ExactBackend {
         match self {
             ExactBackend::BranchAndBound => "exact",
             ExactBackend::Sat => "exact-sat",
-            ExactBackend::Portfolio => "exact-portfolio",
         }
     }
 }
 
-/// The short stable label of CSV columns: `bnb`, `sat` or `portfolio`.
+/// The short stable label of CSV columns: `bnb` or `sat`.
 impl fmt::Display for ExactBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ExactBackend::BranchAndBound => "bnb",
             ExactBackend::Sat => "sat",
-            ExactBackend::Portfolio => "portfolio",
         })
     }
 }
@@ -117,7 +110,6 @@ pub fn solve_with(
 /// What one probe brings back to the commit loop.
 struct ProbeResult {
     outcome: FixedIiOutcome,
-    solver: ExactBackend,
     /// Branch-and-bound steps this probe consumed.
     nodes: u64,
     /// SAT steps this probe consumed.
@@ -128,90 +120,7 @@ struct ProbeResult {
     sat_stages: Option<u32>,
 }
 
-impl ProbeResult {
-    /// A probe result with no steps or statistics yet.
-    fn of(outcome: FixedIiOutcome, solver: ExactBackend) -> Self {
-        Self {
-            outcome,
-            solver,
-            nodes: 0,
-            conflicts: 0,
-            cegar_rounds: 0,
-            sat_stages: None,
-        }
-    }
-
-    /// Takes the SAT session's refinement rounds, and its encoding's
-    /// stages when SAT decided the probe.
-    fn with_session(self, session: &SatProbeSession<'_, '_, '_>) -> Self {
-        let decided =
-            self.solver == ExactBackend::Sat && !matches!(self.outcome, FixedIiOutcome::Budget);
-        Self {
-            cegar_rounds: session.cegar_rounds(),
-            sat_stages: decided.then(|| session.stages()),
-            ..self
-        }
-    }
-}
-
-/// First instalment of a dovetailed portfolio probe, in steps. Small
-/// enough that easy probes (the common case) decide in their first SAT
-/// call exactly as a plain SAT probe would.
-const DOVETAIL_QUANTUM: u64 = 1 << 12;
-
-/// Quantum multiplier between dovetail cycles. Geometric escalation
-/// bounds the stateless branch-and-bound restarts (and the losing
-/// engine's spend) by a constant factor of the deciding attempt.
-const DOVETAIL_ESCALATION: u64 = 4;
-
-/// One portfolio probe, dovetailed: SAT and branch-and-bound alternate in
-/// geometrically escalating step quanta until one of them decides. The
-/// SAT session persists across instalments (its learnt clauses carry
-/// over, so split budgets cost what one continuous solve would), while
-/// the stateless branch-and-bound restarts from scratch each cycle. The
-/// quantum schedule is fixed, so the probe's verdict *and* its step counts
-/// are a pure function of the problem, the II and the budget, and the
-/// probe's total cost is bounded by a constant factor of the
-/// *cheaper* engine's solo cost, so one engine's pathological II (say, a
-/// refutation SAT grinds on but branch-and-bound dispatches) cannot sink
-/// the search.
-fn dovetail_probe(
-    p: &ResModel<'_, '_>,
-    ii: u32,
-    options: &ExactOptions,
-    session: &mut SatProbeSession<'_, '_, '_>,
-) -> ProbeResult {
-    let mut r = ProbeResult::of(FixedIiOutcome::Budget, ExactBackend::Portfolio);
-    let mut quantum = DOVETAIL_QUANTUM;
-    loop {
-        let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
-        if remaining == 0 {
-            return r;
-        }
-        let sat_options = options.with_node_budget(quantum.min(remaining));
-        let outcome = session.solve(&sat_options, &mut r.conflicts);
-        if !matches!(outcome, FixedIiOutcome::Budget) {
-            r.outcome = outcome;
-            r.solver = ExactBackend::Sat;
-            return r;
-        }
-        let remaining = options.node_budget.saturating_sub(r.conflicts + r.nodes);
-        if remaining == 0 {
-            return r;
-        }
-        let bnb_options = options.with_node_budget(quantum.min(remaining));
-        let outcome = solve_fixed_ii(p, ii, &bnb_options, &mut r.nodes);
-        if !matches!(outcome, FixedIiOutcome::Budget) {
-            r.outcome = outcome;
-            r.solver = ExactBackend::BranchAndBound;
-            return r;
-        }
-        quantum = quantum.saturating_mul(DOVETAIL_ESCALATION);
-    }
-}
-
-/// Runs one probe on `backend`. A SAT or portfolio probe encodes its own
-/// formula in a fresh session, dropped when the probe returns.
+/// Runs one probe on `backend`.
 fn run_probe(
     p: &ResModel<'_, '_>,
     ii: u32,
@@ -224,29 +133,23 @@ fn run_probe(
             let mut nodes = 0u64;
             let outcome = solve_fixed_ii(p, ii, options, &mut nodes);
             ProbeResult {
+                outcome,
                 nodes,
-                ..ProbeResult::of(outcome, ExactBackend::BranchAndBound)
+                conflicts: 0,
+                cegar_rounds: 0,
+                sat_stages: None,
             }
         }
         ExactBackend::Sat => {
-            let Some(mut session) = SatProbeSession::new(p, ii, options) else {
-                return ProbeResult::of(FixedIiOutcome::Infeasible, ExactBackend::Sat);
-            };
             let mut conflicts = 0u64;
-            let outcome = session.solve(options, &mut conflicts);
+            let probe = solve_fixed_ii_sat(p, ii, options, &mut conflicts);
             ProbeResult {
+                outcome: probe.outcome,
+                nodes: 0,
                 conflicts,
-                ..ProbeResult::of(outcome, ExactBackend::Sat)
+                cegar_rounds: probe.cegar_rounds,
+                sat_stages: probe.stages,
             }
-            .with_session(&session)
-        }
-        ExactBackend::Portfolio => {
-            // A certificate that refutes the II decides the probe before
-            // either engine runs; it is the SAT side's certificate check.
-            let Some(mut session) = SatProbeSession::new(p, ii, options) else {
-                return ProbeResult::of(FixedIiOutcome::Infeasible, ExactBackend::Sat);
-            };
-            dovetail_probe(p, ii, options, &mut session).with_session(&session)
         }
     }
 }
@@ -293,7 +196,6 @@ fn ii_search(
             verdict,
             nodes: r.nodes,
             conflicts: r.conflicts,
-            solver: r.solver,
             cegar_rounds: r.cegar_rounds,
             sat_stages: r.sat_stages,
         });
@@ -493,11 +395,7 @@ mod tests {
         let (l, _) = mvp_workloads::motivating_loop(&mvp_workloads::MotivatingParams::default());
         let machine = presets::motivating_example_machine();
         let min_ii = mii::minimum_ii(&l, &machine);
-        for backend in [
-            ExactBackend::BranchAndBound,
-            ExactBackend::Sat,
-            ExactBackend::Portfolio,
-        ] {
+        for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
             let err = solve_with(
                 &l,
                 &machine,
@@ -539,7 +437,6 @@ mod tests {
     fn backends_print_their_labels() {
         assert_eq!(ExactBackend::BranchAndBound.to_string(), "bnb");
         assert_eq!(ExactBackend::Sat.to_string(), "sat");
-        assert_eq!(ExactBackend::Portfolio.to_string(), "portfolio");
     }
 
     #[test]
@@ -553,11 +450,18 @@ mod tests {
         assert_eq!(Some(s.ii()), outcome.schedule_ii());
         assert_eq!(s.scheduler_name, "exact");
         assert_eq!(s.machine_name, machine.name);
+        let sat = ExactScheduler::new().with_backend(ExactBackend::Sat);
+        assert_eq!(sat.name(), "exact-sat");
+        assert_eq!(
+            sat.schedule(&l, &machine).unwrap().scheduler_name,
+            "exact-sat"
+        );
     }
 
     #[test]
     fn the_sat_backend_agrees_with_branch_and_bound() {
         let loops = [chain(), search_refuted_recurrence()];
+        let mut stepped = false;
         for l in &loops {
             for machine in [
                 presets::unified(),
@@ -584,11 +488,19 @@ mod tests {
                 assert_eq!(sat.schedule_ii(), bnb.schedule_ii());
                 assert_eq!(sat.backend, ExactBackend::Sat);
                 assert_eq!(sat.nodes, 0, "the SAT backend charges steps, not nodes");
+                // The text reports SAT's steps, not its zero nodes.
+                assert!(
+                    sat.to_string()
+                        .contains(&format!("({} steps)", sat.conflicts)),
+                    "{sat}"
+                );
+                stepped |= sat.conflicts > 0;
                 let s = sat.schedule.as_ref().expect("feasible");
                 assert_eq!(s.scheduler_name, "exact-sat");
                 assert!(validate_schedule(l, &machine, s).is_empty());
             }
         }
+        assert!(stepped, "some SAT outcome took a step");
     }
 
     #[test]
@@ -622,50 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn the_portfolio_matches_both_engines_and_records_the_winner() {
-        let l = search_refuted_recurrence();
-        let machine = presets::motivating_example_machine();
-        let outcome =
-            solve_with(&l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio).unwrap();
-        assert_eq!(outcome.min_ii, 2);
-        assert_eq!(outcome.schedule_ii(), Some(3));
-        assert!(outcome.proved_optimal);
-        assert_eq!(outcome.backend, ExactBackend::Portfolio);
-        for probe in &outcome.probes {
-            assert_ne!(
-                probe.solver,
-                ExactBackend::Portfolio,
-                "decided probes name the winning engine"
-            );
-        }
-        let s = outcome.schedule.as_ref().unwrap();
-        assert_eq!(s.scheduler_name, "exact-portfolio");
-        assert!(validate_schedule(&l, &machine, s).is_empty());
-    }
-
-    #[test]
-    fn the_portfolio_is_deterministic_and_sat_wins() {
-        let l = chain();
-        let machine = presets::two_cluster();
-        let backend = ExactBackend::Portfolio;
-        let a = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
-        let b = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.conflicts, b.conflicts);
-        assert_eq!(a.schedule, b.schedule);
-        // SAT takes the first dovetail quantum and decides the probe, so
-        // branch-and-bound never gets a turn.
-        assert_eq!(a.probes.last().unwrap().solver, ExactBackend::Sat);
-        assert_eq!(a.nodes, 0);
-        let scheduler = ExactScheduler::new().with_backend(backend);
-        assert_eq!(scheduler.name(), "exact-portfolio");
-        assert_eq!(
-            scheduler.schedule(&l, &machine).unwrap().scheduler_name,
-            "exact-portfolio"
-        );
-    }
-
-    #[test]
     fn intermediate_ii_budget_exhaustion_keeps_the_bound_on_every_backend() {
         // The II=2 probe is refuted by search alone; give each backend just
         // enough budget to certify it but not to finish II=3. The outcome
@@ -673,11 +541,7 @@ mod tests {
         // helper must price a heuristic II=3 schedule at gap 0.
         let l = search_refuted_recurrence();
         let machine = presets::motivating_example_machine();
-        for backend in [
-            ExactBackend::BranchAndBound,
-            ExactBackend::Sat,
-            ExactBackend::Portfolio,
-        ] {
+        for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
             let full = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
             assert_eq!(full.schedule_ii(), Some(3), "{backend:?}");
             assert!(full.proved_optimal);

@@ -125,11 +125,7 @@ fn memory_recurrences_cost_one_cycle_per_edge_in_every_engine() {
         assert_eq!(mii::minimum_ii(&l, &machine), 2, "{}", machine.name);
         let list = ListScheduler::new().schedule(&l, &machine).unwrap();
         assert!(validate_schedule(&l, &machine, &list).is_empty());
-        for backend in [
-            ExactBackend::BranchAndBound,
-            ExactBackend::Sat,
-            ExactBackend::Portfolio,
-        ] {
+        for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
             let outcome = solve_with(&l, &machine, &ExactOptions::new(), &backend).unwrap();
             let s = outcome.schedule.as_ref().expect("feasible");
             assert!(outcome.proved_optimal, "{backend} on {}", machine.name);
@@ -256,12 +252,11 @@ fn exact_scheduler_is_a_drop_in_modulo_scheduler() {
     assert!(iis[1] >= iis[0], "heuristic beat the exact scheduler");
 }
 
-/// The three exact engines (branch-and-bound, SAT and their dovetailed
-/// portfolio) agree on every II two of them decide when register files are
-/// tiny, and every schedule they emit is validator-clean. The gap corpus
-/// refines register pressure on only three points, so this is what
-/// exercises the SAT engine's explanation lemmas, alone and inside the
-/// portfolio. Fuzzed schedulable loops on the two- and four-cluster
+/// The two exact engines (branch-and-bound and SAT) agree on every II
+/// both decide when register files are tiny, and every schedule they emit
+/// is validator-clean. The gap corpus refines register pressure on only
+/// three points, so this is what exercises the SAT engine's explanation
+/// lemmas. Fuzzed schedulable loops on the two- and four-cluster
 /// Table-1 machines ride along; they stress clustering and transfers
 /// rather than registers, so they join the agreement, bound and validator
 /// checks but not the floors, which only the starved points may meet.
@@ -321,14 +316,10 @@ fn exact_engines_agree_per_ii_on_register_starved_machines() {
         }
     }
     let options = ExactOptions::new().with_node_budget(20_000);
-    let (mut compared, mut cegar_rounds, mut portfolio_schedules) = (0usize, 0u64, 0usize);
+    let (mut compared, mut cegar_rounds) = (0usize, 0u64);
     for (point, l, machine, starved) in &points {
-        let outcomes = [
-            ExactBackend::BranchAndBound,
-            ExactBackend::Sat,
-            ExactBackend::Portfolio,
-        ]
-        .map(|backend| solve_with(l, machine, &options, &backend).unwrap());
+        let outcomes = [ExactBackend::BranchAndBound, ExactBackend::Sat]
+            .map(|backend| solve_with(l, machine, &options, &backend).unwrap());
         let at = |ii: u32, o: &mvp_exact::ExactOutcome| {
             o.probes
                 .iter()
@@ -367,17 +358,12 @@ fn exact_engines_agree_per_ii_on_register_starved_machines() {
         if !starved {
             continue;
         }
-        let [_, sat, portfolio] = &outcomes;
+        let [_, sat] = &outcomes;
         cegar_rounds += sat.probes.iter().map(|p| p.cegar_rounds).sum::<u64>();
-        portfolio_schedules += usize::from(portfolio.schedule.is_some());
     }
     assert!(compared > 0);
     assert!(
         cegar_rounds > 0,
         "the register files must starve some model"
-    );
-    assert!(
-        portfolio_schedules > 0,
-        "the portfolio must schedule some loop"
     );
 }

@@ -199,21 +199,6 @@ impl Loop {
         self.ops.iter().filter(|o| o.is_load()).map(|o| o.id)
     }
 
-    /// Number of operations of each [`OpKind`]: `(int, fp, load, store)`.
-    #[must_use]
-    pub fn op_counts(&self) -> (usize, usize, usize, usize) {
-        let mut c = (0, 0, 0, 0);
-        for op in &self.ops {
-            match op.kind {
-                OpKind::IntOp => c.0 += 1,
-                OpKind::FpOp => c.1 += 1,
-                OpKind::Load => c.2 += 1,
-                OpKind::Store => c.3 += 1,
-            }
-        }
-        c
-    }
-
     /// `NITER`: trip count of the pipelined (innermost) loop.
     #[must_use]
     pub fn iterations(&self) -> u64 {
@@ -494,7 +479,11 @@ mod tests {
         let l = diamond();
         assert_eq!(l.num_ops(), 4);
         assert_eq!(l.edges().len(), 5);
-        assert_eq!(l.op_counts(), (0, 2, 1, 1));
+        let kinds: Vec<OpKind> = l.ops().iter().map(|op| op.kind).collect();
+        assert_eq!(
+            kinds,
+            [OpKind::Load, OpKind::FpOp, OpKind::FpOp, OpKind::Store]
+        );
         let ld = OpId::from_index(0);
         let st = OpId::from_index(3);
         assert_eq!(l.succs(ld).count(), 2);

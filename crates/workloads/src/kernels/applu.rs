@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn operation_mix_matches_blts() {
         let l = &loops(&KernelParams::default())[0];
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(l);
         assert_eq!((int, fp, loads, stores), (0, 3, 3, 1));
     }
 

@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn operation_mix_matches_the_stencil() {
         let l = &loops(&KernelParams::default())[0];
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(l);
         assert_eq!((int, fp, loads, stores), (0, 7, 8, 1));
         // 9 memory operations means ResMII of at least 3 on the 2-cluster
         // machine's 4 memory units.

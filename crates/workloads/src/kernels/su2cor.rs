@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn operation_mix_is_a_complex_dot_product() {
         let l = &loops(&KernelParams::default())[0];
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(l);
         assert_eq!((int, fp, loads, stores), (0, 8, 4, 0));
     }
 

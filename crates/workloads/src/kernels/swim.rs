@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn operation_mix_matches_calc1() {
         let l = &loops(&KernelParams::default())[0];
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(l);
         assert_eq!((int, fp, loads, stores), (0, 9, 7, 3));
         // All loads feed at least one consumer.
         for op in l.loads() {

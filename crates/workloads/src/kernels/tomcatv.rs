@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn operation_mix_matches_the_residual_loop() {
         let l = &loops(&KernelParams::default())[0];
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(l);
         assert_eq!((int, fp, loads, stores), (0, 8, 8, 2));
         assert_eq!(l.edges().len(), 16);
     }

@@ -44,3 +44,16 @@ pub mod suite;
 pub use generator::{is_modulo_schedulable, GeneratorConfig, GeneratorMode, LoopGenerator};
 pub use motivating::{motivating_loop, MotivatingParams};
 pub use suite::{suite, SuiteParams, Workload};
+
+/// Number of operations of each kind, `(int, fp, load, store)`, for the
+/// kernels' operation-mix tests.
+#[cfg(test)]
+fn op_counts(l: &mvp_ir::Loop) -> (usize, usize, usize, usize) {
+    let count = |kind| l.ops().iter().filter(|op| op.kind == kind).count();
+    (
+        count(mvp_ir::OpKind::IntOp),
+        count(mvp_ir::OpKind::FpOp),
+        count(mvp_ir::OpKind::Load),
+        count(mvp_ir::OpKind::Store),
+    )
+}

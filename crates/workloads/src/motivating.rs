@@ -134,7 +134,7 @@ mod tests {
     fn structure_matches_figure_3() {
         let (l, ops) = motivating_loop(&MotivatingParams::default());
         assert_eq!(l.num_ops(), 8);
-        let (int, fp, loads, stores) = l.op_counts();
+        let (int, fp, loads, stores) = crate::op_counts(&l);
         assert_eq!((int, fp, loads, stores), (0, 3, 4, 1));
         assert_eq!(l.edges().len(), 7);
         assert_eq!(l.preds(ops.add).count(), 2);

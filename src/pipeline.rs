@@ -66,9 +66,6 @@ pub enum SchedulerChoice {
     /// search, but every probe is decided by CNF refutation / model
     /// decoding instead of branch-and-bound.
     ExactSat,
-    /// The exact scheduler dovetailing the SAT and branch-and-bound engines
-    /// per probe in escalating step quanta until one decides.
-    Portfolio,
 }
 
 impl SchedulerChoice {
@@ -98,22 +95,19 @@ impl SchedulerChoice {
             SchedulerChoice::ListFallback => "list-fallback",
             SchedulerChoice::Exact => "exact",
             SchedulerChoice::ExactSat => "exact-sat",
-            SchedulerChoice::Portfolio => "portfolio",
         }
     }
 
     /// The probe backend of the exact-family choices ([`Exact`],
-    /// [`ExactSat`], [`Portfolio`]); `None` for the heuristics.
+    /// [`ExactSat`]); `None` for the heuristics.
     ///
     /// [`Exact`]: SchedulerChoice::Exact
     /// [`ExactSat`]: SchedulerChoice::ExactSat
-    /// [`Portfolio`]: SchedulerChoice::Portfolio
     #[must_use]
     pub fn exact_backend(self) -> Option<ExactBackend> {
         match self {
             SchedulerChoice::Exact => Some(ExactBackend::BranchAndBound),
             SchedulerChoice::ExactSat => Some(ExactBackend::Sat),
-            SchedulerChoice::Portfolio => Some(ExactBackend::Portfolio),
             _ => None,
         }
     }
@@ -130,7 +124,7 @@ impl SchedulerChoice {
                 RmcaScheduler::with_options(options),
                 options,
             )),
-            SchedulerChoice::Exact | SchedulerChoice::ExactSat | SchedulerChoice::Portfolio => {
+            SchedulerChoice::Exact | SchedulerChoice::ExactSat => {
                 let backend = self.exact_backend().expect("exact-family choice");
                 Box::new(ExactScheduler::new().with_backend(backend))
             }
@@ -231,9 +225,8 @@ impl PipelineBuilder {
     /// small loops — the exact search carries a node budget and degrades to
     /// a weaker (but still certified) bound on large ones.
     ///
-    /// For the exact-family choices ([`SchedulerChoice::Exact`],
-    /// [`SchedulerChoice::ExactSat`], [`SchedulerChoice::Portfolio`]) the
-    /// one solve that yields the schedule also yields the bound, so the
+    /// For the exact-family choices ([`SchedulerChoice::Exact`] and
+    /// [`SchedulerChoice::ExactSat`]) the one solve that yields the schedule also yields the bound, so the
     /// flag never changes the schedule.
     #[must_use]
     pub fn optimality_gap(mut self, enabled: bool) -> Self {
@@ -954,27 +947,24 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_retires_the_figure3_node_count() {
+    fn sat_retires_the_figure3_node_count() {
         // Branch-and-bound alone needs 490,291 nodes to prove II=3 on the
-        // figure-3 loop; the portfolio must beat that on the *inclusive*
-        // total (its SAT steps plus every dovetailed branch-and-bound
-        // instalment).
+        // figure-3 loop; the SAT engine must beat that in search steps.
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = presets::motivating_example_machine();
         let outcome =
-            mvp_exact::solve_with(&l, &machine, &ExactOptions::new(), &ExactBackend::Portfolio)
-                .unwrap();
+            mvp_exact::solve_with(&l, &machine, &ExactOptions::new(), &ExactBackend::Sat).unwrap();
         assert_eq!(outcome.schedule_ii(), Some(3));
         assert!(outcome.proved_optimal);
         assert!(
             outcome.search_steps() < 490_291,
-            "portfolio took {} steps",
+            "SAT took {} steps",
             outcome.search_steps()
         );
 
         // The same search through the pipeline front end.
         let report = Pipeline::builder()
-            .scheduler(SchedulerChoice::Portfolio)
+            .scheduler(SchedulerChoice::ExactSat)
             .machine(machine)
             .executor(Arc::new(Executor::new(1)))
             .optimality_gap(true)
@@ -982,10 +972,9 @@ mod tests {
             .unwrap()
             .run(&l)
             .unwrap();
-        assert_eq!(report.schedule.scheduler_name, "exact-portfolio");
+        assert_eq!(report.schedule.scheduler_name, "exact-sat");
         assert_eq!(report.ii, 3);
         assert_eq!(report.optimality_gap, Some(0.0));
-        assert_eq!(SchedulerChoice::Portfolio.name(), "portfolio");
     }
 
     #[test]
@@ -1068,15 +1057,15 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_pipelines_do_not_depend_on_the_executor_width() {
-        // The portfolio searches one II at a time whatever executor the
+    fn sat_pipelines_do_not_depend_on_the_executor_width() {
+        // The SAT engine searches one II at a time whatever executor the
         // pipeline runs on, so the width changes neither the cache key nor
         // the report, down to the schedule itself.
         let (l, _) = motivating_loop(&MotivatingParams::default());
         let machine = Arc::new(presets::motivating_example_machine());
         let build = |threads| {
             Pipeline::builder()
-                .scheduler(SchedulerChoice::Portfolio)
+                .scheduler(SchedulerChoice::ExactSat)
                 .machine(Arc::clone(&machine))
                 .executor(Arc::new(Executor::new(threads)))
                 .optimality_gap(true)
@@ -1101,11 +1090,7 @@ mod tests {
         assert_eq!(batch.optimality_gap, None);
         // For the exact family the flag changes nothing but the gap itself.
         let machine = Arc::new(presets::motivating_example_machine());
-        for choice in [
-            SchedulerChoice::Exact,
-            SchedulerChoice::ExactSat,
-            SchedulerChoice::Portfolio,
-        ] {
+        for choice in [SchedulerChoice::Exact, SchedulerChoice::ExactSat] {
             let run = |gap| {
                 Pipeline::builder()
                     .scheduler(choice)

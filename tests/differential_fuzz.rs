@@ -480,11 +480,7 @@ fn memory_recurrences_never_lift_a_bound_above_a_legal_schedule() {
                 mii::minimum_ii(&l, machine),
                 machine.name
             );
-            for backend in [
-                ExactBackend::BranchAndBound,
-                ExactBackend::Sat,
-                ExactBackend::Portfolio,
-            ] {
+            for backend in [ExactBackend::BranchAndBound, ExactBackend::Sat] {
                 let outcome = solve_with(&l, machine, &ExactOptions::new(), &backend)
                     .expect("well-formed loops build a valid exact model");
                 assert!(
